@@ -152,6 +152,7 @@ def _cmd_holonomy(args) -> int:
     print(f"cycle type = {describe_cycles(holonomy.permutation)}")
     print(f"total cost = {_fmt(holonomy.total_path_cost)}")
     print(f"steps = {loop.step_count}")
+    print(f"margin = {_fmt(holonomy.margin)} at step {holonomy.worst_step}")
     return 0
 
 
@@ -180,6 +181,8 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_bench(args) -> int:
     n_values = _parse_n_values(args.n)
+    if args.reps < 1:
+        raise InputError(f"need --reps >= 1, got {args.reps}")
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     mismatch = False

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,13 +70,6 @@ def is_perm(p: Sequence[int]) -> bool:
     (True, False)
     """
     return len(p) >= 1 and sorted(p) == list(range(len(p)))
-
-
-def check_perm(p: Sequence[int]) -> Perm:
-    p = tuple(int(i) for i in p)
-    if not is_perm(p):
-        raise InputError(f"not a permutation of range({len(p)}): {p}")
-    return p
 
 
 def identity_perm(n: int) -> Perm:
@@ -151,8 +144,3 @@ def perm_matrix(n: int) -> np.ndarray:
 
 def random_perm(n: int, rng: np.random.Generator) -> Perm:
     return tuple(int(i) for i in rng.permutation(n))
-
-
-def perms_to_array(perms: Iterable[Sequence[int]]) -> np.ndarray:
-    """Stack permutations into an (k, n) index array for vectorized application."""
-    return np.array(list(perms), dtype=np.intp)

@@ -291,9 +291,13 @@ def run_lemma_suite(
         raise InputError("need at least one tuple size")
     if any(n < 2 for n in n_values):
         raise InputError("lemma checks need n >= 2")
-    rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise InputError(f"need trials >= 1, got {trials}")
     if grid_trials is None:
         grid_trials = min(trials, 50)
+    if grid_trials < 1:
+        raise InputError(f"need grid_trials >= 1, got {grid_trials}")
+    rng = np.random.default_rng(seed)
     results: list[LemmaCheck] = []
     for n in n_values:
         results.append(check_displacement_bound(n, trials, rng, fault=fault))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     BRUTE_FORCE_CAP,
@@ -146,7 +145,10 @@ def dist_assignment(y, z) -> Distance:
     The cost of pairing component j of ``y`` with component k of ``z`` is
     ``abs(y[j] - z[k])``.  Deterministic for a fixed input (single-threaded
     solver), but tie-breaking among equal-cost pairings is solver-defined.
+    scipy is imported here, on first use, and by no other engine.
     """
+    from scipy.optimize import linear_sum_assignment
+
     y, z = _coerce_pair(y, z, allow_complex=True)
     cost = np.abs(y[:, np.newaxis] - z[np.newaxis, :])
     rows, cols = linear_sum_assignment(cost)
@@ -180,15 +182,6 @@ def dist(y, z, engine: str = "auto") -> Distance:
     return fn(y, z)
 
 
-def lexmin_assignment_perm(y, z) -> Perm:
-    """The lexicographically smallest minimal-cost pairing (n <= 8).
-
-    Same value as ``dist_assignment`` but with the brute-force tie-break,
-    used where downstream composition must be reproducible bit-for-bit.
-    """
-    return dist_bruteforce(y, z).attaining_perm
-
-
 def engine_names() -> list[str]:
     return sorted(_ENGINES)
 
@@ -202,5 +195,4 @@ __all__ = [
     "dist_sorted",
     "engine_names",
     "l1_norm",
-    "lexmin_assignment_perm",
 ]

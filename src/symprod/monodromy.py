@@ -7,6 +7,11 @@ closed loop by minimal-cost matching between consecutive samples, and the
 components may come back permuted.  A nontrivial composite permutation
 (holonomy) rules out any continuous labeling along that loop.
 
+Tracking accepts a step only when its optimal cost C is below half the
+minimal intra-tuple gap; then every component's unique optimal partner is
+its nearest neighbour (all others are more than gap - C > gap/2 away), so
+one vectorised nearest-neighbour pass over all steps is exact.
+
 The stock example is the set of k-th roots of a point circling the origin:
 one turn of the base point multiplies the composite by a k-cycle.
 """
@@ -53,17 +58,26 @@ class ComplexLoop:
         return self.samples.shape[1]
 
 
+# Array elements that tracking and the gap scan hold per chunk of samples (at
+# least one sample's n or n*n), so their memory does not grow with the step count.
+CHUNK_ELEMENTS = 1 << 20
+
+
 @dataclass(frozen=True)
 class Holonomy:
     """Composite relabeling after one full loop, plus the summed matching cost.
 
     A component stored at index j in sample 0 returns to index
     ``permutation[j]`` after the loop.  Identity holonomy on every loop is
-    what a continuous selection would require.
+    what a continuous selection would require.  ``margin`` is the worst
+    step cost divided by half the minimal intra-tuple gap, attained at step
+    ``worst_step``; it is below 1 on every tracked loop.
     """
 
     permutation: Perm
     total_path_cost: float
+    margin: float
+    worst_step: int
 
     @property
     def is_identity(self) -> bool:
@@ -78,8 +92,13 @@ def min_intra_gap(samples) -> float:
     n = arr.shape[1]
     if n < 2:
         return math.inf
-    j, k = np.triu_indices(n, k=1)
-    return float(np.abs(arr[:, j] - arr[:, k]).min())
+    rows = max(1, CHUNK_ELEMENTS // n)
+    column_gaps = [  # component j against every later one, over a chunk of samples
+        np.abs(arr[a : a + rows, j, np.newaxis] - arr[a : a + rows, j + 1 :]).min()
+        for a in range(0, arr.shape[0], rows)
+        for j in range(n - 1)
+    ]
+    return float(np.min(column_gaps))
 
 
 def _match(prev: np.ndarray, next_: np.ndarray) -> Distance:
@@ -108,10 +127,14 @@ def track_loop(loop: ComplexLoop) -> Holonomy:
     Tracking is only trustworthy when consecutive samples move less than
     half the smallest intra-tuple gap (then the minimal matching is the one
     a continuous motion would realize); anything else raises
-    UndersampledLoopError with a suggested step count.
+    UndersampledLoopError with a suggested step count.  Below that bound a
+    step's nearest-neighbour map is its unique minimal matching, and its cost
+    sum bounds the minimal cost from below, so a step is accepted exactly
+    when that sum is below gap/2.  Such a map is a bijection: two components
+    sharing a nearest neighbour are at least gap apart, so they cost >= gap.
     """
     samples = loop.samples
-    m = loop.step_count
+    m, n = samples.shape
     gap = min_intra_gap(samples)
     if gap == 0.0:
         raise UndersampledLoopError(
@@ -119,23 +142,45 @@ def track_loop(loop: ComplexLoop) -> Holonomy:
             "collision is ambiguous at any sampling rate"
         )
 
-    composite = identity_perm(loop.tuple_n)
-    total = 0.0
-    worst = 0.0
-    for i in range(m):
-        step = _match(samples[i], samples[(i + 1) % m])
-        worst = max(worst, step.value)
-        if step.value >= 0.5 * gap:
-            suggested = _suggest_steps(m, worst, gap)
+    composite = identity_perm(n)
+    step_costs = np.empty(m)
+    chunk = max(1, CHUNK_ELEMENTS // (n * n))
+    for start in range(0, m, chunk):
+        steps = np.arange(start, min(start + chunk, m))
+        cost = np.abs(samples[steps, :, np.newaxis] - samples[(steps + 1) % m, np.newaxis, :])
+        nearest = cost.argmin(axis=2)
+        nearest_cost = np.take_along_axis(cost, nearest[:, :, np.newaxis], axis=2)[:, :, 0]
+        step_costs[steps] = nearest_cost.sum(axis=1)
+        accepted = step_costs[steps] < 0.5 * gap
+        if not accepted.all():
+            # The first refused step costs at least gap/2, more than any step before it.
+            i = int(steps[np.argmin(accepted)])
+            step = _match(samples[i], samples[(i + 1) % m])
+            suggested = _suggest_steps(m, step.value, gap)
             raise UndersampledLoopError(
                 f"undersampled loop: consecutive matching distance {step.value:.6g} "
                 f"is not below half the minimal intra-tuple gap ({0.5 * gap:.6g}); "
                 f"try about {suggested} steps",
                 suggested_steps=suggested,
             )
-        total += step.value
-        composite = compose(step.attaining_perm, composite)
-    return Holonomy(permutation=composite, total_path_cost=total)
+        composite = compose(_chain(nearest), composite)
+    worst_step = int(np.argmax(step_costs))
+    return Holonomy(
+        permutation=composite,
+        # summed in step order, one step at a time
+        total_path_cost=float(np.add.accumulate(step_costs)[-1]),
+        margin=float(step_costs[worst_step] / (0.5 * gap)),
+        worst_step=worst_step,
+    )
+
+
+def _chain(maps: np.ndarray) -> Perm:
+    """Composite of the rows of ``maps`` taken in order, the last row acting last."""
+    while len(maps) > 1:
+        even = len(maps) // 2 * 2
+        paired = np.take_along_axis(maps[1:even:2], maps[0:even:2], axis=1)
+        maps = np.concatenate([paired, maps[even:]])
+    return tuple(int(i) for i in maps[0])
 
 
 def _suggest_steps(steps: int, worst: float, gap: float) -> int:
@@ -153,6 +198,8 @@ def roots_loop_generator(k: int, steps: int, radius: float = 1.0) -> ComplexLoop
     """
     if k < 2:
         raise InputError(f"need k >= 2, got {k}")
+    if steps < 2:
+        raise InputError(f"need steps >= 2, got {steps}")
     if radius <= 0:
         raise InputError(f"need radius > 0, got {radius}")
     if steps < 8 * k:

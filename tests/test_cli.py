@@ -124,6 +124,11 @@ def test_holonomy_generated(capsys):
     out = capsys.readouterr().out
     assert "cycle type = 2-cycle (0 1)" in out
     assert "steps = 256" in out
+    lines = out.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == ["cycle type", "total cost", "steps", "margin"]
+    value, at_step = lines[3].removeprefix("margin = ").split(" at step ")
+    assert 0.0 < float(value) < 1.0
+    assert 0 <= int(at_step) < 256
     assert cli.main(["holonomy", "--k", "3", "--steps", "512"]) == 0
     assert "3-cycle" in capsys.readouterr().out
 
@@ -154,6 +159,14 @@ def test_holonomy_undersampled_exit_code(capsys):
 def test_holonomy_argument_validation(capsys):
     assert cli.main(["holonomy"]) == 2
     assert cli.main(["holonomy", "--k", "2"]) == 2
+
+
+def test_holonomy_fewer_than_two_steps_is_input_error(capsys):
+    for steps in ("-4", "0", "1"):
+        assert cli.main(["holonomy", "--k", "3", "--steps", steps]) == 2
+        assert "undersampled" not in capsys.readouterr().err
+    assert cli.main(["holonomy", "--k", "3", "--steps", "2"]) == 3
+    assert "need at least 24" in capsys.readouterr().err
 
 
 def test_lemmas_pass_table(capsys):
@@ -208,6 +221,14 @@ def test_lemmas_bad_n_range(capsys):
     assert cli.main(["lemmas", "--n", "1"]) == 2
 
 
+def test_lemmas_without_trials_is_input_error(capsys):
+    for extra in (["--trials", "-5"], ["--trials", "0"], ["--grid-trials", "0"]):
+        assert cli.main(["lemmas", "--n", "2", *extra]) == 2
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out
+        assert "need" in captured.err
+
+
 def test_bench(capsys):
     assert cli.main(["bench", "--n", "2,5", "--reps", "2"]) == 0
     out = capsys.readouterr().out
@@ -221,6 +242,12 @@ def test_bench_skips_brute_above_cap(capsys):
     out = capsys.readouterr().out
     assert "brute" not in out
     assert "cross-check" not in out
+
+
+def test_bench_without_reps_is_input_error(capsys):
+    for reps in ("0", "-1"):
+        assert cli.main(["bench", "--n", "2", "--reps", reps]) == 2
+        assert "--reps" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two():

@@ -1,9 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import symprod
 from oracles import min_matching, min_matching_cost
 from symprod.core import apply_perm, enumerate_perms, random_perm
 from symprod.errors import CapExceededError, InputError
@@ -222,3 +228,25 @@ def test_dispatcher():
 def test_sorted_equals_brute_hypothesis(pair):
     y, z = pair
     assert abs(dist_sorted(y, z).value - dist_bruteforce(y, z).value) <= 1e-9
+
+
+def test_scipy_loads_only_with_the_assignment_engine():
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import symprod, symprod.cli\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        "rng = np.random.default_rng(59)\n"
+        "y, z = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(2))\n"
+        "d = symprod.dist_assignment(y, z)\n"
+        "print(json.dumps([before, [[v.real, v.imag] for v in (*y, *z)], d.value, d.attaining_perm]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symprod.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded_at_import, pairs, value, perm = json.loads(out.stdout)
+    assert loaded_at_import is False
+    points = np.array([complex(a, b) for a, b in pairs])
+    oracle_value, oracle_perm = min_matching(points[:6], points[6:])
+    assert value == pytest.approx(oracle_value, rel=1e-12)
+    assert tuple(perm) == oracle_perm

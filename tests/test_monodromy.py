@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracles import min_matching
+from symprod import monodromy
 from symprod.core import apply_perm, compose, identity_perm, is_perm
 from symprod.errors import InputError, UndersampledLoopError
 from symprod.monodromy import (
@@ -56,6 +59,30 @@ def test_match_step_dimension_mismatch():
 def test_min_intra_gap():
     samples = np.array([[0.0 + 0j, 3.0 + 0j], [1.0 + 1j, 1.0 + 2j]])
     assert min_intra_gap(samples) == pytest.approx(1.0)  # |1+2j - (1+1j)|
+
+
+def triu_gap(samples) -> float:
+    """All component pairs of all samples in one array, then the minimum."""
+    n = samples.shape[1]
+    if n < 2:
+        return math.inf
+    j, k = np.triu_indices(n, k=1)
+    return float(np.abs(samples[:, j] - samples[:, k]).min())
+
+
+def test_min_intra_gap_matches_all_pairs_formula(monkeypatch):
+    rng = np.random.default_rng(47)
+    cases = []
+    for _ in range(60):
+        n = int(rng.integers(1, 41))
+        steps = int(rng.integers(1, 300))
+        cases.append(rng.normal(size=(steps, n)) + 1j * rng.normal(size=(steps, n)))
+    for samples in cases:
+        assert min_intra_gap(samples) == triu_gap(samples)
+    # chunks of one or a few samples still scan every pair
+    monkeypatch.setattr(monodromy, "CHUNK_ELEMENTS", 7)
+    for samples in cases[:20]:
+        assert min_intra_gap(samples) == triu_gap(samples)
 
 
 def test_constant_loop_identity_holonomy():
@@ -124,6 +151,12 @@ def test_roots_generator_vieta_product(k, radius):
     theta = 2 * np.pi * np.arange(steps) / steps
     expected = (-1.0) ** (k + 1) * radius * np.exp(1j * theta)
     assert np.allclose(np.prod(loop.samples, axis=1), expected, atol=1e-9)
+
+
+def test_roots_generator_rejects_fewer_than_two_steps():
+    for steps in (-4, 0, 1):
+        with pytest.raises(InputError):
+            roots_loop_generator(3, steps)
 
 
 def test_roots_generator_rejects_small_k_or_steps():
@@ -214,3 +247,99 @@ def test_apply_perm_consistency_of_holonomy():
     relabeled = apply_perm(h.permutation, start)
     assert np.allclose(np.sort_complex(relabeled), np.sort_complex(start))
     assert not np.allclose(relabeled, start)  # genuinely permuted
+
+
+def reference_track(samples):
+    """Optimal matching step by step, costs summed in step order.
+
+    Returns ("accepted", permutation, total, margin, worst_step) or
+    ("rejected", message, suggested_steps), following the tracking rule:
+    a step is refused when its minimal cost is not below half the gap.
+    """
+    m = samples.shape[0]
+    gap = min_intra_gap(samples)
+    perm = identity_perm(samples.shape[1])
+    total, worst, costs = 0.0, 0.0, []
+    for i in range(m):
+        prev, next_ = samples[i], samples[(i + 1) % m]
+        step = match_step(prev, next_)
+        value = float(np.abs(prev - next_[list(step)]).sum())
+        worst = max(worst, value)
+        if value >= 0.5 * gap:
+            suggested = int(math.ceil(m * (worst / (0.5 * gap)) * 1.25)) + 1
+            message = (
+                f"undersampled loop: consecutive matching distance {value:.6g} "
+                f"is not below half the minimal intra-tuple gap ({0.5 * gap:.6g}); "
+                f"try about {suggested} steps"
+            )
+            return ("rejected", message, suggested)
+        total += value
+        costs.append(value)
+        perm = compose(step, perm)
+    worst_step = int(np.argmax(costs))
+    return ("accepted", perm, total, costs[worst_step] / (0.5 * gap), worst_step)
+
+
+def is_identity_perm(perm) -> bool:
+    return list(perm) == sorted(perm)
+
+
+def tracked(samples):
+    try:
+        h = track_loop(ComplexLoop(samples=samples))
+    except UndersampledLoopError as exc:
+        return ("rejected", str(exc), exc.suggested_steps)
+    return ("accepted", h.permutation, h.total_path_cost, h.margin, h.worst_step)
+
+
+def assert_tracks_like_reference(samples, monkeypatch):
+    expected = reference_track(samples)
+    assert tracked(samples) == expected
+    # the same result when every chunk holds a single step or just a few
+    for elements in (1, 3 * samples.shape[1] ** 2 + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(monodromy, "CHUNK_ELEMENTS", elements)
+            assert tracked(samples) == expected
+    return expected
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 64])
+def test_track_loop_matches_stepwise_reference_on_roots_loops(k, monkeypatch):
+    for steps in (8 * k, 16 * k, 64 * k):
+        kind, perm, total, margin, _ = assert_tracks_like_reference(
+            roots_loop_generator(k, steps).samples, monkeypatch
+        )
+        assert kind == "accepted"
+        assert cycle_type(perm) == (k,)
+        assert 0.0 < margin < 1.0
+
+
+def random_closed_walk(rng) -> np.ndarray:
+    """A closed random walk of n complex points, each sample stored shuffled.
+
+    Half of the walks ride on n points circling their centre by one n-th of
+    a turn, so their holonomy is an n-cycle.  The step scale spans three
+    decades, so many walks are undersampled.
+    """
+    n = int(rng.integers(2, 12))
+    steps = int(rng.integers(3, 65))
+    moves = rng.normal(size=(steps, n)) + 1j * rng.normal(size=(steps, n))
+    moves *= 10 ** rng.uniform(-3.0, 0.5)
+    moves -= moves.mean(axis=0)
+    walk = np.cumsum(moves, axis=0)
+    if rng.random() < 0.5:
+        turn = (np.arange(steps)[:, np.newaxis] / steps + np.arange(n)) / n
+        walk += n * np.exp(2j * np.pi * turn)
+    else:
+        walk += n * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    return rng.permuted(walk, axis=1)
+
+
+def test_track_loop_matches_stepwise_reference_on_random_walks(monkeypatch):
+    rng = np.random.default_rng(53)
+    results = [assert_tracks_like_reference(random_closed_walk(rng), monkeypatch) for _ in range(300)]
+    accepted = [r for r in results if r[0] == "accepted"]
+    # both outcomes, and nontrivial holonomy among the accepted, are well represented
+    assert len(accepted) >= 60
+    assert len(results) - len(accepted) >= 60
+    assert sum(not is_identity_perm(r[1]) for r in accepted) >= 30
