@@ -124,7 +124,6 @@ def _cmd_lift(args) -> int:
         )
     field = doc.to_sampled_field()
     lifted = lift_field(field)
-    fieldfile.write_lifted_file(args.output, lifted, adjacency_spec=doc.adjacency_spec)
     report = continuity_report(lifted, field)
     print(
         f"max_ratio = {_fmt(report.max_ratio)} worst_edge = {report.worst_edge} "
@@ -135,6 +134,7 @@ def _cmd_lift(args) -> int:
         raise InvariantViolation(
             f"sorted lift must be an isometry; max_ratio = {report.max_ratio!r}"
         )
+    fieldfile.write_lifted_file(args.output, lifted, adjacency_spec=doc.adjacency_spec)
     return 0
 
 

@@ -88,49 +88,24 @@ class Stabilizer:
         return tuple(perm) in set(self.elements)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-
-
 def equality_partition(x, tol: float = 0.0) -> BlockPartition:
     """Group indices whose components coincide within ``tol``.
 
     Indices j, k land in the same block iff |x[j] - x[k]| <= tol, closed
-    transitively (union-find over near-equal pairs).  Blocks of size 1 are
-    omitted; an all-distinct vector yields an empty block list.
+    transitively.  On the real line that closure is exactly the runs of the
+    sorted components whose consecutive gaps are <= tol, because float
+    subtraction is monotone.  Blocks of size 1 are omitted; an all-distinct
+    vector yields an empty block list.
     """
     x = as_real_vector(x)
     if tol < 0:
         raise InputError(f"tolerance must be nonnegative, got {tol}")
-    n = x.size
-    uf = _UnionFind(n)
-    for j in range(n):
-        for k in range(j + 1, n):
-            if abs(x[j] - x[k]) <= tol:
-                uf.union(j, k)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    blocks = tuple(tuple(g) for g in groups.values() if len(g) >= 2)
-    return BlockPartition(blocks=blocks, n=n)
+    order = np.argsort(x, kind="stable")
+    cuts = np.flatnonzero(~(np.diff(x[order]) <= tol)) + 1  # "not <=" also cuts at tol = nan
+    bounds = [0, *cuts.tolist(), x.size]
+    order = order.tolist()
+    blocks = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
+    return BlockPartition(blocks=blocks, n=x.size)
 
 
 def stabilizer_of(partition: BlockPartition) -> Stabilizer:

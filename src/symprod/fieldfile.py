@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .metric import UnorderedTuple
+# perfbench/tracer.py patches this name; ROADMAP item 6 drops the import.
+from .metric import UnorderedTuple  # noqa: F401
 from .monodromy import ComplexLoop
 from .selection import LiftedField, SampledField, path_adjacency
 
@@ -52,25 +53,32 @@ class FieldDocument:
     def to_sampled_field(self) -> SampledField:
         if self.complex_mode:
             raise InputError("complex-mode field cannot be lifted by sorting")
-        return SampledField(
-            points=self.points,
-            values=tuple(UnorderedTuple(row) for row in self.tuples),
-            adjacency=self.edges(),
-        )
+        return SampledField(points=self.points, values=self.tuples, adjacency=self.edges())
 
     def to_loop(self) -> ComplexLoop:
         return ComplexLoop(samples=np.asarray(self.tuples, dtype=complex))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _to_float(value, line_no: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"line {line_no}: integer too large for a float") from None
+
+
 def _parse_tuple_entry(entry, line_no: int):
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return float(entry), False
-    if (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-    ):
-        return complex(float(entry[0]), float(entry[1])), True
+    if _is_number(entry):
+        return _to_float(entry, line_no), False
+    if isinstance(entry, list) and len(entry) == 2 and all(_is_number(v) for v in entry):
+        return complex(_to_float(entry[0], line_no), _to_float(entry[1], line_no)), True
     raise InputError(
         f"line {line_no}: tuple entries must be numbers or [re, im] pairs, got {entry!r}"
     )
@@ -82,9 +90,11 @@ def _parse_adjacency(spec, line_no: int) -> AdjacencySpec:
     if isinstance(spec, list):
         edges = []
         for edge in spec:
-            if not (isinstance(edge, list) and len(edge) == 2):
-                raise InputError(f"line {line_no}: adjacency edges must be [a, b] pairs")
-            edges.append((int(edge[0]), int(edge[1])))
+            if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+                raise InputError(
+                    f"line {line_no}: adjacency edges must be [a, b] pairs of integers"
+                )
+            edges.append(tuple(edge))
         return tuple(edges)
     raise InputError(f'line {line_no}: adjacency must be "path" or an edge list')
 
@@ -105,6 +115,8 @@ def read_field_file(path) -> FieldDocument:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer literal longer than int() accepts
+                raise InputError(f"line {line_no}: {exc}") from None
             if not isinstance(obj, dict):
                 raise InputError(f"line {line_no}: expected a JSON object")
             if "meta" in obj:
@@ -117,11 +129,7 @@ def read_field_file(path) -> FieldDocument:
             if "point" not in obj or "tuple" not in obj:
                 raise InputError(f'line {line_no}: need both "point" and "tuple"')
             point = obj["point"]
-            if not (
-                isinstance(point, list)
-                and point
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point)
-            ):
+            if not (isinstance(point, list) and point and all(map(_is_number, point))):
                 raise InputError(f"line {line_no}: point must be a list of numbers")
             value = obj["tuple"]
             if not (isinstance(value, list) and value):
@@ -144,17 +152,20 @@ def read_field_file(path) -> FieldDocument:
                 raise InputError(
                     f"line {line_no}: tuple size {len(parsed)} != {len(rows[0])}"
                 )
-            points.append([float(v) for v in point])
+            points.append([_to_float(v, line_no) for v in point])
             rows.append(parsed)
     if not rows:
         raise InputError(f"{path}: no samples found")
 
     complex_mode = bool(complex_mode)
     m, n = len(points[0]), len(rows[0])
-    if "m" in meta and int(meta["m"]) != m:
-        raise InputError(f"meta declares m = {meta['m']} but data has m = {m}")
-    if "n" in meta and int(meta["n"]) != n:
-        raise InputError(f"meta declares n = {meta['n']} but data has n = {n}")
+    for key, actual in (("m", m), ("n", n)):
+        if key not in meta:
+            continue
+        if not _is_int(meta[key]):
+            raise InputError(f"meta {key} must be an integer, got {meta[key]!r}")
+        if meta[key] != actual:
+            raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
     adjacency = _parse_adjacency(meta.get("adjacency", "path"), line_no=1)
 
     dtype = complex if complex_mode else float
@@ -217,17 +228,13 @@ def _adjacency_json(spec: AdjacencySpec):
 def write_lifted_file(path, lifted: LiftedField, adjacency_spec: AdjacencySpec = "path"):
     """Write a lifted field as JSON-lines with a meta header line."""
     path = Path(path)
-    n_points, m = lifted.points.shape
+    m = lifted.points.shape[1]
     n = lifted.values.shape[1]
     with path.open("w", encoding="utf-8") as handle:
         meta = {"meta": {"m": m, "n": n, "adjacency": _adjacency_json(adjacency_spec)}}
         handle.write(json.dumps(meta) + "\n")
-        for i in range(n_points):
-            record = {
-                "point": [float(v) for v in lifted.points[i]],
-                "tuple": [float(v) for v in lifted.values[i]],
-            }
-            handle.write(json.dumps(record) + "\n")
+        for point, row in zip(lifted.points.tolist(), lifted.values.tolist()):
+            handle.write(json.dumps({"point": point, "tuple": row}) + "\n")
 
 
 def write_loop_file(path, loop: ComplexLoop):

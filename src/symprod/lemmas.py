@@ -102,17 +102,6 @@ def _random_l1_perturbation(n: int, budget: float, rng: np.random.Generator) -> 
     return weights * signs * scale
 
 
-_STAB_CACHE: dict[BlockPartition, np.ndarray] = {}
-
-
-def _stabilizer_array(partition: BlockPartition) -> np.ndarray:
-    arr = _STAB_CACHE.get(partition)
-    if arr is None:
-        arr = np.array(stabilizer_of(partition).elements, dtype=np.intp)
-        _STAB_CACHE[partition] = arr
-    return arr
-
-
 def check_displacement_bound(
     n: int, trials: int, rng: np.random.Generator, fault: str | None = None
 ) -> LemmaCheck:
@@ -128,7 +117,7 @@ def check_displacement_bound(
             x = base + _random_l1_perturbation(n, eps, rng)
             if not dist_to_diagonal(x, partition) < eps:
                 raise AssertionError("sampler broke its own precondition")
-            stab = _stabilizer_array(partition)
+            stab = np.array(stabilizer_of(partition).elements, dtype=np.intp)
             displacement = np.abs(x[stab] - x[np.newaxis, :]).sum(axis=1)
             if fault == "flip-displacement":
                 ok = bool(np.all(displacement > 2.0 * eps))
@@ -213,7 +202,7 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
     for _ in range(trials):
         x = _random_boundary_vector(n, rng)
         partition = equality_partition(x, 0.0)
-        stab_rows = {tuple(int(i) for i in row) for row in _stabilizer_array(partition)}
+        stab_rows = set(stabilizer_of(partition).elements)
         nondesc = np.all(np.diff(x[perms], axis=1) >= 0, axis=1)
         sorted_rows = {tuple(int(i) for i in perms[r]) for r in np.flatnonzero(nondesc)}
         if sorted_rows != stab_rows:

@@ -5,7 +5,7 @@ representative.  Applied pointwise to a field of unordered tuples (a
 sampled map from R^m into the quotient space), it produces an ordered
 field whose class at every point equals the input class.  The selection
 is an isometry between the quotient metric and the plain 1-norm, which
-``continuity_report`` checks edge by edge on a sampled field.
+``continuity_report`` checks over all edges of a sampled field at once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantViolation
-from .metric import UnorderedTuple, dist_sorted
+from .metric import UnorderedTuple
+# perfbench/tracer.py patches this name; ROADMAP item 6 drops the import.
+from .metric import dist_sorted  # noqa: F401
 
 # Lifted values of two samples in the same class must coincide to this level.
 EQUAL_CLASS_TOL = 1e-12
@@ -43,14 +45,41 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _as_rows(values, count: int) -> np.ndarray:
+    """Validate per-sample tuples as a read-only (N, n) float64 array, N = count."""
+    try:
+        if np.iscomplexobj(values):
+            raise TypeError("got complex components")
+        rows = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"tuple values must form an (N, n) array of reals: {exc}") from None
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise InputError(f"tuple values must be (N, n) with n >= 1, got shape {rows.shape}")
+    if rows.shape[0] != count:
+        raise InputError(f"{count} points against {rows.shape[0]} tuples")
+    if not np.all(np.isfinite(rows)):
+        raise InputError("tuple values have non-finite components")
+    rows.setflags(write=False)
+    return rows
+
+
 def _check_adjacency(adjacency, count: int) -> tuple[tuple[int, int], ...]:
-    edges = []
-    for edge in adjacency:
-        a, b = (int(i) for i in edge)
-        if not (0 <= a < count and 0 <= b < count):
-            raise InputError(f"adjacency edge {(a, b)} out of range for {count} samples")
-        edges.append((a, b))
-    return tuple(edges)
+    try:
+        edges = np.asarray(adjacency)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"adjacency must be an (E, 2) array of sample indices: {exc}") from None
+    if edges.ndim == 1 and edges.size == 0:
+        return ()
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        raise InputError(
+            f"adjacency must be an (E, 2) array of integer sample indices, "
+            f"got shape {edges.shape} of {edges.dtype}"
+        )
+    outside = ((edges < 0) | (edges >= count)).any(axis=1)
+    if outside.any():
+        a, b = edges[np.argmax(outside)].tolist()
+        raise InputError(f"adjacency edge {(a, b)} out of range for {count} samples")
+    return tuple(map(tuple, edges.tolist()))
 
 
 def path_adjacency(count: int) -> tuple[tuple[int, int], ...]:
@@ -62,36 +91,27 @@ def path_adjacency(count: int) -> tuple[tuple[int, int], ...]:
 class SampledField:
     """A quotient-space-valued map sampled on finitely many points of R^m.
 
-    ``points`` is an (N, m) array, ``values`` holds one unordered tuple per
-    point (all of the same size n), and ``adjacency`` declares which samples
-    count as neighbors (grid edges, consecutive path points, ...).
+    ``points`` is an (N, m) array, ``values`` a read-only (N, n) array whose
+    row i is the unordered tuple at point i, in the order given, and
+    ``adjacency`` declares which samples count as neighbors (grid edges,
+    consecutive path points, ...).
     """
 
     points: np.ndarray
-    values: tuple[UnorderedTuple, ...]
+    values: np.ndarray
     adjacency: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         points = _as_points(self.points)
-        values = tuple(
-            v if isinstance(v, UnorderedTuple) else UnorderedTuple(v) for v in self.values
-        )
-        if points.shape[0] != len(values):
-            raise InputError(
-                f"{points.shape[0]} points against {len(values)} tuples"
-            )
-        sizes = {v.n for v in values}
-        if len(sizes) > 1:
-            raise InputError(f"tuples must share one size, got sizes {sorted(sizes)}")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "adjacency", _check_adjacency(self.adjacency, len(values)))
+        object.__setattr__(self, "values", _as_rows(self.values, points.shape[0]))
+        object.__setattr__(self, "adjacency", _check_adjacency(self.adjacency, points.shape[0]))
 
     @classmethod
     def path(cls, points, values) -> "SampledField":
         """Build a field whose samples form a path in sample order."""
-        values = tuple(values)
-        return cls(points=points, values=values, adjacency=path_adjacency(len(values)))
+        points = _as_points(points)
+        return cls(points=points, values=values, adjacency=path_adjacency(points.shape[0]))
 
     @property
     def dim_m(self) -> int:
@@ -99,7 +119,7 @@ class SampledField:
 
     @property
     def tuple_n(self) -> int:
-        return self.values[0].n
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -112,22 +132,19 @@ class LiftedField:
 
     def __post_init__(self):
         points = _as_points(self.points)
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != points.shape[0]:
-            raise InputError(
-                f"values must be (N, n) with N = {points.shape[0]}, got shape {values.shape}"
-            )
+        values = _as_rows(self.values, points.shape[0])
         if np.any(np.diff(values, axis=1) < 0):
             raise InputError("lifted values must be non-descending rows")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "adjacency", _check_adjacency(self.adjacency, values.shape[0]))
+        object.__setattr__(self, "adjacency", _check_adjacency(self.adjacency, points.shape[0]))
 
 
 def lift_field(field: SampledField) -> LiftedField:
-    """Apply ``canonicalize`` pointwise; classes are preserved at every point."""
-    values = np.stack([v.canonical for v in field.values])
-    return LiftedField(points=field.points.copy(), values=values, adjacency=field.adjacency)
+    """Apply ``canonicalize`` to every row; classes are preserved at every point."""
+    return LiftedField(
+        points=field.points.copy(), values=np.sort(field.values, axis=1), adjacency=field.adjacency
+    )
 
 
 @dataclass(frozen=True)
@@ -155,31 +172,33 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     """
     if lifted.adjacency != field.adjacency:
         raise InputError("mismatched fields: adjacency differs")
-    if lifted.values.shape[0] != len(field.values):
+    if lifted.values.shape[0] != field.values.shape[0]:
         raise InputError("mismatched fields: sample counts differ")
     if not np.array_equal(lifted.points, field.points):
         raise InputError("mismatched fields: sample points differ")
 
-    max_ratio = None
-    worst = None
-    zero_edges = 0
-    for a, b in field.adjacency:
-        moved = float(np.abs(lifted.values[a] - lifted.values[b]).sum())
-        d = dist_sorted(field.values[a], field.values[b]).value
-        if d == 0.0:
-            if moved > EQUAL_CLASS_TOL:
-                raise InvariantViolation(
-                    f"edge {(a, b)}: equal classes lifted {moved:.3e} apart"
-                )
-            zero_edges += 1
-            continue
-        ratio = moved / d
-        if max_ratio is None or ratio > max_ratio:
-            max_ratio, worst = ratio, (a, b)
-
-    if max_ratio is None:
+    edges = np.array(field.adjacency, dtype=np.intp).reshape(-1, 2)
+    a, b = edges[:, 0], edges[:, 1]
+    moved = np.abs(lifted.values[a] - lifted.values[b]).sum(axis=1)
+    # The quotient distance by its own route: sort the field's rows as given
+    # (dist_sorted's arithmetic), never reusing the lifted array.
+    d = np.abs(np.sort(field.values[a], axis=1) - np.sort(field.values[b], axis=1)).sum(axis=1)
+    zero = d == 0.0
+    broken = zero & (moved > EQUAL_CLASS_TOL)
+    if broken.any():
+        i = int(np.argmax(broken))
+        raise InvariantViolation(
+            f"edge {field.adjacency[i]}: equal classes lifted {moved[i]:.3e} apart"
+        )
+    zero_edges = int(zero.sum())
+    ratio_index = np.flatnonzero(~zero)
+    if ratio_index.size == 0:
         return ContinuityReport(1.0, None, 0, zero_edges)
-    return ContinuityReport(max_ratio, worst, len(field.adjacency) - zero_edges, zero_edges)
+    ratios = moved[ratio_index] / d[ratio_index]
+    worst = int(np.argmax(ratios))  # first maximum, as in adjacency order
+    return ContinuityReport(
+        float(ratios[worst]), field.adjacency[ratio_index[worst]], ratio_index.size, zero_edges
+    )
 
 
 __all__ = [

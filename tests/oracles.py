@@ -66,3 +66,29 @@ def invert_by_search(p) -> tuple[int, ...]:
     """Inverse permutation found by brute index search."""
     n = len(p)
     return tuple(list(p).index(k) for k in range(n))
+
+
+def equality_blocks_by_closure(x, tol: float) -> tuple[tuple[int, ...], ...]:
+    """Blocks of size >= 2 of the transitive closure of |x[j] - x[k]| <= tol.
+
+    Grows each component by checking every pair, straight from the
+    definition; blocks and their members come out ascending.
+    """
+    x = [float(v) for v in x]
+    n = len(x)
+    seen: set[int] = set()
+    blocks = []
+    for start in range(n):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            j = frontier.pop()
+            for k in range(n):
+                if k not in component and abs(x[j] - x[k]) <= tol:
+                    component.add(k)
+                    frontier.append(k)
+        seen |= component
+        if len(component) >= 2:
+            blocks.append(tuple(sorted(component)))
+    return tuple(sorted(blocks))

@@ -5,6 +5,7 @@ import pytest
 
 from symprod import cli
 from symprod.monodromy import roots_loop_generator
+from symprod.selection import LiftedField
 
 
 def write_lines(path, lines):
@@ -102,6 +103,50 @@ def test_lift_constant_field(tmp_path, capsys):
     lines = out.read_text().splitlines()
     tuples = [json.loads(line)["tuple"] for line in lines[1:]]
     assert tuples == [[-1.0, 2.0]] * 5  # identical sorted lines
+
+
+TWO_SAMPLES = [{"point": [0.0], "tuple": [3.0, 1.0]}, {"point": [1.0], "tuple": [0.0, 2.0]}]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"meta": {"adjacency": [["a", 1]]}}),
+        json.dumps({"meta": {"m": "x"}}),
+        json.dumps({"meta": {"adjacency": [[0, 1.7]]}}),  # once truncated to (0, 1)
+        json.dumps({"meta": {"adjacency": [[0, True]]}}),
+        json.dumps({"meta": {"n": 2.0}}),
+        json.dumps({"point": [0.5], "tuple": [10**400, 1.0]}),  # 401 digits
+        '{"point": [0.5], "tuple": [%s, 1.0]}' % ("9" * 5000),  # beyond int()'s digit limit
+    ],
+    ids=["adjacency-string", "meta-m-string", "adjacency-float", "adjacency-bool",
+         "meta-n-float", "tuple-overflow", "tuple-long-literal"],
+)
+def test_lift_malformed_field_file_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text + "\n" + "".join(json.dumps(obj) + "\n" for obj in TWO_SAMPLES))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["lift", "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_lift_writes_no_output_when_the_isometry_gate_fails(tmp_path, capsys, monkeypatch):
+    real_lift = cli.lift_field
+
+    def stretched_lift(field):
+        lifted = real_lift(field)
+        return LiftedField(lifted.points, 2.0 * lifted.values, lifted.adjacency)
+
+    monkeypatch.setattr(cli, "lift_field", stretched_lift)
+    path = tmp_path / "f.jsonl"
+    write_lines(path, TWO_SAMPLES)
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["lift", "--input", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "max_ratio = 2 " in err
+    assert "invariant violation: sorted lift must be an isometry" in err
+    assert not out.exists()
 
 
 def test_lift_refuses_complex(tmp_path, capsys):

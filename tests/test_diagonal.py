@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import grid_min_block_cost
+from oracles import equality_blocks_by_closure, grid_min_block_cost
 from symprod.core import apply_perm, compose, enumerate_perms, invert
 from symprod.diagonal import (
     BlockPartition,
@@ -30,6 +30,18 @@ def test_equality_partition_frozen_examples():
 def test_equality_partition_is_transitively_closed():
     # 0~1 and 1~2 within tol, but |x0 - x2| > tol: still one block
     assert equality_partition([0.0, 0.5, 1.0], tol=0.6).blocks == ((0, 1, 2),)
+
+
+def test_equality_partition_matches_pairwise_closure():
+    rng = np.random.default_rng(31)
+    for n in list(range(1, 10)) + [40, 120]:
+        for _ in range(60 if n < 40 else 8):
+            # a coarse grid plus small jitter gives exact ties and near-ties
+            x = rng.integers(-4, 5, size=n) * 0.5
+            x = x + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.05, 0.05, size=n))
+            for tol in (0.0, 0.05, 0.1, 0.5, 1.0, float("inf"), float("nan")):
+                expected = equality_blocks_by_closure(x, tol)
+                assert equality_partition(x, tol).blocks == expected, (x.tolist(), tol)
 
 
 def test_equality_partition_rejects_negative_tol():

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symprod.errors import InputError
 from symprod.fieldfile import (
+    FieldDocument,
     read_csv_field,
     read_field_file,
     write_lifted_file,
@@ -119,6 +122,58 @@ def test_meta_shape_mismatch(tmp_path):
     )
     with pytest.raises(InputError, match="meta declares m = 2"):
         read_field_file(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), 2**63, -(2**63) - 1])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+NUMBERS = st.integers(-2, 3) | st.floats(-2.0, 2.0)
+NEAR_NUMBERS = NUMBERS | st.sampled_from([10**400, 2**63, True]) | JSON_VALUES
+VALID_SAMPLES = st.tuples(
+    st.lists(NUMBERS, min_size=1, max_size=1), st.lists(NUMBERS, min_size=2, max_size=2)
+)
+FUZZED_SAMPLES = st.tuples(
+    st.lists(NEAR_NUMBERS, min_size=1, max_size=2) | JSON_VALUES,
+    st.lists(NEAR_NUMBERS | st.lists(NEAR_NUMBERS, min_size=2, max_size=2), min_size=1, max_size=3)
+    | JSON_VALUES,
+)
+
+
+@given(
+    meta=st.fixed_dictionaries(
+        {},
+        optional={
+            "m": NEAR_NUMBERS,
+            "n": NEAR_NUMBERS,
+            "adjacency": st.just("path")
+            | st.lists(st.lists(NEAR_NUMBERS, min_size=2, max_size=2) | JSON_VALUES, max_size=3)
+            | JSON_VALUES,
+        },
+    )
+    | JSON_VALUES,
+    samples=st.lists(VALID_SAMPLES, min_size=1, max_size=3)
+    | st.lists(VALID_SAMPLES | FUZZED_SAMPLES, min_size=1, max_size=3),
+)
+def test_arbitrary_json_gives_document_or_input_error(tmp_path_factory, meta, samples):
+    path = tmp_path_factory.mktemp("fuzz") / "f.jsonl"
+    write_lines(path, [{"meta": meta}] + [{"point": p, "tuple": t} for p, t in samples])
+    try:
+        doc = read_field_file(path)
+    except InputError:
+        return
+    assert isinstance(doc, FieldDocument)
+    try:
+        field = doc.to_loop() if doc.complex_mode else doc.to_sampled_field()
+    except InputError:
+        return
+    assert field is not None
 
 
 def test_empty_file_rejected(tmp_path):

@@ -8,8 +8,9 @@ from oracles import min_matching_cost, symmetric_2x2_eigenvalues
 from symprod.core import apply_perm, enumerate_perms
 from symprod.diagonal import is_nondescending
 from symprod.errors import InputError, InvariantViolation
-from symprod.metric import UnorderedTuple, dist_bruteforce, l1_norm
+from symprod.metric import UnorderedTuple, dist_bruteforce, dist_sorted, l1_norm
 from symprod.selection import (
+    EQUAL_CLASS_TOL,
     ContinuityReport,
     LiftedField,
     SampledField,
@@ -90,6 +91,40 @@ def test_sampled_field_validation():
             values=([1.0, 2.0], [3.0, 4.0]),
             adjacency=((0, 5),),
         )
+
+
+@pytest.mark.parametrize(
+    "values, adjacency",
+    [
+        ([[1.0, 2.0], [3.0, 4.0]], ((0, 1.7),)),  # a non-integer index
+        ([[1.0, 2.0], [3.0, 4.0]], ((0, 1, 1),)),  # a 3-index edge
+        ([[1.0, 2.0], [3.0, 4.0]], ((0, -1),)),
+        ([[1.0, 2.0], [3.0, 4.0]], (("a", 1),)),
+        ([[1.0, 2.0], [3.0, 4.0]], ((0, 1), (1,))),  # ragged
+        ([[1.0, np.inf], [3.0, 4.0]], ((0, 1),)),
+        ([[1.0, np.nan], [3.0, 4.0]], ((0, 1),)),
+        ([[1.0, 2.0j], [3.0, 4.0]], ((0, 1),)),
+        ([[1.0, "x"], [3.0, 4.0]], ((0, 1),)),
+        ([[], []], ()),
+        ([1.0, 2.0], ()),  # one number per point is not a tuple row
+    ],
+)
+def test_sampled_field_rejects_malformed_input(values, adjacency):
+    with pytest.raises(InputError):
+        SampledField(points=[[0.0], [1.0]], values=values, adjacency=adjacency)
+
+
+def test_sampled_field_values_are_one_read_only_array():
+    given = np.array([[3.0, 1.0], [2.0, 2.0], [0.5, -1.0]])
+    field = SampledField(points=[0.0, 0.5, 1.0], values=given, adjacency=[[0, 2], [2, 1]])
+    assert field.values.shape == (3, 2) and field.values.dtype == np.float64
+    assert np.array_equal(field.values, given)  # rows as given, not sorted
+    assert not field.values.flags.writeable
+    given[0, 0] = 99.0
+    assert field.values[0, 0] == 3.0  # the field keeps its own copy
+    assert field.adjacency == ((0, 2), (2, 1))
+    assert all(type(i) is int for edge in field.adjacency for i in edge)
+    assert field.tuple_n == 2 and field.dim_m == 1
 
 
 def test_lift_single_point():
@@ -217,3 +252,77 @@ def test_report_is_plain_data():
     r = ContinuityReport(max_ratio=1.0, worst_edge=(0, 1), ratio_edges=3, zero_edges=0)
     assert r.max_ratio == 1.0
     assert r.worst_edge == (0, 1)
+
+
+def report_by_edge_loop(lifted, field):
+    """The per-edge formulation: one dist_sorted call per adjacency edge."""
+    max_ratio, worst, zero_edges = None, None, 0
+    for a, b in field.adjacency:
+        moved = float(np.abs(lifted.values[a] - lifted.values[b]).sum())
+        d = dist_sorted(field.values[a], field.values[b]).value
+        if d == 0.0:
+            if moved > EQUAL_CLASS_TOL:
+                raise InvariantViolation(f"edge {(a, b)}: equal classes lifted {moved:.3e} apart")
+            zero_edges += 1
+            continue
+        ratio = moved / d
+        if max_ratio is None or ratio > max_ratio:
+            max_ratio, worst = ratio, (a, b)
+    if max_ratio is None:
+        return ContinuityReport(1.0, None, 0, zero_edges)
+    return ContinuityReport(max_ratio, worst, len(field.adjacency) - zero_edges, zero_edges)
+
+
+def random_explicit_field(rng):
+    """Tie rows, repeated samples, self-loops, duplicate and reversed edges."""
+    count = int(rng.integers(1, 25))
+    n = int(rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 9, 40]))
+    if rng.random() < 0.5:
+        values = rng.integers(-3, 4, size=(count, n)).astype(float)  # many ties
+    else:
+        values = rng.normal(0.0, 2.0, size=(count, n))
+    for i in range(1, count):
+        if rng.random() < 0.25:  # repeat an earlier sample in another order
+            values[i] = rng.permutation(values[int(rng.integers(0, i))])
+    edges = [tuple(e) for e in rng.integers(0, count, size=(int(rng.integers(0, 2 * count + 1)), 2))]
+    edges += [(i, i) for i in rng.integers(0, count, size=int(rng.integers(0, 3)))]
+    if edges:
+        picks = rng.integers(0, len(edges), size=int(rng.integers(0, 4)))
+        edges += [edges[k] for k in picks] + [edges[k][::-1] for k in picks]
+    order = rng.permutation(len(edges))
+    edges = tuple((int(edges[k][0]), int(edges[k][1])) for k in order)
+    points = rng.uniform(0.0, 1.0, size=(count, 2))
+    return SampledField(points=points, values=values, adjacency=edges)
+
+
+def outcome(report_fn, lifted, field):
+    try:
+        return report_fn(lifted, field)
+    except InvariantViolation as exc:
+        return ("InvariantViolation", str(exc))
+
+
+def test_continuity_report_matches_per_edge_loop():
+    rng = np.random.default_rng(41)
+    seen = {"ratio": 0, "zero": 0, "violation": 0, "empty": 0}
+    for _ in range(400):
+        field = random_explicit_field(rng)
+        true_lift = lift_field(field)
+        # Whole-row scales of 1 or 2 keep rows sorted, give exact ties in the
+        # ratio (first maximum wins) and break some equal-class edges.
+        scales = rng.choice([1.0, 1.0, 2.0], size=(field.values.shape[0], 1))
+        scaled = LiftedField(
+            points=field.points, values=true_lift.values * scales, adjacency=field.adjacency
+        )
+        for lifted in (true_lift, scaled):
+            expected = outcome(report_by_edge_loop, lifted, field)
+            got = outcome(continuity_report, lifted, field)
+            assert got == expected
+            if isinstance(got, tuple):
+                seen["violation"] += 1
+            else:
+                assert type(got.max_ratio) is float
+                seen["ratio"] += got.ratio_edges > 0
+                seen["zero"] += got.zero_edges > 0
+                seen["empty"] += not field.adjacency
+    assert min(seen.values()) > 0, seen
