@@ -22,8 +22,11 @@ def run(argv):
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="symprod-demo-"))
+    with tempfile.TemporaryDirectory(prefix="symprod-demo-") as tmp:
+        show(Path(tmp))
 
+
+def show(workdir: Path):
     print("== distances from the shell ==")
     run(["dist", "--a", "1,5", "--b", "2,3"])
     run(["dist", "--a", "1+2i,0", "--b", "0,1+2i"])

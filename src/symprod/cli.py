@@ -20,7 +20,7 @@ from . import fieldfile
 from .core import BRUTE_FORCE_CAP
 from .errors import InputError, InvariantViolation, UndersampledLoopError
 from .lemmas import run_lemma_suite
-from .metric import dist
+from .metric import dist, engine_names
 from .monodromy import describe_cycles, roots_loop_generator, track_loop
 from .selection import canonicalize, continuity_report, lift_field
 
@@ -84,7 +84,7 @@ def _cmd_dist(args) -> int:
     if args.file is not None:
         if args.a is not None or args.b is not None:
             raise InputError("give either --file or --a/--b, not both")
-        with open(args.file, "r", encoding="utf-8") as handle:
+        with fieldfile.utf8_text(args.file) as handle:
             lines = [line.strip() for line in handle if line.strip()]
         if len(lines) != 2:
             raise InputError(f"{args.file}: expected exactly two tuple lines, got {len(lines)}")
@@ -93,12 +93,9 @@ def _cmd_dist(args) -> int:
         if args.a is None or args.b is None:
             raise InputError("need --a and --b (or --file)")
         a, b = parse_tuple_text(args.a), parse_tuple_text(args.b)
-    engine = args.engine
-    result = dist(a, b, engine=engine)
-    if engine == "auto":
-        engine = "assignment" if (np.iscomplexobj(a) or np.iscomplexobj(b)) else "sorted"
+    result = dist(a, b, engine=args.engine)
     print(f"distance = {_fmt(result.value)}")
-    print(f"engine = {engine}")
+    print(f"engine = {result.engine}")
     print("minimizer = " + ",".join(str(i) for i in result.attaining_perm))
     return 0
 
@@ -130,7 +127,7 @@ def _cmd_lift(args) -> int:
         f"(ratio edges: {report.ratio_edges}, equal-class edges: {report.zero_edges})",
         file=sys.stderr,
     )
-    if abs(report.max_ratio - 1.0) > LIFT_RATIO_TOL:
+    if not abs(report.max_ratio - 1.0) <= LIFT_RATIO_TOL:  # a nan ratio fails too
         raise InvariantViolation(
             f"sorted lift must be an isometry; max_ratio = {report.max_ratio!r}"
         )
@@ -223,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="file with the two tuples on two lines")
     p.add_argument(
         "--engine",
-        choices=["auto", "sorted", "assignment", "brute"],
+        choices=["auto", *engine_names()],
         default="auto",
         help="auto picks sorted for real input, assignment for complex",
     )

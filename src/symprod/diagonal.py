@@ -27,7 +27,7 @@ from .core import (
     Perm,
     apply_perm,
     as_real_vector,
-    identity_perm,
+    is_perm,
 )
 from .errors import CapExceededError, InputError
 
@@ -74,18 +74,46 @@ class Stabilizer:
     """The permutations fixing every vector of a diagonal set pointwise.
 
     Exactly the permutations shuffling indices within blocks and fixing
-    everything else; materialized as an explicit, lexicographically sorted
-    element list (the order is the product of the block factorials).
+    everything else, so the group is kept as its partition: the order is the
+    product of the block factorials, membership is one O(n) label test, and
+    the elements are enumerated only when asked for.
     """
 
-    elements: tuple[Perm, ...]
+    partition: BlockPartition
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return math.prod(math.factorial(len(b)) for b in self.partition.blocks)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """labels[i]: the smallest index of i's block, or i if i is in no block."""
+        labels = np.arange(self.partition.n)
+        for block in self.partition.blocks:
+            labels[list(block)] = block[0]
+        return labels
 
     def __contains__(self, perm) -> bool:
-        return tuple(perm) in set(self.elements)
+        labels, p = self.labels, np.asarray(perm)
+        if p.shape != labels.shape or p.dtype.kind not in "biuf" or not is_perm(p.tolist()):
+            return False
+        return bool(np.array_equal(labels[p.astype(np.intp)], labels))
+
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        """Every element, lexicographically sorted; raises past the enumeration cap."""
+        order, cap = self.order, STABILIZER_ORDER_CAP
+        if order > cap:
+            raise CapExceededError(f"stabilizer order {order} exceeds enumeration cap {cap}")
+        blocks = self.partition.blocks
+        positions = [i for block in blocks for i in block]
+        elements = []
+        for choice in itertools.product(*map(itertools.permutations, blocks)):
+            word = list(range(self.partition.n))
+            for pos, img in zip(positions, itertools.chain(*choice)):
+                word[pos] = img
+            elements.append(tuple(word))
+        return tuple(sorted(elements))
 
 
 def equality_partition(x, tol: float = 0.0) -> BlockPartition:
@@ -109,30 +137,8 @@ def equality_partition(x, tol: float = 0.0) -> BlockPartition:
 
 
 def stabilizer_of(partition: BlockPartition) -> Stabilizer:
-    """Materialize the subgroup fixing the partition's diagonal set.
-
-    Built directly as the product of within-block symmetric groups (never
-    by filtering all of S_n, so n itself is unbounded); raises when the
-    group order exceeds the enumeration cap.
-    """
-    order = math.prod(math.factorial(len(b)) for b in partition.blocks)
-    if order > STABILIZER_ORDER_CAP:
-        raise CapExceededError(
-            f"stabilizer order {order} exceeds enumeration cap {STABILIZER_ORDER_CAP}"
-        )
-    base = list(identity_perm(partition.n))
-    elements = []
-    block_perm_choices = [
-        itertools.permutations(block) for block in partition.blocks
-    ]
-    for choice in itertools.product(*block_perm_choices):
-        word = base.copy()
-        for block, images in zip(partition.blocks, choice):
-            for pos, img in zip(block, images):
-                word[pos] = img
-        elements.append(tuple(word))
-    elements.sort()
-    return Stabilizer(elements=tuple(elements))
+    """The subgroup fixing the partition's diagonal set, kept as its blocks (never enumerated)."""
+    return Stabilizer(partition)
 
 
 def nearest_diagonal_point(x, partition: BlockPartition) -> np.ndarray:

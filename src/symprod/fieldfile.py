@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,22 @@ def _parse_tuple_entry(entry, line_no: int):
     )
 
 
+@contextmanager
+def utf8_text(path, newline: str | None = None):
+    """Open a text file for reading; non-UTF-8 bytes become InputError naming their line."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()  # the decoder saw one chunk; find the line in the file
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise InputError(f"line {line_no}: not UTF-8 text ({exc.reason})") from None
+        raise
+
+
 def _parse_adjacency(spec, line_no: int) -> AdjacencySpec:
     if spec == "path":
         return "path"
@@ -106,7 +123,7 @@ def read_field_file(path) -> FieldDocument:
     points: list[list[float]] = []
     rows: list[list] = []
     complex_mode: bool | None = None
-    with path.open("r", encoding="utf-8") as handle:
+    with utf8_text(path) as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
@@ -117,6 +134,8 @@ def read_field_file(path) -> FieldDocument:
                 raise InputError(f"line {line_no}: invalid JSON ({exc.msg})") from None
             except ValueError as exc:  # an integer literal longer than int() accepts
                 raise InputError(f"line {line_no}: {exc}") from None
+            except RecursionError:
+                raise InputError(f"line {line_no}: JSON nested too deeply") from None
             if not isinstance(obj, dict):
                 raise InputError(f"line {line_no}: expected a JSON object")
             if "meta" in obj:
@@ -180,35 +199,37 @@ def read_field_file(path) -> FieldDocument:
 def read_csv_field(path) -> FieldDocument:
     """Parse the real-only CSV layout: point_* columns then tuple_* columns."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with utf8_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty CSV file") from None
-        names = [h.strip() for h in header]
-        m = sum(1 for h in names if h.startswith("point"))
-        n = sum(1 for h in names if h.startswith("tuple"))
-        if m == 0 or n == 0 or m + n != len(names):
-            raise InputError(
-                'CSV header must list "point_*" columns then "tuple_*" columns'
-            )
-        if any(h.startswith("tuple") for h in names[:m]) or any(
-            h.startswith("point") for h in names[m:]
-        ):
-            raise InputError("CSV columns must be ordered: point_* first, then tuple_*")
-        points, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != m + n:
-                raise InputError(f"line {line_no}: expected {m + n} cells, got {len(row)}")
-            try:
-                numbers = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise InputError(f"line {line_no}: {exc}") from None
-            points.append(numbers[:m])
-            rows.append(numbers[m:])
+            records = list(reader)
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise InputError(f"line {reader.line_num}: {exc}") from None
+    if not records:
+        raise InputError(f"{path}: empty CSV file")
+    names = [h.strip() for h in records[0]]
+    m = sum(1 for h in names if h.startswith("point"))
+    n = sum(1 for h in names if h.startswith("tuple"))
+    if m == 0 or n == 0 or m + n != len(names):
+        raise InputError(
+            'CSV header must list "point_*" columns then "tuple_*" columns'
+        )
+    if any(h.startswith("tuple") for h in names[:m]) or any(
+        h.startswith("point") for h in names[m:]
+    ):
+        raise InputError("CSV columns must be ordered: point_* first, then tuple_*")
+    points, rows = [], []
+    for line_no, row in enumerate(records[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != m + n:
+            raise InputError(f"line {line_no}: expected {m + n} cells, got {len(row)}")
+        try:
+            numbers = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise InputError(f"line {line_no}: {exc}") from None
+        points.append(numbers[:m])
+        rows.append(numbers[m:])
     if not rows:
         raise InputError(f"{path}: no samples found")
     return FieldDocument(
@@ -256,6 +277,7 @@ __all__ = [
     "FieldDocument",
     "read_csv_field",
     "read_field_file",
+    "utf8_text",
     "write_lifted_file",
     "write_loop_file",
 ]

@@ -17,7 +17,7 @@ Checks (names as reported):
   one exact coincidence, so its equality partition is nonempty.
 - stabilizer-minimality: for a boundary vector's own coincidence pattern,
   exactly the stabilizer permutations keep it sorted (exhaustive over S_n).
-- stabilizer-order: the stabilizer order is the product of block factorials.
+- stabilizer-order: the enumerated stabilizer's size is the block-factorial product.
 - diagonal-distance-closed-form: the closed-form distance to a diagonal set
   matches a dense 1-D grid minimization.
 """
@@ -201,11 +201,9 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
     violations = 0
     for _ in range(trials):
         x = _random_boundary_vector(n, rng)
-        partition = equality_partition(x, 0.0)
-        stab_rows = set(stabilizer_of(partition).elements)
-        nondesc = np.all(np.diff(x[perms], axis=1) >= 0, axis=1)
-        sorted_rows = {tuple(int(i) for i in perms[r]) for r in np.flatnonzero(nondesc)}
-        if sorted_rows != stab_rows:
+        labels = stabilizer_of(equality_partition(x, 0.0)).labels
+        keeps_sorted = np.all(np.diff(x[perms], axis=1) >= 0, axis=1)
+        if not np.array_equal(keeps_sorted, np.all(labels[perms] == labels, axis=1)):
             violations += 1
     return LemmaCheck(
         name="stabilizer-minimality",
@@ -217,12 +215,12 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
 
 
 def check_stabilizer_order(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
-    """Stabilizer order equals the product of block factorials."""
+    """The enumerated stabilizer's size is the product of block factorials."""
     violations = 0
     for _ in range(trials):
         partition = _random_partition(n, rng)
         expected = math.prod(math.factorial(len(b)) for b in partition.blocks)
-        if stabilizer_of(partition).order != expected:
+        if len(stabilizer_of(partition).elements) != expected:
             violations += 1
     return LemmaCheck(
         name="stabilizer-order",

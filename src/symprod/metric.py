@@ -76,7 +76,7 @@ class UnorderedTuple:
 
 @dataclass(frozen=True)
 class Distance:
-    """A distance value together with one pairing that attains it.
+    """A distance value, one pairing that attains it, and the engine used.
 
     ``attaining_perm`` is the permutation p with
     ``value == l1_norm(y - apply_perm(p, z))``.
@@ -84,6 +84,7 @@ class Distance:
 
     value: float
     attaining_perm: Perm
+    engine: str
 
 
 def _coerce_pair(y, z, *, allow_complex: bool):
@@ -117,7 +118,7 @@ def dist_bruteforce(y, z) -> Distance:
     perms = perm_matrix(n)
     costs = np.abs(y[np.newaxis, :] - z[perms]).sum(axis=1)
     best = int(np.argmin(costs))  # first minimum = lexicographically smallest
-    return Distance(float(costs[best]), tuple(int(i) for i in perms[best]))
+    return Distance(float(costs[best]), tuple(int(i) for i in perms[best]), "brute")
 
 
 def dist_sorted(y, z) -> Distance:
@@ -136,7 +137,7 @@ def dist_sorted(y, z) -> Distance:
     # p[order_y[i]] = order_z[i].
     p = np.empty(y.size, dtype=np.intp)
     p[order_y] = order_z
-    return Distance(value, tuple(int(i) for i in p))
+    return Distance(value, tuple(int(i) for i in p), "sorted")
 
 
 def dist_assignment(y, z) -> Distance:
@@ -153,7 +154,7 @@ def dist_assignment(y, z) -> Distance:
     cost = np.abs(y[:, np.newaxis] - z[np.newaxis, :])
     rows, cols = linear_sum_assignment(cost)
     value = float(cost[rows, cols].sum())
-    return Distance(value, tuple(int(k) for k in cols))
+    return Distance(value, tuple(int(k) for k in cols), "assignment")
 
 
 _ENGINES = {

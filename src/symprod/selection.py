@@ -34,6 +34,14 @@ def canonicalize(values) -> np.ndarray:
     return UnorderedTuple(values).canonical.copy()
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if it is read-only and owns its data (a field's own), else a read-only copy."""
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -42,7 +50,7 @@ def _as_points(points) -> np.ndarray:
         raise InputError(f"points must form an (N, m) array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InputError("points have non-finite coordinates")
-    return pts
+    return _read_only(pts)
 
 
 def _as_rows(values, count: int) -> np.ndarray:
@@ -50,7 +58,7 @@ def _as_rows(values, count: int) -> np.ndarray:
     try:
         if np.iscomplexobj(values):
             raise TypeError("got complex components")
-        rows = np.array(values, dtype=float)
+        rows = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"tuple values must form an (N, n) array of reals: {exc}") from None
     if rows.ndim != 2 or rows.shape[1] == 0:
@@ -59,8 +67,7 @@ def _as_rows(values, count: int) -> np.ndarray:
         raise InputError(f"{count} points against {rows.shape[0]} tuples")
     if not np.all(np.isfinite(rows)):
         raise InputError("tuple values have non-finite components")
-    rows.setflags(write=False)
-    return rows
+    return _read_only(rows)
 
 
 def _check_adjacency(adjacency, count: int) -> tuple[tuple[int, int], ...]:
@@ -91,10 +98,10 @@ def path_adjacency(count: int) -> tuple[tuple[int, int], ...]:
 class SampledField:
     """A quotient-space-valued map sampled on finitely many points of R^m.
 
-    ``points`` is an (N, m) array, ``values`` a read-only (N, n) array whose
-    row i is the unordered tuple at point i, in the order given, and
-    ``adjacency`` declares which samples count as neighbors (grid edges,
-    consecutive path points, ...).
+    ``points`` is an (N, m) array, ``values`` an (N, n) array whose row i is
+    the unordered tuple at point i, in the order given; both are read-only
+    copies, never the caller's writable array.  ``adjacency`` declares which
+    samples count as neighbors (grid edges, consecutive path points, ...).
     """
 
     points: np.ndarray
@@ -122,28 +129,19 @@ class SampledField:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class LiftedField:
-    """An ordered-representative field: one sorted vector per sample point."""
-
-    points: np.ndarray
-    values: np.ndarray
-    adjacency: tuple[tuple[int, int], ...]
+class LiftedField(SampledField):
+    """An ordered-representative field: a sampled field whose rows are sorted."""
 
     def __post_init__(self):
-        points = _as_points(self.points)
-        values = _as_rows(self.values, points.shape[0])
-        if np.any(np.diff(values, axis=1) < 0):
+        super().__post_init__()
+        if np.any(np.diff(self.values, axis=1) < 0):
             raise InputError("lifted values must be non-descending rows")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "adjacency", _check_adjacency(self.adjacency, points.shape[0]))
 
 
 def lift_field(field: SampledField) -> LiftedField:
     """Apply ``canonicalize`` to every row; classes are preserved at every point."""
     return LiftedField(
-        points=field.points.copy(), values=np.sort(field.values, axis=1), adjacency=field.adjacency
+        points=field.points, values=np.sort(field.values, axis=1), adjacency=field.adjacency
     )
 
 

@@ -42,6 +42,12 @@ def test_dist_complex_routes_to_assignment(capsys):
     assert "engine = assignment" in out
 
 
+def test_dist_engine_choices_come_from_the_engine_table(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["dist", "--a", "1", "--b", "2", "--engine", "nope"])
+    assert "(choose from 'auto', 'assignment', 'brute', 'sorted')" in capsys.readouterr().err
+
+
 def test_dist_twelve_significant_digits(capsys):
     assert cli.main(["dist", "--a", "0,0", "--b", "0.1,0.1"]) == 0
     assert "distance = 0.2" in capsys.readouterr().out
@@ -146,6 +152,47 @@ def test_lift_writes_no_output_when_the_isometry_gate_fails(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert "max_ratio = 2 " in err
     assert "invariant violation: sorted lift must be an isometry" in err
+    assert not out.exists()
+
+
+def test_lift_gate_fails_closed_on_a_nan_ratio(tmp_path, capsys):
+    # Finite tuples whose edge sums overflow: moved and distance are both inf.
+    path = tmp_path / "f.jsonl"
+    write_lines(path, [{"point": [0.0], "tuple": [1e308, 0.0]},
+                       {"point": [1.0], "tuple": [-1e308, 0.0]}])
+    out = tmp_path / "out.jsonl"
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert cli.main(["lift", "--input", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "max_ratio = nan " in err
+    assert "invariant violation: sorted lift must be an isometry" in err
+    assert not out.exists()
+
+
+DEEP_JSON = b'{"point": [0.0], "tuple": [1.0, 2.0]}\n' + b"[" * 100_000 + b"\n"
+
+
+@pytest.mark.parametrize(
+    "argv, data, expected",
+    [
+        (["lift"], b"\xff\xfe" + json.dumps(TWO_SAMPLES[0]).encode() + b"\n",
+         "line 1: not UTF-8 text"),
+        (["lift", "--csv"], b"point_0,tuple_0,tuple_1\n\xff\xfe,1,2\n", "line 2: not UTF-8 text"),
+        (["dist", "--file"], b"1,2\n\xff\xfe\n", "line 2: not UTF-8 text"),
+        (["lift"], DEEP_JSON, "line 2: JSON nested too deeply"),
+    ],
+    ids=["lift-utf16-bom", "lift-csv-utf16-bom", "dist-file-utf16-bom", "lift-deep-nesting"],
+)
+def test_undecodable_or_over_deep_input_is_input_error(tmp_path, capsys, argv, data, expected):
+    path = tmp_path / "bad.in"
+    path.write_bytes(data)
+    out = tmp_path / "out.jsonl"
+    if argv[0] == "lift":
+        argv = argv + ["--input", str(path), "--output", str(out)]
+    else:
+        argv = argv + [str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {expected}")
     assert not out.exists()
 
 

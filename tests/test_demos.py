@@ -31,3 +31,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr[-2000:]
+    assert not list(tmp_path.glob("symprod-demo-*"))  # scratch directories are removed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import equality_blocks_by_closure, grid_min_block_cost
-from symprod.core import apply_perm, compose, enumerate_perms, invert
+from symprod.core import apply_perm, compose, enumerate_perms, invert, perm_matrix
 from symprod.diagonal import (
     BlockPartition,
+    Stabilizer,
     boundary_class,
     dist_to_diagonal,
     equality_partition,
@@ -115,8 +117,58 @@ def test_stabilizer_order_formula_random():
 
 def test_stabilizer_cap():
     part = BlockPartition(blocks=(tuple(range(7)), tuple(range(7, 14))), n=14)
+    stab = stabilizer_of(part)  # kept as its blocks, so building it is never capped
+    assert stab.order == 5040**2
     with pytest.raises(CapExceededError):
-        stabilizer_of(part)  # 5040 * 5040 elements is past the cap
+        stab.elements  # 5040 * 5040 elements is past the cap
+
+
+def random_block_partition(n, rng):
+    """Any partition of range(n), singletons dropped: empty, one block or several."""
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+    blocks = [tuple(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels)]
+    return BlockPartition(blocks=tuple(b for b in blocks if len(b) >= 2), n=n)
+
+
+def test_stabilizer_membership_agrees_with_labels_and_elements():
+    rng = np.random.default_rng(17)
+    seen_sizes = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        stab = stabilizer_of(random_block_partition(n, rng))
+        perms = perm_matrix(n)
+        labels = stab.labels
+        label_mask = np.all(labels[perms] == labels, axis=1)
+        elements = set(stab.elements)
+        assert len(elements) == stab.order == int(label_mask.sum())
+        for row, in_mask in zip(perms, label_mask):
+            p = tuple(row.tolist())
+            assert (p in stab) == bool(in_mask) == (p in elements)
+        seen_sizes.add(stab.order)
+    assert {1, 2, 6} <= seen_sizes
+
+
+def test_stabilizer_labels_and_non_members():
+    stab = stabilizer_of(BlockPartition(blocks=((1, 3), (0, 2, 4)), n=6))
+    assert stab.labels.tolist() == [0, 1, 0, 1, 0, 5]
+    assert (2, 3, 4, 1, 0, 5) in stab
+    assert np.array([2, 3, 4, 1, 0, 5]) in stab
+    assert (0.0, 1.0, 2.0, 3.0, 4.0, 5.0) in stab  # equal to a member, as tuples compare
+    assert (False, True, 2, 3, 4, 5) in stab
+    for p in [
+        (0, 1, 2, 3, 4),  # too short
+        (0, 1, 2, 3, 4, 5, 6),  # too long
+        (0, 0, 2, 3, 4, 5),  # repeats 0; its labels still match
+        (0, 1, 2, 3, 4, -1),
+        (0, 1, 2, 3, 4, 6),
+        (0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
+        ("0", "1", "2", "3", "4", "5"),
+        None,
+        (1, 0, 2, 3, 4, 5),  # a permutation that mixes two blocks
+        (),
+    ]:
+        assert p not in stab
+    assert [field.name for field in dataclasses.fields(Stabilizer)] == ["partition"]
 
 
 def test_dist_to_diagonal_frozen_examples():

@@ -176,6 +176,45 @@ def test_arbitrary_json_gives_document_or_input_error(tmp_path_factory, meta, sa
     assert field is not None
 
 
+VALID_FILES = [
+    b'{"meta": {"m": 1, "n": 2}}\n{"point": [0.0], "tuple": [3.0, 1.0]}\n'
+    b'{"point": [1.0], "tuple": [0.5, 2.0]}\n',
+    b'{"point": [0.0], "tuple": [[1.0, 0.0], [0.0, 1.0]]}\n',
+    b"point_0,tuple_0,tuple_1\n0.0,3.0,1.0\n1.0,1.5,2.5\n",
+]
+JUNK = st.binary(max_size=8) | st.sampled_from(
+    [b"\xff\xfe", b"\xe9", b"\r", b"\x00", b"[" * 100_000]
+)
+
+
+def overwrite(base: bytes, at: int, junk: bytes) -> bytes:
+    return base[:at] + junk + base[at + len(junk):]
+
+
+ARBITRARY_BYTES = st.binary(max_size=64) | st.builds(
+    overwrite, st.sampled_from(VALID_FILES), st.integers(0, 120), JUNK
+)
+
+
+@given(data=ARBITRARY_BYTES)
+def test_arbitrary_bytes_give_document_or_input_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("bytes") / "f"
+    path.write_bytes(data)
+    for reader in (read_field_file, read_csv_field):
+        try:
+            doc = reader(path)
+        except InputError:
+            continue
+        assert isinstance(doc, FieldDocument)
+
+
+def test_csv_cell_past_the_field_size_limit_is_input_error(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("point_0,tuple_0\n0.0," + "1" * 200_000 + "\n")
+    with pytest.raises(InputError, match="line 2: field larger than field limit"):
+        read_csv_field(path)
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("\n\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from symprod import lemmas
+from symprod.diagonal import BlockPartition, Stabilizer
 from symprod.errors import InputError
 from symprod.lemmas import (
     DISPLACEMENT_EPSILONS,
@@ -8,6 +10,8 @@ from symprod.lemmas import (
     all_passed,
     check_displacement_bound,
     check_exterior_openness,
+    check_stabilizer_minimality,
+    check_stabilizer_order,
     run_lemma_suite,
 )
 
@@ -84,3 +88,37 @@ def test_check_fields_are_reportable():
     for r in results:
         assert isinstance(r.detail, str)
         assert r.trials > 0
+
+
+def drop_first_block(partition):
+    return BlockPartition(blocks=partition.blocks[1:], n=partition.n)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_stabilizer_minimality_catches_a_missing_block(monkeypatch, n):
+    check = check_stabilizer_minimality(n, 30, np.random.default_rng(2))
+    assert check.passed
+    real_partition = lemmas.equality_partition
+    monkeypatch.setattr(
+        lemmas, "equality_partition", lambda x, tol: drop_first_block(real_partition(x, tol))
+    )
+    check = check_stabilizer_minimality(n, 30, np.random.default_rng(2))
+    assert check.violations == check.trials == 30  # every boundary vector has a tie to lose
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_stabilizer_order_catches_a_missing_block(monkeypatch, n):
+    check = check_stabilizer_order(n, 30, np.random.default_rng(4))
+    assert check.passed
+    real_stabilizer = lemmas.stabilizer_of
+    monkeypatch.setattr(lemmas, "stabilizer_of", lambda p: real_stabilizer(drop_first_block(p)))
+    check = check_stabilizer_order(n, 30, np.random.default_rng(4))
+    assert check.violations == check.trials == 30  # every sampled partition has a block
+
+
+def test_stabilizer_order_counts_the_enumerated_elements(monkeypatch):
+    # The check must enumerate, not compare the factorial formula with itself.
+    listed = Stabilizer.elements.fget
+    monkeypatch.setattr(Stabilizer, "elements", property(lambda stab: listed(stab)[:-1]))
+    check = check_stabilizer_order(4, 30, np.random.default_rng(4))
+    assert check.violations == check.trials == 30

@@ -58,6 +58,16 @@ def test_engines_agree_on_frozen_example(engine):
     assert engine([1.0, 5.0], [2.0, 3.0]).value == 3.0
 
 
+def test_distance_names_the_engine_that_computed_it():
+    real, cplx = ([1.0, 5.0], [2.0, 3.0]), ([1 + 2j, 0j], [0j, 1 + 2j])
+    for name in engine_names():
+        assert dist(*real, engine=name).engine == name
+    assert [engine(*real).engine for engine in ALL_ENGINES] == ["brute", "sorted", "assignment"]
+    assert dist(*real).engine == "sorted"
+    assert dist(*cplx).engine == "assignment"
+    assert repr(dist(*real)) == "Distance(value=3.0, attaining_perm=(0, 1), engine='sorted')"
+
+
 def test_sorted_identical_classes():
     rng = np.random.default_rng(3)
     y = rng.uniform(-10, 10, size=6)

@@ -127,6 +127,31 @@ def test_sampled_field_values_are_one_read_only_array():
     assert field.tuple_n == 2 and field.dim_m == 1
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (3,)], ids=["2-d", "1-d"])
+def test_sampled_field_points_are_a_read_only_copy(shape):
+    given = np.arange(3.0 * int(np.prod(shape[1:]))).reshape(shape)
+    field = SampledField.path(given, [[3.0, 1.0], [2.0, 2.0], [0.5, -1.0]])
+    assert not field.points.flags.writeable
+    expected = field.points.copy()
+    given[...] = 99.0
+    assert np.array_equal(field.points, expected)  # the field keeps its own copy
+    lifted = lift_field(field)
+    assert lifted.points is field.points  # a field's own read-only points are shared
+    assert not lifted.values.flags.writeable
+
+
+def test_lifted_field_is_a_sampled_field():
+    field = SampledField.path([[0.0], [1.0]], [[3.0, 1.0], [1.1, 2.9]])
+    lifted = lift_field(field)
+    assert isinstance(lifted, SampledField)
+    assert lifted.adjacency == field.adjacency
+    assert lifted.tuple_n == 2 and lifted.dim_m == 1
+    with pytest.raises(InputError):
+        LiftedField(points=[0.0, 1.0], values=[[1.0, 2.0], [np.nan, 3.0]], adjacency=[[0, 1]])
+    with pytest.raises(InputError):
+        LiftedField(points=[0.0, 1.0], values=[[1.0, 2.0], [2.0, 3.0]], adjacency=[[0, 2]])
+
+
 def test_lift_single_point():
     field = SampledField.path([[0.0]], [[2.0, -1.0]])
     lifted = lift_field(field)
