@@ -30,19 +30,37 @@ BRUTE_FORCE_CAP = 8
 # Largest group order we materialize as an explicit element list.
 STABILIZER_ORDER_CAP = math.factorial(BRUTE_FORCE_CAP)
 
+# Array elements a batched pass holds per chunk of samples or trials (at least
+# one sample's worth), so its memory does not grow with the sample count.
+CHUNK_ELEMENTS = 1 << 20
+
 
 def as_real_vector(values, *, name: str = "tuple") -> np.ndarray:
     """Coerce to a 1-D float64 array, rejecting NaN/inf entries."""
-    if np.iscomplexobj(values):
-        raise InputError(f"{name} must be real-valued, got complex components")
-    try:
+    return _as_real(values, name, batch=False)
+
+
+def as_real_batch(values, *, name: str = "tuple") -> np.ndarray:
+    """Coerce one vector (1-D) or a ``(B, n)`` batch of vectors (2-D) to float64.
+
+    The rank is kept, so a caller can treat a vector as the batch of one and
+    hand back one result.  Other ranks, empty input and NaN/inf are rejected.
+    """
+    return _as_real(values, name, batch=True)
+
+
+def _as_real(values, name: str, batch: bool) -> np.ndarray:
+    try:  # a ragged sequence makes iscomplexobj raise too
+        if np.iscomplexobj(values):
+            raise TypeError("got complex components")
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} is not real-valued: {exc}") from None
-    if arr.ndim != 1:
-        raise InputError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != 1 and not (batch and arr.ndim == 2):
+        shapes = "a vector or a (B, n) batch" if batch else "one-dimensional"
+        raise InputError(f"{name} must be {shapes}, got shape {arr.shape}")
     if arr.size == 0:
-        raise InputError(f"{name} must have at least one component")
+        raise InputError(f"{name} must have at least one component, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputError(f"{name} has non-finite components")
     return arr

@@ -26,6 +26,7 @@ from .core import (
     STABILIZER_ORDER_CAP,
     Perm,
     apply_perm,
+    as_real_batch,
     as_real_vector,
     is_perm,
 )
@@ -142,26 +143,32 @@ def stabilizer_of(partition: BlockPartition) -> Stabilizer:
 
 
 def nearest_diagonal_point(x, partition: BlockPartition) -> np.ndarray:
-    """A closest point (1-norm) of the diagonal set to ``x``.
+    """A closest point (1-norm) of the diagonal set to ``x``, or to each row of a batch.
 
-    Within each block the optimal common value is a median of the block's
-    components; the lower median is returned for determinism (the distance
-    itself is unaffected by the choice).  Unconstrained components stay.
+    ``x`` is one vector or a ``(B, n)`` batch, all against the one partition;
+    a vector is the batch of one.  Within each block the optimal common value
+    is a median of the block's components; the lower median is returned for
+    determinism (the distance itself is unaffected by the choice).
+    Unconstrained components stay.
     """
-    x = as_real_vector(x)
-    if partition.n != x.size:
-        raise InputError(f"partition over n = {partition.n} against tuple of size {x.size}")
+    x = as_real_batch(x)
+    if partition.n != x.shape[-1]:
+        raise InputError(f"partition over n = {partition.n} against tuple of size {x.shape[-1]}")
     y = x.copy()
     for block in partition.blocks:
-        values = np.sort(x[list(block)])
-        y[list(block)] = values[(len(values) - 1) // 2]
+        values = np.sort(x[..., list(block)], axis=-1)
+        y[..., list(block)] = values[..., (len(block) - 1) // 2, np.newaxis]
     return y
 
 
-def dist_to_diagonal(x, partition: BlockPartition) -> float:
-    """1-norm distance from ``x`` to the partition's diagonal set, in closed form."""
-    y = nearest_diagonal_point(x, partition)
-    return float(np.abs(np.asarray(x, dtype=float) - y).sum())
+def dist_to_diagonal(x, partition: BlockPartition) -> float | np.ndarray:
+    """1-norm distance from ``x`` to the partition's diagonal set, in closed form.
+
+    A float for one vector, a ``(B,)`` array for a ``(B, n)`` batch.
+    """
+    x = as_real_batch(x)
+    d = np.abs(x - nearest_diagonal_point(x, partition)).sum(axis=-1)
+    return float(d) if x.ndim == 1 else d
 
 
 def perm_displacement(x, perm: Sequence[int]) -> float:
@@ -179,20 +186,23 @@ def is_nondescending(x) -> bool:
 BoundaryClass = Literal["interior", "boundary", "exterior"]
 
 
-def boundary_class(x) -> BoundaryClass:
+def boundary_class(x) -> BoundaryClass | np.ndarray:
     """Position of ``x`` relative to the cone of non-descending vectors.
 
     "interior": strictly ascending; "boundary": non-descending with at
     least one tie; "exterior": not non-descending.  Comparisons are exact:
     the classification describes the vector as given, not measurement noise.
+    One vector gives its class; a ``(B, n)`` batch gives a ``(B,)`` array of
+    class names, one per row.
     """
-    x = as_real_vector(x)
-    diffs = np.diff(x)
-    if np.any(diffs < 0):
-        return "exterior"
-    if np.any(diffs == 0):
-        return "boundary"
-    return "interior"
+    x = as_real_batch(x)
+    diffs = np.diff(x, axis=-1)
+    classes = np.where(
+        np.any(diffs < 0, axis=-1),
+        "exterior",
+        np.where(np.any(diffs == 0, axis=-1), "boundary", "interior"),
+    )
+    return str(classes) if x.ndim == 1 else classes
 
 
 __all__ = [

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,12 +247,29 @@ def _adjacency_json(spec: AdjacencySpec):
     return [[a, b] for a, b in spec]  # type: ignore[union-attr]
 
 
+@contextmanager
+def _replacing(path):
+    """A text handle on a fresh file beside ``path``, renamed over ``path`` once written.
+
+    Readers see the old file or the whole new one, never a partial write.  If
+    writing fails, the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_lifted_file(path, lifted: LiftedField, adjacency_spec: AdjacencySpec = "path"):
     """Write a lifted field as JSON-lines with a meta header line."""
-    path = Path(path)
     m = lifted.points.shape[1]
     n = lifted.values.shape[1]
-    with path.open("w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         meta = {"meta": {"m": m, "n": n, "adjacency": _adjacency_json(adjacency_spec)}}
         handle.write(json.dumps(meta) + "\n")
         for point, row in zip(lifted.points.tolist(), lifted.values.tolist()):
@@ -260,9 +278,8 @@ def write_lifted_file(path, lifted: LiftedField, adjacency_spec: AdjacencySpec =
 
 def write_loop_file(path, loop: ComplexLoop):
     """Write a loop as a complex-mode field file; the point is the step fraction."""
-    path = Path(path)
     m = loop.step_count
-    with path.open("w", encoding="utf-8") as handle:
+    with _replacing(path) as handle:
         meta = {"meta": {"m": 1, "n": loop.tuple_n, "adjacency": "path"}}
         handle.write(json.dumps(meta) + "\n")
         for j in range(m):

@@ -5,6 +5,12 @@ stabilizers, and the sorted cone into a randomized (or exhaustive)
 verification run.  The suite is deterministic given a seed and powers the
 ``symprod lemmas`` CLI subcommand as well as the acceptance tests.
 
+Every check draws its trials as one ``(trials, n)`` batch and tests its
+property with array expressions over the trial axis, through the library's
+own batch forms (``boundary_class``, ``dist_to_diagonal``).  Only the pieces
+under test run per vector or per partition: ``equality_partition``, and one
+stabilizer enumeration per distinct random partition.
+
 Checks (names as reported):
 
 - displacement-bound: a vector within eps of a diagonal set is moved by
@@ -30,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import perm_matrix
+from .core import CHUNK_ELEMENTS, perm_matrix
 from .diagonal import (
     BlockPartition,
     boundary_class,
@@ -76,30 +82,61 @@ def _random_partition(n: int, rng: np.random.Generator) -> BlockPartition:
     return BlockPartition(blocks=tuple(blocks), n=n)
 
 
-def _random_boundary_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted vector with at least one exact tie."""
-    x = np.sort(rng.uniform(-10.0, 10.0, size=n))
-    ties = 1 + int(rng.integers(0, n - 1))
-    positions = rng.choice(n - 1, size=ties, replace=False)
-    for j in sorted(int(p) for p in positions):
-        x[j + 1] = x[j]
+def _partition_groups(
+    n: int, trials: int, rng: np.random.Generator
+) -> dict[BlockPartition, np.ndarray]:
+    """One random partition per trial, grouped: each distinct partition -> its trial indices.
+
+    Local to one check, so it holds at most ``trials`` keys.
+    """
+    groups: dict[BlockPartition, list[int]] = {}
+    for t in range(trials):
+        groups.setdefault(_random_partition(n, rng), []).append(t)
+    return {partition: np.array(ids) for partition, ids in groups.items()}
+
+
+def _row_chunks(count: int, row_elements: int):
+    """Slices over ``count`` rows holding at most CHUNK_ELEMENTS elements (at least one row)."""
+    rows = max(1, CHUNK_ELEMENTS // row_elements)
+    return (slice(a, a + rows) for a in range(0, count, rows))
+
+
+def _nondescending(x: np.ndarray) -> np.ndarray:
+    """Which rows (along the last axis) are non-descending, exactly."""
+    return np.all(np.diff(x, axis=-1) >= 0, axis=-1)
+
+
+def _random_boundary_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` sorted rows, each with one or more exact ties at uniformly chosen places."""
+    x = np.sort(rng.uniform(-10.0, 10.0, size=(count, n)), axis=1)
+    ties = 1 + rng.integers(0, n - 1, size=count)
+    # a random order of the n - 1 gaps per row; the gaps ranked below `ties` are tied
+    tied = rng.permuted(np.tile(np.arange(n - 1), (count, 1)), axis=1) < ties[:, np.newaxis]
+    for j in range(1, n):  # left to right, so a run of ties carries one value along
+        x[:, j] = np.where(tied[:, j - 1], x[:, j - 1], x[:, j])
     return x
 
 
-def _random_exterior_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+def _random_exterior_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` out-of-order rows; each is redrawn while sorted, at most 100 draws in all."""
+    x = np.empty((count, n))
+    redraw = np.arange(count)
     for _ in range(100):
-        x = rng.uniform(-10.0, 10.0, size=n)
-        if np.any(np.diff(x) < 0):
+        x[redraw] = rng.uniform(-10.0, 10.0, size=(redraw.size, n))
+        redraw = redraw[_nondescending(x[redraw])]
+        if redraw.size == 0:
             return x
     raise AssertionError("could not sample an out-of-order vector")
 
 
-def _random_l1_perturbation(n: int, budget: float, rng: np.random.Generator) -> np.ndarray:
-    """A vector with 1-norm strictly below ``budget``."""
-    weights = rng.dirichlet(np.ones(n))
-    signs = rng.choice((-1.0, 1.0), size=n)
-    scale = budget * rng.uniform(0.1, 0.99)
-    return weights * signs * scale
+def _random_l1_perturbation(
+    n: int, budget: float | np.ndarray, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` rows, each of 1-norm strictly below its ``budget`` (a scalar or one per row)."""
+    weights = rng.dirichlet(np.ones(n), size=count)
+    signs = rng.choice((-1.0, 1.0), size=(count, n))
+    scale = budget * rng.uniform(0.1, 0.99, size=count)
+    return weights * signs * scale[:, np.newaxis]
 
 
 def check_displacement_bound(
@@ -108,23 +145,24 @@ def check_displacement_bound(
     """Within eps of a diagonal set, every stabilizer element moves x < 2*eps."""
     violations = 0
     for eps in DISPLACEMENT_EPSILONS:
-        for _ in range(trials):
-            partition = _random_partition(n, rng)
-            base = np.empty(n)
-            base[:] = rng.uniform(-10.0, 10.0, size=n)
-            for block in partition.blocks:
-                base[list(block)] = rng.uniform(-10.0, 10.0)
-            x = base + _random_l1_perturbation(n, eps, rng)
-            if not dist_to_diagonal(x, partition) < eps:
+        groups = _partition_groups(n, trials, rng)
+        x = rng.uniform(-10.0, 10.0, size=(trials, n))
+        for partition, ids in groups.items():
+            for block in partition.blocks:  # one common value per trial and block
+                x[ids[:, np.newaxis], list(block)] = rng.uniform(-10.0, 10.0, size=(ids.size, 1))
+        x += _random_l1_perturbation(n, eps, rng, trials)
+        for partition, ids in groups.items():
+            near = x[ids]
+            if not np.all(dist_to_diagonal(near, partition) < eps):
                 raise AssertionError("sampler broke its own precondition")
             stab = np.array(stabilizer_of(partition).elements, dtype=np.intp)
-            displacement = np.abs(x[stab] - x[np.newaxis, :]).sum(axis=1)
-            if fault == "flip-displacement":
-                ok = bool(np.all(displacement > 2.0 * eps))
-            else:
-                ok = bool(np.all(displacement < 2.0 * eps))
-            if not ok:
-                violations += 1
+            for rows in _row_chunks(ids.size, stab.size):
+                displacement = np.abs(near[rows][:, stab] - near[rows][:, np.newaxis]).sum(axis=2)
+                if fault == "flip-displacement":
+                    ok = np.all(displacement > 2.0 * eps, axis=1)
+                else:
+                    ok = np.all(displacement < 2.0 * eps, axis=1)
+                violations += int(np.count_nonzero(~ok))
     return LemmaCheck(
         name="displacement-bound",
         n=n,
@@ -136,18 +174,15 @@ def check_displacement_bound(
 
 def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """A quarter of one inversion's height is a safe out-of-order radius."""
-    violations = 0
     probes = 10
-    for _ in range(trials):
-        x = _random_exterior_vector(n, rng)
-        running_max = np.maximum.accumulate(x)[:-1]
-        c = float(np.max(running_max - x[1:]))  # largest inversion height
-        if not c > 0:
-            raise AssertionError("sampler broke its own precondition")
-        for _ in range(probes):
-            y = x + _random_l1_perturbation(n, c / 4.0, rng)
-            if boundary_class(y) != "exterior":
-                violations += 1
+    x = _random_exterior_vectors(n, trials, rng)
+    running_max = np.maximum.accumulate(x, axis=1)[:, :-1]
+    c = np.max(running_max - x[:, 1:], axis=1)  # largest inversion height per vector
+    if not np.all(c > 0):
+        raise AssertionError("sampler broke its own precondition")
+    y = np.repeat(x, probes, axis=0)  # each vector's probes are consecutive rows
+    y += _random_l1_perturbation(n, np.repeat(c / 4.0, probes), rng, trials * probes)
+    violations = int(np.count_nonzero(boundary_class(y) != "exterior"))
     return LemmaCheck(
         name="exterior-openness",
         n=n,
@@ -161,14 +196,15 @@ def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generato
     """Only the identity keeps a strictly ascending vector non-descending."""
     perms = perm_matrix(n)
     identity_row = int(np.flatnonzero((perms == np.arange(n)).all(axis=1))[0])
+    x = np.empty((trials, n))
+    redraw = np.arange(trials)
+    while redraw.size:  # ties have probability zero
+        x[redraw] = np.sort(rng.uniform(-10.0, 10.0, size=(redraw.size, n)), axis=1)
+        redraw = redraw[~np.all(np.diff(x[redraw], axis=1) > 0, axis=1)]
     violations = 0
-    for _ in range(trials):
-        x = np.sort(rng.uniform(-10.0, 10.0, size=n))
-        while not np.all(np.diff(x) > 0):  # ties have probability zero
-            x = np.sort(rng.uniform(-10.0, 10.0, size=n))
-        nondesc = np.all(np.diff(x[perms], axis=1) >= 0, axis=1)
-        if not (nondesc.sum() == 1 and bool(nondesc[identity_row])):
-            violations += 1
+    for rows in _row_chunks(trials, perms.size):
+        nondesc = _nondescending(x[rows][:, perms])
+        violations += int(np.count_nonzero((nondesc.sum(axis=1) != 1) | ~nondesc[:, identity_row]))
     return LemmaCheck(
         name="interior-order-uniqueness",
         n=n,
@@ -180,13 +216,10 @@ def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generato
 
 def check_boundary_has_ties(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Boundary vectors of the sorted cone have a nonempty equality partition."""
-    violations = 0
-    for _ in range(trials):
-        x = _random_boundary_vector(n, rng)
-        if boundary_class(x) != "boundary":
-            raise AssertionError("sampler broke its own precondition")
-        if not equality_partition(x, 0.0).blocks:
-            violations += 1
+    x = _random_boundary_vectors(n, trials, rng)
+    if not np.all(boundary_class(x) == "boundary"):
+        raise AssertionError("sampler broke its own precondition")
+    violations = sum(1 for row in x if not equality_partition(row, 0.0).blocks)
     return LemmaCheck(
         name="boundary-has-ties",
         n=n,
@@ -198,13 +231,13 @@ def check_boundary_has_ties(n: int, trials: int, rng: np.random.Generator) -> Le
 def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Exactly the coincidence stabilizer keeps a boundary vector sorted."""
     perms = perm_matrix(n)
+    x = _random_boundary_vectors(n, trials, rng)
+    labels = np.array([stabilizer_of(equality_partition(row, 0.0)).labels for row in x])
     violations = 0
-    for _ in range(trials):
-        x = _random_boundary_vector(n, rng)
-        labels = stabilizer_of(equality_partition(x, 0.0)).labels
-        keeps_sorted = np.all(np.diff(x[perms], axis=1) >= 0, axis=1)
-        if not np.array_equal(keeps_sorted, np.all(labels[perms] == labels, axis=1)):
-            violations += 1
+    for rows in _row_chunks(trials, perms.size):
+        keeps_sorted = _nondescending(x[rows][:, perms])
+        fixes_labels = np.all(labels[rows][:, perms] == labels[rows][:, np.newaxis], axis=2)
+        violations += int(np.count_nonzero(np.any(keeps_sorted != fixes_labels, axis=1)))
     return LemmaCheck(
         name="stabilizer-minimality",
         n=n,
@@ -217,11 +250,10 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
 def check_stabilizer_order(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """The enumerated stabilizer's size is the product of block factorials."""
     violations = 0
-    for _ in range(trials):
-        partition = _random_partition(n, rng)
+    for partition, ids in _partition_groups(n, trials, rng).items():
         expected = math.prod(math.factorial(len(b)) for b in partition.blocks)
         if len(stabilizer_of(partition).elements) != expected:
-            violations += 1
+            violations += ids.size
     return LemmaCheck(
         name="stabilizer-order",
         n=n,
@@ -230,26 +262,38 @@ def check_stabilizer_order(n: int, trials: int, rng: np.random.Generator) -> Lem
     )
 
 
-def grid_min_block_cost(values: np.ndarray, lo: float, hi: float, step: float) -> float:
-    """Dense-grid minimization of sum |v - c| over c in [lo, hi]."""
+def grid_min_block_cost(values: np.ndarray, lo: float, hi: float, step: float):
+    """Dense-grid minimization of sum |v - c| over c in [lo, hi].
+
+    ``values`` is one block's components (a float comes back) or a ``(B, k)``
+    batch of blocks (a ``(B,)`` array).  The k costs at a grid point are
+    summed in component order, over the grid's contiguous axis.
+    """
     grid = np.arange(lo, hi + step, step)
-    return float(np.abs(values[np.newaxis, :] - grid[:, np.newaxis]).sum(axis=1).min())
+    blocks = np.asarray(values, dtype=float)
+    batch = blocks.reshape(-1, blocks.shape[-1])
+    best = np.concatenate([
+        np.abs(batch[rows, :, np.newaxis] - grid).sum(axis=1).min(axis=1)
+        for rows in _row_chunks(len(batch), batch.shape[1] * grid.size)
+    ])
+    return float(best[0]) if blocks.ndim == 1 else best
 
 
 def check_diagonal_distance_closed_form(
     n: int, trials: int, rng: np.random.Generator
 ) -> LemmaCheck:
     """Closed-form distance to a diagonal set vs a 1e-3 grid over [-10, 10]."""
+    groups = _partition_groups(n, trials, rng)
+    x = rng.uniform(-10.0, 10.0, size=(trials, n))
     violations = 0
-    for _ in range(trials):
-        partition = _random_partition(n, rng)
-        x = rng.uniform(-10.0, 10.0, size=n)
+    for partition, ids in groups.items():
+        near = x[ids]
         by_grid = sum(
-            grid_min_block_cost(x[list(block)], -10.0, 10.0, 1e-3)
+            grid_min_block_cost(near[:, list(block)], -10.0, 10.0, 1e-3)
             for block in partition.blocks
         )
-        if abs(dist_to_diagonal(x, partition) - by_grid) > 2e-3:
-            violations += 1
+        gap = np.abs(dist_to_diagonal(near, partition) - by_grid)
+        violations += int(np.count_nonzero(gap > 2e-3))
     return LemmaCheck(
         name="diagonal-distance-closed-form",
         n=n,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BRUTE_FORCE_CAP, Perm, as_complex_vector, compose, identity_perm
+from .core import BRUTE_FORCE_CAP, CHUNK_ELEMENTS, Perm, as_complex_vector, compose, identity_perm
 from .errors import InputError, UndersampledLoopError
 from .metric import Distance, dist_assignment, dist_bruteforce
 
@@ -56,11 +56,6 @@ class ComplexLoop:
     @property
     def tuple_n(self) -> int:
         return self.samples.shape[1]
-
-
-# Array elements that tracking and the gap scan hold per chunk of samples (at
-# least one sample's n or n*n), so their memory does not grow with the step count.
-CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -177,10 +177,13 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
 
     edges = np.array(field.adjacency, dtype=np.intp).reshape(-1, 2)
     a, b = edges[:, 0], edges[:, 1]
-    moved = np.abs(lifted.values[a] - lifted.values[b]).sum(axis=1)
-    # The quotient distance by its own route: sort the field's rows as given
-    # (dist_sorted's arithmetic), never reusing the lifted array.
-    d = np.abs(np.sort(field.values[a], axis=1) - np.sort(field.values[b], axis=1)).sum(axis=1)
+    # Finite values near the float limit can overflow to inf (and inf / inf to
+    # nan); the nan ratio that follows is the report, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = np.abs(lifted.values[a] - lifted.values[b]).sum(axis=1)
+        # The quotient distance by its own route: sort the field's rows as given
+        # (dist_sorted's arithmetic), never reusing the lifted array.
+        d = np.abs(np.sort(field.values[a], axis=1) - np.sort(field.values[b], axis=1)).sum(axis=1)
     zero = d == 0.0
     broken = zero & (moved > EQUAL_CLASS_TOL)
     if broken.any():
@@ -192,7 +195,8 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     ratio_index = np.flatnonzero(~zero)
     if ratio_index.size == 0:
         return ContinuityReport(1.0, None, 0, zero_edges)
-    ratios = moved[ratio_index] / d[ratio_index]
+    with np.errstate(invalid="ignore"):
+        ratios = moved[ratio_index] / d[ratio_index]
     worst = int(np.argmax(ratios))  # first maximum, as in adjacency order
     return ContinuityReport(
         float(ratios[worst]), field.adjacency[ratio_index[worst]], ratio_index.size, zero_edges

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +357,52 @@ def test_parse_tuple_text():
     assert cli.parse_tuple_text("1+2i,0").dtype == np.complex128
     with pytest.raises(Exception):
         cli.parse_tuple_text("")
+
+
+def test_lift_overflow_prints_no_numpy_warning(tmp_path):
+    # The real stderr of a fresh interpreter, where numpy's warnings would land.
+    path = tmp_path / "f.jsonl"
+    write_lines(path, [{"point": [0.0], "tuple": [1e308, 0.0]},
+                       {"point": [1.0], "tuple": [-1e308, 0.0]}])
+    out = tmp_path / "out.jsonl"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-c",
+         "import sys; from symprod.cli import main; sys.exit(main(sys.argv[1:]))",
+         "lift", "--input", str(path), "--output", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr.splitlines() == [
+        "max_ratio = nan worst_edge = (0, 1) (ratio edges: 1, equal-class edges: 0)",
+        "invariant violation: sorted lift must be an isometry; max_ratio = nan",
+    ]
+    assert not out.exists()
+
+
+LEMMA_TABLE_SEED_3 = "".join(
+    f"{name:<29}  {n}  {trials:>6}           0  PASS\n"
+    for n in range(2, 7)
+    for name, trials in [
+        ("displacement-bound", 450),
+        ("exterior-openness", 1500),
+        ("interior-order-uniqueness", 150),
+        ("boundary-has-ties", 150),
+        ("stabilizer-minimality", 150),
+        ("stabilizer-order", 150),
+        ("diagonal-distance-closed-form", 50),
+    ]
+)
+
+
+def test_lemmas_golden_table(capsys):
+    assert cli.main(["lemmas", "--n", "2..6", "--trials", "150", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "check                          n  trials  violations  status\n"
+        + LEMMA_TABLE_SEED_3
+        + "all 35 checks passed (seed = 3)\n"
+    )

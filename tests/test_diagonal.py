@@ -298,3 +298,80 @@ def test_stabilizer_exactly_preserves_sorted_boundary_vector():
         p for p in enumerate_perms(5) if is_nondescending(apply_perm(p, x))
     }
     assert keepers == set(stab.elements)
+
+
+def random_blocks(n, rng):
+    """A random partition: a shuffled range(n) cut into runs of 1..4, runs of >= 2 kept."""
+    order = rng.permutation(n).tolist()
+    blocks, pos = [], 0
+    while pos < n:
+        size = int(rng.integers(1, 5))
+        if size >= 2 and pos + size <= n:
+            blocks.append(tuple(order[pos : pos + size]))
+        pos += size
+    return BlockPartition(blocks=tuple(blocks), n=n)
+
+
+def random_batch(n, rng):
+    """Rows with exact ties (values from a small pool), sorted rows, and repeated rows."""
+    batch = int(rng.integers(1, 25))
+    pool = rng.uniform(-5.0, 5.0, size=max(1, n // 2 + 1))
+    x = rng.choice(pool, size=(batch, n))
+    x[rng.random(batch) < 0.2] = rng.uniform(-5.0, 5.0, size=n)  # all distinct
+    sort = rng.random(batch) < 0.4
+    x[sort] = np.sort(x[sort], axis=1)  # on or inside the sorted cone
+    x[rng.random(batch) < 0.2] = x[0]  # repeated rows
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 17, 40])
+def test_batch_forms_equal_their_per_row_results(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(40):
+        x = random_batch(n, rng)
+        part = random_blocks(n, rng)
+        classes = boundary_class(x)
+        assert isinstance(classes, np.ndarray) and classes.shape == (len(x),)
+        assert classes.tolist() == [boundary_class(row) for row in x]
+        nearest = nearest_diagonal_point(x, part)
+        assert np.array_equal(nearest, [nearest_diagonal_point(row, part) for row in x])
+        d = dist_to_diagonal(x, part)
+        assert isinstance(d, np.ndarray) and d.shape == (len(x),)
+        assert d.tolist() == [dist_to_diagonal(row, part) for row in x]
+        assert np.array_equal(boundary_class(x[:1]), [boundary_class(x[0])])  # batch of one
+        assert dist_to_diagonal(x[:1], part).tolist() == [dist_to_diagonal(x[0], part)]
+
+
+def test_batch_forms_cover_every_class():
+    x = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 2.0]])
+    assert boundary_class(x).tolist() == ["interior", "boundary", "exterior", "boundary"]
+    assert type(boundary_class(x[0])) is str
+    assert type(dist_to_diagonal(x[0], BlockPartition(((0, 1),), 3))) is float
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros((2, 2, 2)),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        [],
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[1.0, 2.0], [np.inf, 0.0]],
+        [[1.0, 2.0], [1.0]],
+        [[1 + 1j, 0.0]],
+    ],
+    ids=["3-D", "no-rows", "no-columns", "empty", "nan", "inf", "ragged", "complex"],
+)
+def test_batch_forms_reject_bad_input(bad):
+    with pytest.raises(InputError):
+        boundary_class(bad)
+    with pytest.raises(InputError):
+        dist_to_diagonal(bad, BlockPartition((), 2))
+    with pytest.raises(InputError):
+        nearest_diagonal_point(bad, BlockPartition((), 2))
+
+
+def test_batch_distance_checks_the_partition_size():
+    with pytest.raises(InputError, match="partition over n = 3"):
+        dist_to_diagonal(np.zeros((4, 2)), BlockPartition(((0, 1),), 3))

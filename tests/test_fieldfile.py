@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symprod import cli, fieldfile
 from symprod.errors import InputError
 from symprod.fieldfile import (
     FieldDocument,
@@ -14,7 +16,7 @@ from symprod.fieldfile import (
     write_loop_file,
 )
 from symprod.monodromy import roots_loop_generator
-from symprod.selection import lift_field
+from symprod.selection import SampledField, lift_field
 
 
 def write_lines(path, lines):
@@ -325,3 +327,72 @@ def test_csv_and_jsonl_agree(tmp_path):
     a, b = read_csv_field(csv_path), read_field_file(jsonl_path)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.tuples, b.tuples)
+
+
+def small_lifted():
+    return lift_field(SampledField.path([[0.0], [0.5], [1.0]], [[2.0, 1.0], [0.5, 3.0], [1.0, 1.0]]))
+
+
+# small_lifted() as written, byte for byte
+SMALL_LIFTED_TEXT = (
+    '{"meta": {"m": 1, "n": 2, "adjacency": "path"}}\n'
+    '{"point": [0.0], "tuple": [1.0, 2.0]}\n'
+    '{"point": [0.5], "tuple": [0.5, 3.0]}\n'
+    '{"point": [1.0], "tuple": [1.0, 1.0]}\n'
+)
+
+
+def test_lifted_write_replaces_the_whole_file(tmp_path):
+    out = tmp_path / "lifted.jsonl"
+    out.write_text("an older, longer file\n" * 10)
+    write_lifted_file(out, small_lifted())
+    assert out.read_text(encoding="utf-8") == SMALL_LIFTED_TEXT
+    assert [p.name for p in tmp_path.iterdir()] == ["lifted.jsonl"]  # no temporary left
+
+
+def fail_on_dump(monkeypatch, call, error):
+    """Make the ``call``-th ``json.dumps`` in fieldfile raise ``error``."""
+    calls = itertools.count()
+    real_dumps = json.dumps
+
+    def dumps(obj):
+        if next(calls) == call:
+            raise error
+        return real_dumps(obj)
+
+    monkeypatch.setattr(fieldfile.json, "dumps", dumps)
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_failed_lifted_write_leaves_the_target_alone(tmp_path, monkeypatch, existing):
+    out = tmp_path / "lifted.jsonl"
+    if existing:
+        out.write_bytes(b"previous output\n")
+    fail_on_dump(monkeypatch, 2, RuntimeError("interrupted"))  # after the header and one row
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_lifted_file(out, small_lifted())
+    if existing:
+        assert out.read_bytes() == b"previous output\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["lifted.jsonl"] if existing else [])
+
+
+def test_failed_loop_write_leaves_the_target_alone(tmp_path, monkeypatch):
+    path = tmp_path / "loop.jsonl"
+    path.write_bytes(b"previous loop\n")
+    fail_on_dump(monkeypatch, 5, RuntimeError("interrupted"))
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_loop_file(path, roots_loop_generator(3, 48))
+    assert path.read_bytes() == b"previous loop\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["loop.jsonl"]
+
+
+def test_lift_cli_write_failure_keeps_the_old_output(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "field.jsonl"
+    write_lines(src, [{"point": [0.0], "tuple": [2.0, 1.0]}, {"point": [1.0], "tuple": [0.5, 3.0]}])
+    out = tmp_path / "lifted.jsonl"
+    out.write_bytes(b"previous output\n")
+    fail_on_dump(monkeypatch, 1, OSError("No space left on device"))
+    assert cli.main(["lift", "--input", str(src), "--output", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["field.jsonl", "lifted.jsonl"]

@@ -8,6 +8,7 @@ from symprod.lemmas import (
     DISPLACEMENT_EPSILONS,
     KNOWN_FAULTS,
     all_passed,
+    check_diagonal_distance_closed_form,
     check_displacement_bound,
     check_exterior_openness,
     check_stabilizer_minimality,
@@ -122,3 +123,121 @@ def test_stabilizer_order_counts_the_enumerated_elements(monkeypatch):
     monkeypatch.setattr(Stabilizer, "elements", property(lambda stab: listed(stab)[:-1]))
     check = check_stabilizer_order(4, 30, np.random.default_rng(4))
     assert check.violations == check.trials == 30
+
+
+def test_exterior_openness_catches_a_classifier_that_never_says_exterior(monkeypatch):
+    real_class = lemmas.boundary_class
+    def never_exterior(y):
+        classes = real_class(y)
+        return np.where(classes == "exterior", "boundary", classes)
+
+    monkeypatch.setattr(lemmas, "boundary_class", never_exterior)
+    check = check_exterior_openness(4, 30, np.random.default_rng(5))
+    assert check.violations == check.trials == 300
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_displacement_bound_catches_a_too_large_stabilizer(monkeypatch, n):
+    real_stabilizer = lemmas.stabilizer_of
+    everything = BlockPartition(blocks=(tuple(range(n)),), n=n)  # all of S_n
+    monkeypatch.setattr(lemmas, "stabilizer_of", lambda p: real_stabilizer(everything))
+    check = check_displacement_bound(n, 30, np.random.default_rng(6))
+    assert check.violations > 0
+
+
+def test_closed_form_check_catches_a_shifted_distance(monkeypatch):
+    real_distance = lemmas.dist_to_diagonal
+    monkeypatch.setattr(lemmas, "dist_to_diagonal", lambda x, p: real_distance(x, p) + 0.01)
+    check = check_diagonal_distance_closed_form(4, 20, np.random.default_rng(7))
+    assert check.violations == check.trials == 20
+
+
+def test_batched_checks_do_not_depend_on_the_chunk_size(monkeypatch):
+    def table(**kwargs):
+        results = run_lemma_suite(n_values=(2, 3, 4), trials=25, seed=5, grid_trials=6, **kwargs)
+        return [(r.name, r.n, r.trials, r.violations) for r in results]
+
+    default, flipped = table(), table(fault="flip-displacement")
+    for elements in (1, 7, 100):
+        monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", elements)
+        assert table() == default
+        assert table(fault="flip-displacement") == flipped
+
+
+def test_suite_calls_the_classifier_once_per_batch(monkeypatch):
+    # A guard on the shape of the work, not its speed: the per-trial loop
+    # would make these counts grow with the trial count.
+    def counts(trials):
+        calls = {"boundary_class": 0, "dist_to_diagonal": 0}
+        for name in calls:
+            real = getattr(lemmas, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lemmas, name, counted)
+        run_lemma_suite(n_values=(2, 3), trials=trials, seed=8)
+        monkeypatch.undo()
+        return calls
+
+    few, many = counts(40), counts(160)
+    assert few["boundary_class"] == many["boundary_class"] == 2 * 2  # two checks, two sizes
+    # one distance call per distinct partition and epsilon (or grid batch): n = 2 has one
+    # possible partition, n = 3 has four, and four batches per n use them
+    assert few["dist_to_diagonal"] <= 4 * (1 + 4)
+    assert many["dist_to_diagonal"] <= 4 * (1 + 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_sampler_laws(n):
+    tie_counts = set()
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        budget = rng.uniform(0.01, 10.0, size=50)
+        for b in (budget, float(budget[0])):
+            delta = lemmas._random_l1_perturbation(n, b, rng, 50)
+            assert delta.shape == (50, n)
+            assert np.all(np.abs(delta).sum(axis=1) < b)
+        exterior = lemmas._random_exterior_vectors(n, 40, rng)
+        assert np.all(np.any(np.diff(exterior, axis=1) < 0, axis=1))
+        boundary = lemmas._random_boundary_vectors(n, 40, rng)
+        steps = np.diff(boundary, axis=1)
+        assert np.all(steps >= 0)
+        ties = np.count_nonzero(steps == 0, axis=1)
+        assert np.all(ties >= 1)
+        tie_counts.update(ties.tolist())
+    assert tie_counts == set(range(1, n))  # every tie count from 1 to n - 1 is drawn
+
+
+def test_exterior_sampler_gives_up_after_100_draws():
+    class SortedDraws:
+        draws = 0
+
+        def uniform(self, lo, hi, size):
+            self.draws += 1
+            return np.sort(np.random.default_rng(self.draws).uniform(lo, hi, size=size), axis=1)
+
+    rng = SortedDraws()
+    with pytest.raises(AssertionError, match="could not sample an out-of-order vector"):
+        lemmas._random_exterior_vectors(3, 5, rng)
+    assert rng.draws == 100
+
+
+def test_batched_grid_oracle_equals_the_old_layout():
+    rng = np.random.default_rng(12)
+    grid = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
+    checked = 0
+    for n in (2, 3, 4, 5, 6):
+        partitions = [lemmas._random_partition(n, rng) for _ in range(8)]
+        x = rng.uniform(-10.0, 10.0, size=(8, n))
+        for partition in partitions:
+            for block in partition.blocks:
+                values = x[:, list(block)]
+                batched = lemmas.grid_min_block_cost(values, -10.0, 10.0, 1e-3)
+                old = [float(np.abs(v[np.newaxis, :] - grid[:, np.newaxis]).sum(axis=1).min())
+                       for v in values]
+                assert batched.tolist() == old
+                assert lemmas.grid_min_block_cost(values[0], -10.0, 10.0, 1e-3) == old[0]
+                checked += len(old)
+    assert checked >= 40
