@@ -33,6 +33,10 @@ def _fmt(value: float) -> str:
 
 def parse_tuple_text(text: str) -> np.ndarray:
     """Parse "1,5" or "1+2j,-1j" into a real or complex vector."""
+    try:  # every entry a real number: float() of each is what the loop below gives
+        return np.fromiter(map(float, text.split(",")), dtype=float, count=text.count(",") + 1)
+    except ValueError:  # a blank, complex or malformed entry
+        pass
     entries = [e.strip() for e in text.split(",") if e.strip()]
     if not entries:
         raise InputError(f"empty tuple: {text!r}")
@@ -69,15 +73,17 @@ def _parse_n_values(text: str) -> list[int]:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("SYMPROD_SEED")
-    if env is not None:
+    if value is None:
+        env = os.environ.get("SYMPROD_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise InputError(f"SYMPROD_SEED must be an integer, got {env!r}") from None
-    return 0
+    if value < 0:  # numpy's generators take non-negative seeds only
+        raise InputError(f"seed must be a non-negative integer, got {value}")
+    return value
 
 
 def _cmd_dist(args) -> int:
@@ -96,7 +102,7 @@ def _cmd_dist(args) -> int:
     result = dist(a, b, engine=args.engine)
     print(f"distance = {_fmt(result.value)}")
     print(f"engine = {result.engine}")
-    print("minimizer = " + ",".join(str(i) for i in result.attaining_perm))
+    print("minimizer = " + ",".join(map(str, result.attaining_perm)))
     return 0
 
 

@@ -25,6 +25,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,10 @@ from .monodromy import ComplexLoop
 from .selection import LiftedField, SampledField, path_adjacency
 
 AdjacencySpec = str | tuple[tuple[int, int], ...]
+
+# Lines per json.loads call in the real-mode reader; the joined text of one
+# block is all the extra copy of the input it holds.
+_DECODE_LINES = 2048
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,9 @@ class FieldDocument:
     def to_sampled_field(self) -> SampledField:
         if self.complex_mode:
             raise InputError("complex-mode field cannot be lifted by sorting")
-        return SampledField(points=self.points, values=self.tuples, adjacency=self.edges())
+        if self.adjacency_spec == "path":
+            return SampledField.path(self.points, self.tuples)
+        return SampledField(points=self.points, values=self.tuples, adjacency=self.adjacency_spec)
 
     def to_loop(self) -> ComplexLoop:
         return ComplexLoop(samples=np.asarray(self.tuples, dtype=complex))
@@ -117,68 +124,145 @@ def _parse_adjacency(spec, line_no: int) -> AdjacencySpec:
     raise InputError(f'line {line_no}: adjacency must be "path" or an edge list')
 
 
-def read_field_file(path) -> FieldDocument:
-    """Parse a JSON-lines field file; errors carry 1-based line numbers."""
-    path = Path(path)
+def _plain_numbers(lists) -> bool:
+    """Whether ``lists`` are nonempty lists of one length holding only JSON numbers.
+
+    Exact types: a bool is not a number here, as ``_is_number`` says.
+    """
+    return (
+        set(map(type, lists)) == {list}
+        and len(set(map(len, lists))) == 1
+        and len(lists[0]) > 0
+        and set(map(type, chain.from_iterable(lists))) <= {float, int}
+    )
+
+
+def _read_real_lines(lines: list[str]):
+    """(meta, points, tuples) of a real-mode file, one json.loads per block of lines, or None.
+
+    None means the per-line parser must decide: it alone raises errors, so
+    this returns a result only for input that parser accepts with the same
+    arrays.  Each stripped line must be one ``{...}``, and every object after
+    an optional meta line exactly ``{"point": [...], "tuple": [...]}`` of
+    numbers.  Then a block holds no strings but those two keys and no object
+    inside an array, so each comma joining ``}`` to ``{`` separates the
+    top-level objects, and one object per line means each line is one of them.
+    """
+    if not lines:
+        return None
+    try:
+        head = json.loads(lines[0])
+    except (ValueError, RecursionError):
+        return None
+    meta = {}
+    if isinstance(head, dict) and "meta" in head:
+        if not isinstance(head["meta"], dict):
+            return None
+        meta, lines = head["meta"], lines[1:]
+    if not lines or not all(line[0] == "{" and line[-1] == "}" for line in lines):
+        return None
+    pairs = []
+    for start in range(0, len(lines), _DECODE_LINES):  # a block's text at a time
+        block = lines[start : start + _DECODE_LINES]
+        try:
+            objs = json.loads("[" + ",".join(block) + "]", object_pairs_hook=tuple)
+            pairs += [(p, t) for (pk, p), (tk, t) in objs if pk == "point" and tk == "tuple"]
+        except (ValueError, TypeError, RecursionError):  # not JSON, or not two key-value pairs
+            return None
+        if len(objs) != len(block):
+            return None
+    if len(pairs) != len(lines):
+        return None
+    points, rows = zip(*pairs)
+    if not (_plain_numbers(points) and _plain_numbers(rows)):
+        return None
+    try:
+        return meta, np.array(points, dtype=float), np.array(rows, dtype=float)
+    except OverflowError:
+        return None
+
+
+def _read_lines(lines, path: Path) -> tuple[dict, np.ndarray, np.ndarray, bool]:
+    """Parse field-file lines one at a time; every read error is raised here."""
     meta: dict = {}
     points: list[list[float]] = []
     rows: list[list] = []
     complex_mode: bool | None = None
-    with utf8_text(path) as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            except ValueError as exc:  # an integer literal longer than int() accepts
-                raise InputError(f"line {line_no}: {exc}") from None
-            except RecursionError:
-                raise InputError(f"line {line_no}: JSON nested too deeply") from None
-            if not isinstance(obj, dict):
-                raise InputError(f"line {line_no}: expected a JSON object")
-            if "meta" in obj:
-                if points or rows:
-                    raise InputError(f"line {line_no}: meta line must come first")
-                if not isinstance(obj["meta"], dict):
-                    raise InputError(f"line {line_no}: meta must be an object")
-                meta = obj["meta"]
-                continue
-            if "point" not in obj or "tuple" not in obj:
-                raise InputError(f'line {line_no}: need both "point" and "tuple"')
-            point = obj["point"]
-            if not (isinstance(point, list) and point and all(map(_is_number, point))):
-                raise InputError(f"line {line_no}: point must be a list of numbers")
-            value = obj["tuple"]
-            if not (isinstance(value, list) and value):
-                raise InputError(f"line {line_no}: tuple must be a nonempty list")
-            parsed = []
-            for entry in value:
-                num, is_complex = _parse_tuple_entry(entry, line_no)
-                if complex_mode is None:
-                    complex_mode = is_complex
-                elif complex_mode != is_complex:
-                    raise InputError(
-                        f"line {line_no}: mixed real and complex tuple entries in one file"
-                    )
-                parsed.append(num)
-            if points and len(point) != len(points[0]):
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # an integer literal longer than int() accepts
+            raise InputError(f"line {line_no}: {exc}") from None
+        except RecursionError:
+            raise InputError(f"line {line_no}: JSON nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise InputError(f"line {line_no}: expected a JSON object")
+        if "meta" in obj:
+            if points or rows:
+                raise InputError(f"line {line_no}: meta line must come first")
+            if not isinstance(obj["meta"], dict):
+                raise InputError(f"line {line_no}: meta must be an object")
+            meta = obj["meta"]
+            continue
+        if "point" not in obj or "tuple" not in obj:
+            raise InputError(f'line {line_no}: need both "point" and "tuple"')
+        point = obj["point"]
+        if not (isinstance(point, list) and point and all(map(_is_number, point))):
+            raise InputError(f"line {line_no}: point must be a list of numbers")
+        value = obj["tuple"]
+        if not (isinstance(value, list) and value):
+            raise InputError(f"line {line_no}: tuple must be a nonempty list")
+        parsed = []
+        for entry in value:
+            num, is_complex = _parse_tuple_entry(entry, line_no)
+            if complex_mode is None:
+                complex_mode = is_complex
+            elif complex_mode != is_complex:
                 raise InputError(
-                    f"line {line_no}: point dimension {len(point)} != {len(points[0])}"
+                    f"line {line_no}: mixed real and complex tuple entries in one file"
                 )
-            if rows and len(parsed) != len(rows[0]):
-                raise InputError(
-                    f"line {line_no}: tuple size {len(parsed)} != {len(rows[0])}"
-                )
-            points.append([_to_float(v, line_no) for v in point])
-            rows.append(parsed)
+            parsed.append(num)
+        if points and len(point) != len(points[0]):
+            raise InputError(
+                f"line {line_no}: point dimension {len(point)} != {len(points[0])}"
+            )
+        if rows and len(parsed) != len(rows[0]):
+            raise InputError(
+                f"line {line_no}: tuple size {len(parsed)} != {len(rows[0])}"
+            )
+        points.append([_to_float(v, line_no) for v in point])
+        rows.append(parsed)
     if not rows:
         raise InputError(f"{path}: no samples found")
+    dtype = complex if complex_mode else float
+    return meta, np.asarray(points, dtype=float), np.asarray(rows, dtype=dtype), bool(complex_mode)
 
-    complex_mode = bool(complex_mode)
-    m, n = len(points[0]), len(rows[0])
+
+def read_field_file(path) -> FieldDocument:
+    """Parse a JSON-lines field file; errors carry 1-based line numbers.
+
+    A real-mode file is decoded a block of lines at a time (``_read_real_lines``);
+    any other file, and any file that route declines, goes through the
+    per-line parser, so both routes give the same arrays and the same errors.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:  # the per-line parser finds and reports the line
+        lines = None
+    if lines is None:
+        with utf8_text(path) as handle:
+            meta, points, tuples, complex_mode = _read_lines(handle, path)
+    elif fast := _read_real_lines([s for s in map(str.strip, lines) if s]):
+        (meta, points, tuples), complex_mode = fast, False
+    else:
+        meta, points, tuples, complex_mode = _read_lines(lines, path)
+    m, n = points.shape[1], tuples.shape[1]
     for key, actual in (("m", m), ("n", n)):
         if key not in meta:
             continue
@@ -187,13 +271,8 @@ def read_field_file(path) -> FieldDocument:
         if meta[key] != actual:
             raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
     adjacency = _parse_adjacency(meta.get("adjacency", "path"), line_no=1)
-
-    dtype = complex if complex_mode else float
     return FieldDocument(
-        points=np.asarray(points, dtype=float),
-        tuples=np.asarray(rows, dtype=dtype),
-        adjacency_spec=adjacency,
-        complex_mode=complex_mode,
+        points=points, tuples=tuples, adjacency_spec=adjacency, complex_mode=complex_mode
     )
 
 
@@ -266,14 +345,18 @@ def _replacing(path):
 
 
 def write_lifted_file(path, lifted: LiftedField, adjacency_spec: AdjacencySpec = "path"):
-    """Write a lifted field as JSON-lines with a meta header line."""
+    """Write a lifted field as JSON-lines with a meta header line.
+
+    A row is written from the repr of its float lists: for finite floats that
+    is ``json.dumps``'s text (the same ``float.__repr__``, the same ``", "``).
+    """
     m = lifted.points.shape[1]
     n = lifted.values.shape[1]
     with _replacing(path) as handle:
         meta = {"meta": {"m": m, "n": n, "adjacency": _adjacency_json(adjacency_spec)}}
         handle.write(json.dumps(meta) + "\n")
         for point, row in zip(lifted.points.tolist(), lifted.values.tolist()):
-            handle.write(json.dumps({"point": point, "tuple": row}) + "\n")
+            handle.write(f'{{"point": {point}, "tuple": {row}}}\n')
 
 
 def write_loop_file(path, loop: ComplexLoop):

@@ -175,14 +175,20 @@ def check_displacement_bound(
 def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """A quarter of one inversion's height is a safe out-of-order radius."""
     probes = 10
-    x = _random_exterior_vectors(n, trials, rng)
-    running_max = np.maximum.accumulate(x, axis=1)[:, :-1]
-    c = np.max(running_max - x[:, 1:], axis=1)  # largest inversion height per vector
-    if not np.all(c > 0):
-        raise AssertionError("sampler broke its own precondition")
-    y = np.repeat(x, probes, axis=0)  # each vector's probes are consecutive rows
-    y += _random_l1_perturbation(n, np.repeat(c / 4.0, probes), rng, trials * probes)
-    violations = int(np.count_nonzero(boundary_class(y) != "exterior"))
+    violations = 0
+    # A block of vectors and all their probes.  A probe's draws, sum and class
+    # label take about eight times its n floats, so a block stays near
+    # CHUNK_ELEMENTS float64s in all.
+    for rows in _row_chunks(trials, 8 * probes * n):
+        count = len(range(trials)[rows])
+        x = _random_exterior_vectors(n, count, rng)
+        running_max = np.maximum.accumulate(x, axis=1)[:, :-1]
+        c = np.max(running_max - x[:, 1:], axis=1)  # largest inversion height per vector
+        if not np.all(c > 0):
+            raise AssertionError("sampler broke its own precondition")
+        y = np.repeat(x, probes, axis=0)  # each vector's probes are consecutive rows
+        y += _random_l1_perturbation(n, np.repeat(c / 4.0, probes), rng, count * probes)
+        violations += int(np.count_nonzero(boundary_class(y) != "exterior"))
     return LemmaCheck(
         name="exterior-openness",
         n=n,

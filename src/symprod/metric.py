@@ -118,7 +118,22 @@ def dist_bruteforce(y, z) -> Distance:
     perms = perm_matrix(n)
     costs = np.abs(y[np.newaxis, :] - z[perms]).sum(axis=1)
     best = int(np.argmin(costs))  # first minimum = lexicographically smallest
-    return Distance(float(costs[best]), tuple(int(i) for i in perms[best]), "brute")
+    return Distance(float(costs[best]), tuple(perms[best].tolist()), "brute")
+
+
+def _stable_argsort(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")`` of a 1-D array, built from the faster unstable sort.
+
+    The unstable order is right up to the order inside each run of equal
+    values; keying each index by (run, index) and sorting the keys puts every
+    run in index order.  The keys stay below n**2, exact in int64 for any n
+    that fits in memory.
+    """
+    n = x.size
+    order = np.argsort(x)
+    ranked = x[order]
+    run = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
+    return np.sort(run * n + order) % n
 
 
 def dist_sorted(y, z) -> Distance:
@@ -130,14 +145,14 @@ def dist_sorted(y, z) -> Distance:
     increasing cost).  Works at any n; ties follow stable sort order.
     """
     y, z = _coerce_pair(y, z, allow_complex=False)
-    order_y = np.argsort(y, kind="stable")
-    order_z = np.argsort(z, kind="stable")
+    order_y = _stable_argsort(y)
+    order_z = _stable_argsort(z)
     value = float(np.abs(y[order_y] - z[order_z]).sum())
     # Pair y[order_y[i]] with z[order_z[i]]: the minimizing p has
     # p[order_y[i]] = order_z[i].
     p = np.empty(y.size, dtype=np.intp)
     p[order_y] = order_z
-    return Distance(value, tuple(int(i) for i in p), "sorted")
+    return Distance(value, tuple(p.tolist()), "sorted")
 
 
 def dist_assignment(y, z) -> Distance:
@@ -154,7 +169,7 @@ def dist_assignment(y, z) -> Distance:
     cost = np.abs(y[:, np.newaxis] - z[np.newaxis, :])
     rows, cols = linear_sum_assignment(cost)
     value = float(cost[rows, cols].sum())
-    return Distance(value, tuple(int(k) for k in cols), "assignment")
+    return Distance(value, tuple(cols.tolist()), "assignment")
 
 
 _ENGINES = {

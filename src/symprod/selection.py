@@ -118,7 +118,9 @@ class SampledField:
     def path(cls, points, values) -> "SampledField":
         """Build a field whose samples form a path in sample order."""
         points = _as_points(points)
-        return cls(points=points, values=values, adjacency=path_adjacency(points.shape[0]))
+        index = np.arange(points.shape[0])
+        edges = np.stack((index[:-1], index[1:]), axis=1)
+        return cls(points=points, values=values, adjacency=edges)
 
     @property
     def dim_m(self) -> int:
@@ -129,20 +131,33 @@ class SampledField:
         return self.values.shape[1]
 
 
+def _check_nondescending(values: np.ndarray) -> None:
+    if np.any(values[:, 1:] < values[:, :-1]):
+        raise InputError("lifted values must be non-descending rows")
+
+
 class LiftedField(SampledField):
     """An ordered-representative field: a sampled field whose rows are sorted."""
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(np.diff(self.values, axis=1) < 0):
-            raise InputError("lifted values must be non-descending rows")
+        _check_nondescending(self.values)
 
 
 def lift_field(field: SampledField) -> LiftedField:
-    """Apply ``canonicalize`` to every row; classes are preserved at every point."""
-    return LiftedField(
-        points=field.points, values=np.sort(field.values, axis=1), adjacency=field.adjacency
-    )
+    """Apply ``canonicalize`` to every row; classes are preserved at every point.
+
+    The lifted field shares the source's points and adjacency, which the
+    source already validated; only the sorted rows are new.
+    """
+    values = np.sort(field.values, axis=1)
+    values.setflags(write=False)
+    _check_nondescending(values)
+    lifted = object.__new__(LiftedField)
+    object.__setattr__(lifted, "points", field.points)
+    object.__setattr__(lifted, "values", values)
+    object.__setattr__(lifted, "adjacency", field.adjacency)
+    return lifted
 
 
 @dataclass(frozen=True)

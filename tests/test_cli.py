@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symprod import cli
+from symprod.errors import InputError
 from symprod.monodromy import roots_loop_generator
 from symprod.selection import LiftedField
 
@@ -357,6 +360,128 @@ def test_parse_tuple_text():
     assert cli.parse_tuple_text("1+2i,0").dtype == np.complex128
     with pytest.raises(Exception):
         cli.parse_tuple_text("")
+
+
+def per_component(text):
+    """The per-component parser, the reference for the whole-text fast path."""
+    entries = [e.strip() for e in text.split(",") if e.strip()]
+    if not entries:
+        raise InputError(f"empty tuple: {text!r}")
+    values = []
+    any_complex = False
+    for entry in entries:
+        try:
+            values.append(float(entry))
+            continue
+        except ValueError:
+            pass
+        try:
+            values.append(complex(entry.replace("i", "j")))
+            any_complex = True
+        except ValueError:
+            raise InputError(f"cannot parse component {entry!r}") from None
+    return np.asarray(values, dtype=complex if any_complex else float)
+
+
+def parse_outcome(parse, text):
+    try:
+        values = parse(text)
+    except InputError as exc:
+        return ("error", str(exc))
+    return ("values", values.dtype, values.shape, values.tobytes())
+
+
+TUPLE_TEXT_TOKENS = list("0123456789+-.e, \t\n#_ji") + ["nan", "inf", "1e400", "\u00a0", "\u0661"]
+REPR_TEXT = st.builds(
+    lambda sep, values: sep.join(map(repr, values)),
+    st.sampled_from([",", ", ", " ,", ",\t"]),
+    st.lists(
+        st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**20), 10**20),
+        min_size=1, max_size=6,
+    ),
+)
+
+
+@given(text=st.lists(st.sampled_from(TUPLE_TEXT_TOKENS), max_size=24).map("".join) | REPR_TEXT)
+def test_tuple_text_parse_agrees_with_the_per_component_parser(text):
+    assert parse_outcome(cli.parse_tuple_text, text) == parse_outcome(per_component, text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("1, ,2", [1.0, 2.0]),
+        ("1,2,  ", [1.0, 2.0]),
+        ("1_0,2", [10.0, 2.0]),
+        ("nan,1", [np.nan, 1.0]),
+        ("\n1,2\n", [1.0, 2.0]),
+    ],
+)
+def test_tuple_text_forms(text, expected):
+    np.testing.assert_array_equal(cli.parse_tuple_text(text), expected)
+
+
+@pytest.mark.parametrize("text", ["1,2#3", "1\n2", "1,2\n3,4", "", " , "])
+def test_tuple_text_refusals(text):
+    with pytest.raises(InputError):
+        cli.parse_tuple_text(text)
+
+
+@pytest.mark.parametrize("command", ["lemmas", "bench"])
+def test_negative_seed_is_input_error(command, capsys, monkeypatch):
+    argv = [command, "--n", "2", "--" + ("trials" if command == "lemmas" else "reps"), "1"]
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    monkeypatch.setenv("SYMPROD_SEED", "-3")
+    assert cli.main(argv) == 2
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Small input files of every kind the CLI reads, plus a directory and a missing path."""
+    root = tmp_path_factory.mktemp("argv")
+    write_lines(root / "field.jsonl", [{"point": [0.0], "tuple": [2.0, 1.0]},
+                                       {"point": [1.0], "tuple": [0.5, 3.0]}])
+    (root / "field.csv").write_text("point_0,tuple_0,tuple_1\n0.0,3.0,1.0\n1.0,1.5,2.5\n")
+    (root / "pair.txt").write_text("1,5\n2,3\n")
+    (root / "junk.jsonl").write_bytes(b"\xff{[\n")
+    loop = tmp_path_factory.mktemp("loop") / "loop.jsonl"
+    from symprod.fieldfile import write_loop_file
+    write_loop_file(loop, roots_loop_generator(2, 16))
+    names = ["field.jsonl", "field.csv", "pair.txt", "junk.jsonl", "missing.jsonl", "out.jsonl"]
+    return [str(root / name) for name in names] + [str(root), str(loop)]
+
+
+ARGV_COMMANDS = ["dist", "canon", "lift", "holonomy", "lemmas", "bench"]
+ARGV_FLAGS = [
+    "--a", "--b", "--file", "--engine", "--t", "--input", "--output", "--csv", "--k", "--steps",
+    "--radius", "--n", "--trials", "--seed", "--grid-trials", "--inject-fault", "--reps",
+]
+# Small numbers only, so that every accepted command finishes quickly.
+ARGV_VALUES = [
+    "1,5", "3,1,2", "1+2j,-1j", "", ",", "nan", "inf", "-1", "0", "1", "2", "3", "9", "1e400",
+    "2..3", "3..2", "..", "x", "sorted", "brute", "assignment", "auto", "flip-displacement",
+    "bogus", "-", "--",
+]
+
+
+@given(data=st.data())
+def test_any_argv_exits_with_a_known_code(argv_files, data):
+    values = st.sampled_from(ARGV_VALUES + argv_files) | st.text(max_size=6)
+    words = st.sampled_from(ARGV_COMMANDS + ARGV_FLAGS) | values
+    options = st.lists(st.tuples(st.sampled_from(ARGV_FLAGS), values), max_size=4)
+    argv = data.draw(
+        st.lists(words, max_size=8)
+        | st.tuples(st.sampled_from(ARGV_COMMANDS), options).map(
+            lambda c: [c[0], *(word for pair in c[1] for word in pair)]
+        )
+    )
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
+        assert exc.code in (0, 2)
+        return
+    assert code in (0, 1, 2, 3)
 
 
 def test_lift_overflow_prints_no_numpy_warning(tmp_path):

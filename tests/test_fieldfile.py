@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 
@@ -363,12 +364,34 @@ def fail_on_dump(monkeypatch, call, error):
     monkeypatch.setattr(fieldfile.json, "dumps", dumps)
 
 
+def fail_on_write(monkeypatch, call, error):
+    """Make the ``call``-th ``write`` on fieldfile's output handle raise ``error``."""
+    calls = itertools.count()
+    real_replacing = fieldfile._replacing
+
+    class FailingHandle:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, text):
+            if next(calls) == call:
+                raise error
+            return self.handle.write(text)
+
+    @contextlib.contextmanager
+    def replacing(path):
+        with real_replacing(path) as handle:
+            yield FailingHandle(handle)
+
+    monkeypatch.setattr(fieldfile, "_replacing", replacing)
+
+
 @pytest.mark.parametrize("existing", [True, False])
 def test_failed_lifted_write_leaves_the_target_alone(tmp_path, monkeypatch, existing):
     out = tmp_path / "lifted.jsonl"
     if existing:
         out.write_bytes(b"previous output\n")
-    fail_on_dump(monkeypatch, 2, RuntimeError("interrupted"))  # after the header and one row
+    fail_on_write(monkeypatch, 2, RuntimeError("interrupted"))  # after the header and one row
     with pytest.raises(RuntimeError, match="interrupted"):
         write_lifted_file(out, small_lifted())
     if existing:
@@ -391,8 +414,143 @@ def test_lift_cli_write_failure_keeps_the_old_output(tmp_path, monkeypatch, caps
     write_lines(src, [{"point": [0.0], "tuple": [2.0, 1.0]}, {"point": [1.0], "tuple": [0.5, 3.0]}])
     out = tmp_path / "lifted.jsonl"
     out.write_bytes(b"previous output\n")
-    fail_on_dump(monkeypatch, 1, OSError("No space left on device"))
+    fail_on_write(monkeypatch, 1, OSError("No space left on device"))
     assert cli.main(["lift", "--input", str(src), "--output", str(out)]) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert out.read_bytes() == b"previous output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["field.jsonl", "lifted.jsonl"]
+
+
+# The real-mode fast reader against the per-line parser it stands in for.
+
+EDGE_NUMBERS = st.sampled_from(
+    [2**53 - 1, 2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1,
+     -(2**63) - 1, -(2**64) - 3, 2**70 + 12345, 10**308, 10**309, 2**1024, -0.0, 5e-324, 1e308,
+     True, False, None, "1", [1.0, 2.0]]
+)
+FIELD_NUMBERS = st.integers(-3, 3) | st.floats(width=64) | EDGE_NUMBERS
+
+
+@contextlib.contextmanager
+def per_line_only():
+    """Make the fast reader decline, so only the per-line parser runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldfile, "_read_real_lines", lambda lines: None)
+        yield
+
+
+def read_outcome(path):
+    """What reading ``path`` gives: the parsed document's contents or the error text."""
+    try:
+        doc = read_field_file(path)
+    except InputError as exc:
+        return ("error", str(exc))
+    return (
+        "doc",
+        doc.points.dtype, doc.points.shape, doc.points.tobytes(),
+        doc.tuples.dtype, doc.tuples.shape, doc.tuples.tobytes(),
+        doc.adjacency_spec, doc.complex_mode,
+    )
+
+
+def assert_same_as_per_line(path):
+    fast = read_outcome(path)
+    with per_line_only():
+        assert read_outcome(path) == fast
+    return fast
+
+
+@st.composite
+def field_file_lines(draw):
+    """Mostly well-formed real field files of one shape, with a few damaged lines."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    numbers = st.integers(-3, 3) | st.floats(-5.0, 5.0) if draw(st.booleans()) else FIELD_NUMBERS
+    samples = draw(st.lists(
+        st.fixed_dictionaries({
+            "point": st.lists(numbers, min_size=m, max_size=m),
+            "tuple": st.lists(numbers, min_size=n, max_size=n),
+        }),
+        min_size=1, max_size=5,
+    ))
+    lines = [json.dumps(s) for s in samples]
+    if draw(st.booleans()):
+        meta = draw(st.sampled_from([{"m": m, "n": n, "adjacency": "path"}, {"n": n + 1},
+                                     {"adjacency": [[0, 0]]}, {"m": True}, "path"]))
+        lines.insert(0, json.dumps({"meta": meta}))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        damage = draw(st.sampled_from(["blank", "meta", "pair", "split", "mixed", "swap", "pad"]))
+        if damage == "blank":
+            lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
+        elif damage == "meta":
+            lines.insert(at, json.dumps({"meta": {"n": n}}))
+        elif damage == "pair" and at < len(lines) - 1:  # two objects on one line
+            lines[at: at + 2] = [lines[at] + draw(st.sampled_from([", ", " ", ""])) + lines[at + 1]]
+        elif damage == "split" and at < len(lines):  # one object over two lines
+            cut = draw(st.integers(1, max(1, len(lines[at]) - 1)))
+            lines[at: at + 1] = [lines[at][:cut], lines[at][cut:]]
+        elif damage == "mixed":
+            lines.insert(at, json.dumps({"point": [0.0] * m, "tuple": [1.0] * (n + 1)}))
+        elif damage == "swap":
+            lines.insert(at, json.dumps({"tuple": [1.0] * n, "point": [0.0] * m}))
+        elif damage == "pad":
+            lines.insert(at, "  " + json.dumps({"point": [0.0] * m, "tuple": [2.0] * n}) + " ")
+    return lines
+
+
+@given(lines=field_file_lines())
+def test_fast_reader_agrees_with_the_per_line_parser(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("agree") / "f.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert_same_as_per_line(path)
+
+
+def fast_result(tmp_path, text):
+    path = tmp_path / "f.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert_same_as_per_line(path)
+    return fieldfile._read_real_lines([s for s in map(str.strip, text.split("\n")) if s])
+
+
+def test_fast_reader_takes_plain_real_files(tmp_path):
+    out = tmp_path / "lifted.jsonl"
+    write_lifted_file(out, small_lifted())
+    assert fast_result(tmp_path, out.read_text(encoding="utf-8")) is not None
+    assert fast_result(tmp_path, '\n{"point": [0], "tuple": [2, 1.5]}\n\n') is not None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"point": [0.0], "tuple": [[1.0, 0.0], [0.0, 1.0]]}\n',  # complex mode
+        '{"point": [0], "tuple": [1, 2]}, {"point": [1], "tuple": [3, 4]}\n',
+        # one object over two lines, balanced by two objects on one line
+        '{"point": [0], "tuple": [1\n2]}\n'
+        '{"point": [1], "tuple": [3, 4]}, {"point": [2], "tuple": [5, 6]}\n',
+        # a string spanning the join, its text dropped by a repeated key
+        '{"point": "}\n{", "point": [0], "tuple": [1]}\n'
+        '{"point": [1], "tuple": [3]}, {"point": [2], "tuple": [5]}\n',
+        '{"point": [0], "tuple": [true]}\n',
+        '{"point": [0], "tuple": [1e999999]}\n{"point": [1], "tuple": [' + "9" * 400 + ']}\n',
+        '{"point": [0], "tuple": [1]}\n{"meta": {"m": 1}}\n',
+        '{"tuple": [1], "point": [0]}\n',
+        '{"point": [0], "tuple": [1], "note": 0}\n',
+    ],
+)
+def test_fast_reader_declines_what_it_cannot_vouch_for(tmp_path, text):
+    assert fast_result(tmp_path, text) is None
+
+
+@given(rows=st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+    min_size=1, max_size=5,
+))
+def test_lifted_rows_are_the_json_dumps_text(tmp_path_factory, rows):
+    lifted = lift_field(SampledField.path(np.arange(len(rows), dtype=float) / 7, rows))
+    out = tmp_path_factory.mktemp("rows") / "lifted.jsonl"
+    write_lifted_file(out, lifted)
+    expected = [json.dumps({"meta": {"m": 1, "n": 3, "adjacency": "path"}})] + [
+        json.dumps({"point": p, "tuple": r})
+        for p, r in zip(lifted.points.tolist(), lifted.values.tolist())
+    ]
+    assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"

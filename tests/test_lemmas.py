@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,26 @@ def test_batched_checks_do_not_depend_on_the_chunk_size(monkeypatch):
         monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", elements)
         assert table() == default
         assert table(fault="flip-displacement") == flipped
+
+
+def test_exterior_openness_memory_does_not_grow_with_trials(monkeypatch):
+    # With blocks far smaller than the probes of 2,000 vectors, ten times the
+    # vectors must not raise the peak: only one block is held at a time.
+    monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", 1 << 14)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            check = lemmas.check_exterior_openness(6, trials, np.random.default_rng(1))
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.trials == 10 * trials and check.passed
+        return peak_bytes
+
+    peak(200)  # first-call set-up is not part of either measurement
+    few, many = peak(2_000), peak(20_000)
+    assert many <= 1.25 * few
 
 
 def test_suite_calls_the_classifier_once_per_batch(monkeypatch):

@@ -15,6 +15,7 @@ from symprod.core import apply_perm, enumerate_perms, random_perm
 from symprod.errors import CapExceededError, InputError
 from symprod.metric import (
     UnorderedTuple,
+    _stable_argsort,
     dist,
     dist_assignment,
     dist_bruteforce,
@@ -260,3 +261,25 @@ def test_scipy_loads_only_with_the_assignment_engine():
     oracle_value, oracle_perm = min_matching(points[:6], points[6:])
     assert value == pytest.approx(oracle_value, rel=1e-12)
     assert tuple(perm) == oracle_perm
+
+
+TIED_VALUES = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0])
+
+
+@given(values=st.lists(TIED_VALUES, min_size=1, max_size=300))
+def test_exact_stable_argsort_equals_numpys_stable_sort(values):
+    x = np.array(values)
+    assert np.array_equal(_stable_argsort(x), np.argsort(x, kind="stable"))
+
+
+def test_exact_stable_argsort_on_large_tied_inputs():
+    rng = np.random.default_rng(4)
+    for x in (rng.integers(0, 3, 100_000).astype(float), np.repeat(rng.uniform(size=50_000), 2),
+              rng.uniform(size=100_000), np.zeros(1000), np.arange(1000.0)[::-1]):
+        assert np.array_equal(_stable_argsort(x), np.argsort(x, kind="stable"))
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES)
+def test_attaining_perm_holds_python_ints(engine):
+    result = engine([3.0, 1.0, 1.0, 2.0], [1.0, 2.0, 2.0, 0.5])
+    assert all(type(i) is int for i in result.attaining_perm)

@@ -152,6 +152,15 @@ def test_lifted_field_is_a_sampled_field():
         LiftedField(points=[0.0, 1.0], values=[[1.0, 2.0], [2.0, 3.0]], adjacency=[[0, 2]])
 
 
+def test_lifted_field_shares_the_validated_source_arrays():
+    field = SampledField.path([[0.0], [1.0], [2.0]], [[3.0, 1.0], [1.1, 2.9], [0.0, 0.0]])
+    lifted = lift_field(field)
+    assert lifted.points is field.points
+    assert lifted.adjacency is field.adjacency
+    assert not lifted.values.flags.writeable
+    assert lifted == LiftedField(points=field.points, values=lifted.values, adjacency=[[0, 1], [1, 2]])
+
+
 def test_lift_single_point():
     field = SampledField.path([[0.0]], [[2.0, -1.0]])
     lifted = lift_field(field)
