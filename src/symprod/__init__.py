@@ -8,137 +8,17 @@ such choice exists; tracking components around a loop can come back
 permuted, and :mod:`symprod.monodromy` measures that permutation.
 """
 
-from .core import (
-    BRUTE_FORCE_CAP,
-    STABILIZER_ORDER_CAP,
-    Perm,
-    apply_perm,
-    as_complex_vector,
-    as_real_vector,
-    compose,
-    enumerate_perms,
-    identity_perm,
-    invert,
-    is_perm,
-    random_perm,
-)
-from .diagonal import (
-    BlockPartition,
-    Stabilizer,
-    boundary_class,
-    dist_to_diagonal,
-    equality_partition,
-    is_nondescending,
-    nearest_diagonal_point,
-    perm_displacement,
-    stabilizer_of,
-)
-from .errors import (
-    CapExceededError,
-    InputError,
-    InvariantViolation,
-    SymprodError,
-    UndersampledLoopError,
-)
-from .fieldfile import (
-    FieldDocument,
-    read_csv_field,
-    read_field_file,
-    write_lifted_file,
-    write_loop_file,
-)
-from .lemmas import LemmaCheck, all_passed, run_lemma_suite
-from .metric import (
-    Distance,
-    UnorderedTuple,
-    dist,
-    dist_assignment,
-    dist_bruteforce,
-    dist_sorted,
-    engine_names,
-    l1_norm,
-)
-from .monodromy import (
-    ComplexLoop,
-    Holonomy,
-    cycle_type,
-    describe_cycles,
-    disjoint_cycles,
-    match_step,
-    min_intra_gap,
-    roots_loop_generator,
-    track_loop,
-)
-from .selection import (
-    ContinuityReport,
-    LiftedField,
-    SampledField,
-    canonicalize,
-    continuity_report,
-    lift_field,
-    path_adjacency,
-)
+from . import core, diagonal, errors, fieldfile, lemmas, metric, monodromy, selection
+from .core import *  # noqa: F403
+from .diagonal import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fieldfile import *  # noqa: F403
+from .lemmas import *  # noqa: F403
+from .metric import *  # noqa: F403
+from .monodromy import *  # noqa: F403
+from .selection import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRUTE_FORCE_CAP",
-    "STABILIZER_ORDER_CAP",
-    "BlockPartition",
-    "CapExceededError",
-    "ComplexLoop",
-    "ContinuityReport",
-    "Distance",
-    "FieldDocument",
-    "Holonomy",
-    "InputError",
-    "InvariantViolation",
-    "LemmaCheck",
-    "LiftedField",
-    "Perm",
-    "SampledField",
-    "Stabilizer",
-    "SymprodError",
-    "UndersampledLoopError",
-    "UnorderedTuple",
-    "all_passed",
-    "apply_perm",
-    "as_complex_vector",
-    "as_real_vector",
-    "boundary_class",
-    "canonicalize",
-    "compose",
-    "continuity_report",
-    "cycle_type",
-    "describe_cycles",
-    "disjoint_cycles",
-    "dist",
-    "dist_assignment",
-    "dist_bruteforce",
-    "dist_sorted",
-    "dist_to_diagonal",
-    "engine_names",
-    "enumerate_perms",
-    "equality_partition",
-    "identity_perm",
-    "invert",
-    "is_nondescending",
-    "is_perm",
-    "l1_norm",
-    "lift_field",
-    "match_step",
-    "min_intra_gap",
-    "nearest_diagonal_point",
-    "path_adjacency",
-    "perm_displacement",
-    "random_perm",
-    "read_csv_field",
-    "read_field_file",
-    "roots_loop_generator",
-    "run_lemma_suite",
-    "stabilizer_of",
-    "track_loop",
-    "write_lifted_file",
-    "write_loop_file",
-    "__version__",
-]
+_MODULES = (core, diagonal, errors, fieldfile, lemmas, metric, monodromy, selection)
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -102,7 +102,8 @@ def _cmd_dist(args) -> int:
     result = dist(a, b, engine=args.engine)
     print(f"distance = {_fmt(result.value)}")
     print(f"engine = {result.engine}")
-    print("minimizer = " + ",".join(map(str, result.attaining_perm)))
+    # One list repr, not a str per index all held at once: the same text in far less memory.
+    print("minimizer = " + str(list(result.attaining_perm))[1:-1].replace(", ", ","))
     return 0
 
 

@@ -35,50 +35,41 @@ STABILIZER_ORDER_CAP = math.factorial(BRUTE_FORCE_CAP)
 CHUNK_ELEMENTS = 1 << 20
 
 
-def as_real_vector(values, *, name: str = "tuple") -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting NaN/inf entries."""
-    return _as_real(values, name, batch=False)
+def as_array(values, *, dtype=float, ranks=(1,), name: str = "tuple") -> np.ndarray:
+    """Coerce caller data to a float64 (or, with ``dtype=complex``, complex128) array.
 
-
-def as_real_batch(values, *, name: str = "tuple") -> np.ndarray:
-    """Coerce one vector (1-D) or a ``(B, n)`` batch of vectors (2-D) to float64.
-
-    The rank is kept, so a caller can treat a vector as the batch of one and
-    hand back one result.  Other ranks, empty input and NaN/inf are rejected.
+    The one validator behind every tuple, batch, field and loop argument.  Complex
+    components where reals are wanted, ragged or non-numeric input, a rank
+    outside ``ranks``, no components and NaN/inf each raise InputError.
     """
-    return _as_real(values, name, batch=True)
-
-
-def _as_real(values, name: str, batch: bool) -> np.ndarray:
-    try:  # a ragged sequence makes iscomplexobj raise too
-        if np.iscomplexobj(values):
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c" and dtype is float:
             raise TypeError("got complex components")
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} is not real-valued: {exc}") from None
-    if arr.ndim != 1 and not (batch and arr.ndim == 2):
-        shapes = "a vector or a (B, n) batch" if batch else "one-dimensional"
-        raise InputError(f"{name} must be {shapes}, got shape {arr.shape}")
+        if arr.dtype.kind not in "biufcO":
+            raise TypeError(f"got {arr.dtype} components")
+        arr = arr.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "real numbers" if dtype is float else "numbers"
+        raise InputError(f"{name} must hold {kind}: {exc}") from None
+    if arr.ndim not in ranks:
+        ranks_text = " or ".join(f"{r}-D" for r in ranks)
+        raise InputError(f"{name} must be {ranks_text}, got shape {arr.shape}")
     if arr.size == 0:
         raise InputError(f"{name} must have at least one component, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} has non-finite components")
+    if not np.isfinite(arr).all():
+        raise InputError(f"non-finite components in {name}")
     return arr
+
+
+def as_real_vector(values, *, name: str = "tuple") -> np.ndarray:
+    """Coerce to a 1-D float64 array, rejecting NaN/inf entries."""
+    return as_array(values, name=name)
 
 
 def as_complex_vector(values, *, name: str = "tuple") -> np.ndarray:
     """Coerce to a 1-D complex128 array, rejecting non-finite entries."""
-    try:
-        arr = np.asarray(values, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name} is not numeric: {exc}") from None
-    if arr.ndim != 1:
-        raise InputError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if arr.size == 0:
-        raise InputError(f"{name} must have at least one component")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise InputError(f"{name} has non-finite components")
-    return arr
+    return as_array(values, dtype=complex, name=name)
 
 
 def is_perm(p: Sequence[int]) -> bool:
@@ -162,3 +153,19 @@ def perm_matrix(n: int) -> np.ndarray:
 
 def random_perm(n: int, rng: np.random.Generator) -> Perm:
     return tuple(int(i) for i in rng.permutation(n))
+
+
+__all__ = [
+    "BRUTE_FORCE_CAP",
+    "STABILIZER_ORDER_CAP",
+    "Perm",
+    "apply_perm",
+    "as_complex_vector",
+    "as_real_vector",
+    "compose",
+    "enumerate_perms",
+    "identity_perm",
+    "invert",
+    "is_perm",
+    "random_perm",
+]

@@ -26,8 +26,7 @@ from .core import (
     STABILIZER_ORDER_CAP,
     Perm,
     apply_perm,
-    as_real_batch,
-    as_real_vector,
+    as_array,
     is_perm,
 )
 from .errors import CapExceededError, InputError
@@ -126,7 +125,7 @@ def equality_partition(x, tol: float = 0.0) -> BlockPartition:
     subtraction is monotone.  Blocks of size 1 are omitted; an all-distinct
     vector yields an empty block list.
     """
-    x = as_real_vector(x)
+    x = as_array(x)
     if tol < 0:
         raise InputError(f"tolerance must be nonnegative, got {tol}")
     order = np.argsort(x, kind="stable")
@@ -151,7 +150,7 @@ def nearest_diagonal_point(x, partition: BlockPartition) -> np.ndarray:
     determinism (the distance itself is unaffected by the choice).
     Unconstrained components stay.
     """
-    x = as_real_batch(x)
+    x = as_array(x, ranks=(1, 2))
     if partition.n != x.shape[-1]:
         raise InputError(f"partition over n = {partition.n} against tuple of size {x.shape[-1]}")
     y = x.copy()
@@ -166,20 +165,20 @@ def dist_to_diagonal(x, partition: BlockPartition) -> float | np.ndarray:
 
     A float for one vector, a ``(B,)`` array for a ``(B, n)`` batch.
     """
-    x = as_real_batch(x)
+    x = as_array(x, ranks=(1, 2))
     d = np.abs(x - nearest_diagonal_point(x, partition)).sum(axis=-1)
     return float(d) if x.ndim == 1 else d
 
 
 def perm_displacement(x, perm: Sequence[int]) -> float:
     """How far ``perm`` moves ``x``: the 1-norm of ``apply_perm(perm, x) - x``."""
-    x = as_real_vector(x)
+    x = as_array(x)
     return float(np.abs(apply_perm(perm, x) - x).sum())
 
 
 def is_nondescending(x) -> bool:
     """True iff x[0] <= x[1] <= ... <= x[n-1] (exact comparison)."""
-    x = as_real_vector(x)
+    x = as_array(x)
     return bool(np.all(np.diff(x) >= 0))
 
 
@@ -195,7 +194,7 @@ def boundary_class(x) -> BoundaryClass | np.ndarray:
     One vector gives its class; a ``(B, n)`` batch gives a ``(B,)`` array of
     class names, one per row.
     """
-    x = as_real_batch(x)
+    x = as_array(x, ranks=(1, 2))
     diffs = np.diff(x, axis=-1)
     classes = np.where(
         np.any(diffs < 0, axis=-1),
@@ -207,7 +206,6 @@ def boundary_class(x) -> BoundaryClass | np.ndarray:
 
 __all__ = [
     "BlockPartition",
-    "BoundaryClass",
     "Stabilizer",
     "boundary_class",
     "dist_to_diagonal",

@@ -32,3 +32,12 @@ class UndersampledLoopError(SymprodError):
 
 class InvariantViolation(SymprodError):
     """A property that must hold by construction was observed to fail."""
+
+
+__all__ = [
+    "CapExceededError",
+    "InputError",
+    "InvariantViolation",
+    "SymprodError",
+    "UndersampledLoopError",
+]

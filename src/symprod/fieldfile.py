@@ -34,7 +34,7 @@ from .errors import InputError
 # perfbench/tracer.py patches this name; ROADMAP item 6 drops the import.
 from .metric import UnorderedTuple  # noqa: F401
 from .monodromy import ComplexLoop
-from .selection import LiftedField, SampledField, path_adjacency
+from .selection import LiftedField, SampledField, _check_adjacency, path_adjacency
 
 AdjacencySpec = str | tuple[tuple[int, int], ...]
 
@@ -55,7 +55,7 @@ class FieldDocument:
     def edges(self) -> tuple[tuple[int, int], ...]:
         if self.adjacency_spec == "path":
             return path_adjacency(self.points.shape[0])
-        return tuple(self.adjacency_spec)  # type: ignore[arg-type]
+        return self.adjacency_spec  # type: ignore[return-value]
 
     def to_sampled_field(self) -> SampledField:
         if self.complex_mode:
@@ -65,7 +65,7 @@ class FieldDocument:
         return SampledField(points=self.points, values=self.tuples, adjacency=self.adjacency_spec)
 
     def to_loop(self) -> ComplexLoop:
-        return ComplexLoop(samples=np.asarray(self.tuples, dtype=complex))
+        return ComplexLoop(samples=self.tuples)
 
 
 def _is_int(value) -> bool:
@@ -109,19 +109,19 @@ def utf8_text(path, newline: str | None = None):
         raise
 
 
-def _parse_adjacency(spec, line_no: int) -> AdjacencySpec:
+def _parse_adjacency(spec, count: int) -> AdjacencySpec:
+    """The meta adjacency: "path", or an edge list checked as ``SampledField`` checks it.
+
+    Only what the array pass cannot see is checked here: JSON true/false
+    would become the indices 1 and 0.
+    """
     if spec == "path":
         return "path"
-    if isinstance(spec, list):
-        edges = []
-        for edge in spec:
-            if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
-                raise InputError(
-                    f"line {line_no}: adjacency edges must be [a, b] pairs of integers"
-                )
-            edges.append(tuple(edge))
-        return tuple(edges)
-    raise InputError(f'line {line_no}: adjacency must be "path" or an edge list')
+    if not isinstance(spec, list):
+        raise InputError('line 1: adjacency must be "path" or an edge list')
+    if any(type(i) is bool for edge in spec if isinstance(edge, list) for i in edge):
+        raise InputError("line 1: adjacency indices must be integers, not true or false")
+    return _check_adjacency(spec, count)
 
 
 def _plain_numbers(lists) -> bool:
@@ -270,7 +270,7 @@ def read_field_file(path) -> FieldDocument:
             raise InputError(f"meta {key} must be an integer, got {meta[key]!r}")
         if meta[key] != actual:
             raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
-    adjacency = _parse_adjacency(meta.get("adjacency", "path"), line_no=1)
+    adjacency = _parse_adjacency(meta.get("adjacency", "path"), points.shape[0])
     return FieldDocument(
         points=points, tuples=tuples, adjacency_spec=adjacency, complex_mode=complex_mode
     )
@@ -377,7 +377,6 @@ __all__ = [
     "FieldDocument",
     "read_csv_field",
     "read_field_file",
-    "utf8_text",
     "write_lifted_file",
     "write_loop_file",
 ]

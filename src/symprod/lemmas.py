@@ -352,10 +352,7 @@ def all_passed(results: Sequence[LemmaCheck]) -> bool:
 
 
 __all__ = [
-    "DISPLACEMENT_EPSILONS",
-    "KNOWN_FAULTS",
     "LemmaCheck",
     "all_passed",
-    "grid_min_block_cost",
     "run_lemma_suite",
 ]

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BRUTE_FORCE_CAP,
-    Perm,
-    as_complex_vector,
-    as_real_vector,
-    perm_matrix,
-)
+from .core import BRUTE_FORCE_CAP, Perm, as_array, perm_matrix
 from .errors import CapExceededError, InputError
 
 
@@ -46,7 +40,7 @@ class UnorderedTuple:
     __slots__ = ("_canonical",)
 
     def __init__(self, values):
-        arr = np.sort(as_real_vector(values))
+        arr = np.sort(as_array(values))
         arr.setflags(write=False)
         self._canonical = arr
 
@@ -87,17 +81,22 @@ class Distance:
     engine: str
 
 
+def _is_complex(values) -> bool:
+    """Whether ``values`` holds complex components; unreadable input is left to as_array."""
+    if isinstance(values, UnorderedTuple):
+        return False
+    try:
+        return np.iscomplexobj(values)
+    except (TypeError, ValueError):  # ragged
+        return False
+
+
 def _coerce_pair(y, z, *, allow_complex: bool):
-    if isinstance(y, UnorderedTuple):
-        y = y.canonical
-    if isinstance(z, UnorderedTuple):
-        z = z.canonical
-    ya = np.asarray(y)
-    za = np.asarray(z)
-    if allow_complex and (np.iscomplexobj(ya) or np.iscomplexobj(za)):
-        ya, za = as_complex_vector(ya, name="first tuple"), as_complex_vector(za, name="second tuple")
-    else:
-        ya, za = as_real_vector(ya, name="first tuple"), as_real_vector(za, name="second tuple")
+    dtype = complex if allow_complex and (_is_complex(y) or _is_complex(z)) else float
+    ya, za = (
+        as_array(v.canonical if isinstance(v, UnorderedTuple) else v, dtype=dtype, name=name)
+        for v, name in ((y, "first tuple"), (z, "second tuple"))
+    )
     if ya.size != za.size:
         raise InputError(f"dimension mismatch: {ya.size} vs {za.size}")
     return ya, za
@@ -186,11 +185,7 @@ def dist(y, z, engine: str = "auto") -> Distance:
     (sorted for real input, assignment for complex).
     """
     if engine == "auto":
-        complex_input = any(
-            np.iscomplexobj(v.canonical if isinstance(v, UnorderedTuple) else np.asarray(v))
-            for v in (y, z)
-        )
-        engine = "assignment" if complex_input else "sorted"
+        engine = "assignment" if _is_complex(y) or _is_complex(z) else "sorted"
     try:
         fn = _ENGINES[engine]
     except KeyError:

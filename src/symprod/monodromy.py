@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BRUTE_FORCE_CAP, CHUNK_ELEMENTS, Perm, as_complex_vector, compose, identity_perm
+from .core import BRUTE_FORCE_CAP, CHUNK_ELEMENTS, Perm, as_array, compose, identity_perm
 from .errors import InputError, UndersampledLoopError
 from .metric import Distance, dist_assignment, dist_bruteforce
 
@@ -40,13 +40,9 @@ class ComplexLoop:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 1:
-            raise InputError(
-                f"loop samples must form a (steps, n) array with steps >= 2, got shape {arr.shape}"
-            )
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise InputError("loop samples have non-finite components")
+        arr = as_array(self.samples, dtype=complex, ranks=(2,), name="loop samples")
+        if arr.shape[0] < 2:
+            raise InputError(f"loop samples must have steps >= 2 rows, got shape {arr.shape}")
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -109,8 +105,8 @@ def match_step(prev, next_) -> Perm:
     ``next_``.  Ties break to the lexicographically smallest permutation for
     n <= 8 and are solver-deterministic above.
     """
-    prev = as_complex_vector(prev, name="prev")
-    next_ = as_complex_vector(next_, name="next")
+    prev = as_array(prev, dtype=complex, name="prev")
+    next_ = as_array(next_, dtype=complex, name="next")
     if prev.size != next_.size:
         raise InputError(f"dimension mismatch: {prev.size} vs {next_.size}")
     return _match(prev, next_).attaining_perm

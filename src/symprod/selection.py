@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import as_array
 from .errors import InputError, InvariantViolation
 from .metric import UnorderedTuple
 # perfbench/tracer.py patches this name; ROADMAP item 6 drops the import.
@@ -43,30 +44,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, np.newaxis]
-    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-        raise InputError(f"points must form an (N, m) array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InputError("points have non-finite coordinates")
-    return _read_only(pts)
+    """Sample locations as a read-only (N, m) float64 array; a 1-D list is N points of R^1."""
+    pts = as_array(points, ranks=(1, 2), name="points")
+    return _read_only(pts[:, np.newaxis] if pts.ndim == 1 else pts)
 
 
 def _as_rows(values, count: int) -> np.ndarray:
     """Validate per-sample tuples as a read-only (N, n) float64 array, N = count."""
-    try:
-        if np.iscomplexobj(values):
-            raise TypeError("got complex components")
-        rows = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"tuple values must form an (N, n) array of reals: {exc}") from None
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise InputError(f"tuple values must be (N, n) with n >= 1, got shape {rows.shape}")
+    rows = as_array(values, ranks=(2,), name="tuple values")
     if rows.shape[0] != count:
         raise InputError(f"{count} points against {rows.shape[0]} tuples")
-    if not np.all(np.isfinite(rows)):
-        raise InputError("tuple values have non-finite components")
     return _read_only(rows)
 
 
@@ -219,7 +206,6 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
 
 
 __all__ = [
-    "EQUAL_CLASS_TOL",
     "ContinuityReport",
     "LiftedField",
     "SampledField",

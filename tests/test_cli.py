@@ -78,6 +78,20 @@ def test_dist_input_errors(tmp_path, capsys):
     assert cli.main(["dist", "--file", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 250_000])
+def test_dist_file_output_is_the_joined_minimizer(tmp_path, capsys, n):
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(2, n)).tolist()
+    path = tmp_path / "pair.txt"
+    path.write_text(",".join(map(repr, a)) + "\n" + ",".join(map(repr, b)) + "\n")
+    assert cli.main(["dist", "--file", str(path)]) == 0
+    result = cli.dist(np.array(a), np.array(b))
+    assert capsys.readouterr().out == (
+        f"distance = {cli._fmt(result.value)}\nengine = sorted\n"
+        f"minimizer = {','.join(map(str, result.attaining_perm))}\n"
+    )
+
+
 def test_canon(capsys):
     assert cli.main(["canon", "--t", "3,1,2"]) == 0
     assert capsys.readouterr().out.strip() == "1,2,3"
@@ -131,9 +145,10 @@ TWO_SAMPLES = [{"point": [0.0], "tuple": [3.0, 1.0]}, {"point": [1.0], "tuple": 
         json.dumps({"meta": {"n": 2.0}}),
         json.dumps({"point": [0.5], "tuple": [10**400, 1.0]}),  # 401 digits
         '{"point": [0.5], "tuple": [%s, 1.0]}' % ("9" * 5000),  # beyond int()'s digit limit
+        json.dumps({"meta": {"adjacency": [[0, 99]]}}),
     ],
     ids=["adjacency-string", "meta-m-string", "adjacency-float", "adjacency-bool",
-         "meta-n-float", "tuple-overflow", "tuple-long-literal"],
+         "meta-n-float", "tuple-overflow", "tuple-long-literal", "adjacency-out-of-range"],
 )
 def test_lift_malformed_field_file_is_input_error(tmp_path, capsys, text):
     path = tmp_path / "bad.jsonl"
@@ -248,6 +263,15 @@ def test_holonomy_constant_loop_identity(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "cycle type = identity" in out
     assert "total cost = 0" in out
+
+
+@pytest.mark.parametrize("adjacency", [[[0, 99]], [[0, True]]], ids=["out-of-range", "bool"])
+def test_holonomy_file_with_a_bad_edge_is_input_error(tmp_path, capsys, adjacency):
+    path = tmp_path / "loop.jsonl"
+    write_lines(path, [{"meta": {"adjacency": adjacency}}]
+                + [{"point": [0.0], "tuple": [[1.0, 0.0], [2.0, 0.0]]}] * 8)
+    assert cli.main(["holonomy", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_holonomy_undersampled_exit_code(capsys):

@@ -19,7 +19,11 @@ from symprod.core import (
     perm_matrix,
     random_perm,
 )
+from symprod.diagonal import boundary_class
 from symprod.errors import CapExceededError, InputError
+from symprod.metric import dist
+from symprod.monodromy import ComplexLoop
+from symprod.selection import SampledField
 
 perms_upto_6 = st.integers(2, 6).flatmap(
     lambda n: st.permutations(list(range(n))).map(tuple)
@@ -156,6 +160,47 @@ def test_as_complex_vector_validation():
         as_complex_vector([complex("nan"), 0j])
     with pytest.raises(InputError):
         as_complex_vector([])
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Each malformed input in a one-row (rank 1) and a two-row (rank 2) form.
+MALFORMED = {
+    "ragged": ([1.0, [2.0, 3.0]], [[1.0, 2.0], [3.0]]),
+    "string": (["a", "b"], [["a", "b"], ["c", "d"]]),
+    "empty": ([], np.empty((2, 0))),
+    "wrong-rank": (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+    "nan": ([1.0, NAN], [[1.0, NAN], [2.0, 3.0]]),
+    "inf": ([1.0, INF], [[1.0, 2.0], [-INF, 3.0]]),
+    "complex-list": ([1 + 5j, 2], [[1 + 5j, 2], [3, 4]]),
+    "complex-array": (np.array([1 + 5j, 2]), np.array([[1 + 5j, 2], [3, 4]])),
+}
+
+# (id, call, rank of the input it takes, whether complex components are valid)
+ENTRY_POINTS = [
+    ("as_real_vector", as_real_vector, 1, False),
+    ("as_complex_vector", as_complex_vector, 1, True),
+    ("field-points", lambda v: SampledField(v, [[1.0], [2.0]], [(0, 1)]), 1, False),
+    ("field-values", lambda v: SampledField([0.0, 1.0], v, [(0, 1)]), 2, False),
+    ("loop-samples", ComplexLoop, 2, True),
+    ("dist", lambda v: dist(v, [0.0, 0.0]), 1, True),
+    ("dist-sorted", lambda v: dist(v, [0.0, 0.0], engine="sorted"), 1, False),
+    ("boundary_class", boundary_class, 1, False),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, MALFORMED[kind][rank - 1], id=f"{entry}-{kind}")
+        for entry, call, rank, takes_complex in ENTRY_POINTS
+        for kind in MALFORMED
+        if not (takes_complex and kind.startswith("complex"))
+    ],
+)
+def test_malformed_input_is_input_error_at_every_entry_point(call, value):
+    with pytest.raises(InputError):
+        call(value)
 
 
 def test_enumerate_is_lexicographic():
