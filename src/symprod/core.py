@@ -44,7 +44,10 @@ def as_array(values, *, dtype=float, ranks=(1,), name: str = "tuple") -> np.ndar
     """
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind == "c" and dtype is float:
+        # float() refuses a Python complex but casts a numpy complex scalar with only a warning.
+        if dtype is float and (arr.dtype.kind == "c" or arr.dtype.kind == "O" and any(
+            isinstance(v, np.complexfloating) for v in arr.flat
+        )):
             raise TypeError("got complex components")
         if arr.dtype.kind not in "biufcO":
             raise TypeError(f"got {arr.dtype} components")

@@ -11,11 +11,16 @@ absolute differences, i.e. a minimal-cost linear assignment under the
 
 All engines return identical values on common ground; the test suite
 cross-validates them.  Everything here is pure and allocates per call,
-so concurrent use is safe.
+so concurrent use is safe; two threads racing the first assignment call at
+worst each load scipy's solver module once, with the same result.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,16 +159,43 @@ def dist_sorted(y, z) -> Distance:
     return Distance(value, tuple(p.tolist()), "sorted")
 
 
+def _linear_sum_assignment():
+    """scipy's compiled assignment solver, loaded without running ``scipy/optimize/__init__.py``.
+
+    ``scipy.optimize._lsap`` is one C extension (Crouse's shortest augmenting
+    path, IEEE TAES 2016).  It is loaded under its real name, so a later
+    ``import scipy.optimize`` reuses it; a scipy laid out differently falls
+    back to the public import.
+    """
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        spec = scipy_spec and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "optimize") for d in scipy_spec.submodule_search_locations or ()]
+        )
+        if spec is None:
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        module = importlib.util.module_from_spec(spec)
+        # Registered only once executed: no thread sees a half-loaded module,
+        # and a failed load leaves none behind.
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.linear_sum_assignment
+
+
 def dist_assignment(y, z) -> Distance:
     """Solve the pairing as a minimal-cost assignment (real or complex).
 
     The cost of pairing component j of ``y`` with component k of ``z`` is
     ``abs(y[j] - z[k])``.  Deterministic for a fixed input (single-threaded
     solver), but tie-breaking among equal-cost pairings is solver-defined.
-    scipy is imported here, on first use, and by no other engine.
+    Only scipy's compiled solver module is loaded, here on first use and by
+    no other engine; the rest of ``scipy.optimize`` is not.
     """
-    from scipy.optimize import linear_sum_assignment
-
+    linear_sum_assignment = _linear_sum_assignment()
     y, z = _coerce_pair(y, z, allow_complex=True)
     cost = np.abs(y[:, np.newaxis] - z[np.newaxis, :])
     rows, cols = linear_sum_assignment(cost)

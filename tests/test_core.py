@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -174,18 +175,25 @@ MALFORMED = {
     "inf": ([1.0, INF], [[1.0, 2.0], [-INF, 3.0]]),
     "complex-list": ([1 + 5j, 2], [[1 + 5j, 2], [3, 4]]),
     "complex-array": (np.array([1 + 5j, 2]), np.array([[1 + 5j, 2], [3, 4]])),
+    # float() casts a numpy complex scalar with only a ComplexWarning.
+    "complex-scalar-object": (
+        np.array([np.complex128(1 + 1j), Fraction(1)], dtype=object),
+        np.array([[np.complex128(1 + 1j), Fraction(1)], [Fraction(2), 3.0]], dtype=object),
+    ),
 }
+COMPLEX = ("complex-list", "complex-array", "complex-scalar-object")
 
-# (id, call, rank of the input it takes, whether complex components are valid)
+# (id, call, rank of the input it takes, the MALFORMED kinds that are valid input there)
 ENTRY_POINTS = [
-    ("as_real_vector", as_real_vector, 1, False),
-    ("as_complex_vector", as_complex_vector, 1, True),
-    ("field-points", lambda v: SampledField(v, [[1.0], [2.0]], [(0, 1)]), 1, False),
-    ("field-values", lambda v: SampledField([0.0, 1.0], v, [(0, 1)]), 2, False),
-    ("loop-samples", ComplexLoop, 2, True),
-    ("dist", lambda v: dist(v, [0.0, 0.0]), 1, True),
-    ("dist-sorted", lambda v: dist(v, [0.0, 0.0], engine="sorted"), 1, False),
-    ("boundary_class", boundary_class, 1, False),
+    ("as_real_vector", as_real_vector, 1, ()),
+    ("as_complex_vector", as_complex_vector, 1, COMPLEX),
+    ("field-points", lambda v: SampledField(v, [[1.0], [2.0]], [(0, 1)]), 1, ()),
+    ("field-values", lambda v: SampledField([0.0, 1.0], v, [(0, 1)]), 2, ()),
+    ("loop-samples", ComplexLoop, 2, COMPLEX),
+    # "auto" picks the engine by dtype, and reads an object array as real.
+    ("dist", lambda v: dist(v, [0.0, 0.0]), 1, COMPLEX[:2]),
+    ("dist-sorted", lambda v: dist(v, [0.0, 0.0], engine="sorted"), 1, ()),
+    ("boundary_class", boundary_class, 1, ()),
 ]
 
 
@@ -193,9 +201,9 @@ ENTRY_POINTS = [
     "call, value",
     [
         pytest.param(call, MALFORMED[kind][rank - 1], id=f"{entry}-{kind}")
-        for entry, call, rank, takes_complex in ENTRY_POINTS
+        for entry, call, rank, valid in ENTRY_POINTS
         for kind in MALFORMED
-        if not (takes_complex and kind.startswith("complex"))
+        if kind not in valid
     ],
 )
 def test_malformed_input_is_input_error_at_every_entry_point(call, value):

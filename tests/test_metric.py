@@ -263,6 +263,85 @@ def test_scipy_loads_only_with_the_assignment_engine():
     assert tuple(perm) == oracle_perm
 
 
+def _python(code, *args) -> bytes:
+    """Stdout of ``code`` run in a fresh interpreter that imports this checkout's symprod."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symprod.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env,
+                          check=True, timeout=300).stdout
+
+
+def test_assignment_engine_loads_the_solver_module_not_scipy_optimize():
+    code = (
+        "import json, sys\n"
+        "import symprod\n"
+        "symprod.dist_assignment([1j, 2.0, -1.0], [2.0, -1j, 0.5])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "solver = sys.modules['scipy.optimize._lsap'].linear_sum_assignment\n"
+        "import scipy.optimize\n"
+        "print(json.dumps([loaded, scipy.optimize.linear_sum_assignment is solver]))\n"
+    )
+    loaded, reused = json.loads(_python(code))
+    assert "scipy.optimize" not in loaded and "scipy.optimize._lsap" in loaded, loaded
+    assert reused is True
+
+
+def test_installed_scipy_takes_the_direct_solver_route():
+    # With the package import blocked, the public fallback raises ImportError.
+    code = (
+        "import sys\n"
+        "sys.modules['scipy.optimize'] = None\n"
+        "import symprod\n"
+        "print(symprod.dist_assignment([1j, 2.0, -1.0], [2.0, -1j, 0.5]).attaining_perm)\n"
+    )
+    assert _python(code).strip() == b"(2, 0, 1)"
+
+
+# Makes the solver's spec lookup find nothing, as on a scipy laid out differently.
+FORCE_FALLBACK = (
+    "import importlib.util\n"
+    "find_spec = importlib.util.find_spec\n"
+    "importlib.util.find_spec = lambda name, package=None: "
+    "None if name == 'scipy' else find_spec(name, package)\n"
+)
+
+ASSIGNMENT_PAIRS = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "from symprod.metric import dist_assignment\n"
+    "rng = np.random.default_rng(83)\n"
+    "out = []\n"
+    "for i in range(200):\n"
+    "    n = int(rng.integers(1, 61))\n"
+    "    parts = rng.integers(-3, 4, size=(4, n)) / 2 if i % 4 < 2 else rng.normal(size=(4, n))\n"
+    "    y, z = (parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]) if i % 2 else parts[:2]\n"
+    "    d = dist_assignment(y, z)\n"
+    "    out.append([d.value, d.attaining_perm, d.engine])\n"
+    "print(json.dumps(['scipy.optimize' in sys.modules, out]))\n"
+)
+
+CLI_MAIN = "import sys\nfrom symprod.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+def test_forced_fallback_solver_gives_the_same_answers(tmp_path):
+    direct_loaded, direct = json.loads(_python(ASSIGNMENT_PAIRS))
+    fallback_loaded, fallback = json.loads(_python(FORCE_FALLBACK + ASSIGNMENT_PAIRS))
+    assert (direct_loaded, fallback_loaded) == (False, True)  # each route really taken
+    assert sum(1 for value, _, _ in direct if value > 0) > 150
+    assert fallback == direct
+
+    rng = np.random.default_rng(84)
+    pair = tmp_path / "complex_pair.txt"
+    pair.write_text("".join(
+        ",".join(map(repr, (rng.normal(size=1000) + 1j * rng.normal(size=1000)).tolist())) + "\n"
+        for _ in range(2)
+    ))
+    argv = ("dist", "--file", str(pair))
+    direct_out = _python(CLI_MAIN, *argv)
+    assert b"engine = assignment" in direct_out
+    assert _python(FORCE_FALLBACK + CLI_MAIN, *argv) == direct_out
+
+
 TIED_VALUES = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0])
 
 
