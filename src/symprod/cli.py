@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: dist, canon, lift, holonomy, lemmas, bench.  Exit codes:
-0 success, 1 invariant violation (or failed checks), 2 input error,
-3 undersampled loop.  Randomized commands take --seed, falling back to
-the SYMPROD_SEED environment variable, then to 0.
+0 success, 1 invariant violation (or failed checks), 2 input error (input
+too large to allocate included), 3 undersampled loop.  Randomized commands
+take --seed, falling back to the SYMPROD_SEED environment variable, then to 0.
 """
 
 from __future__ import annotations
@@ -282,6 +282,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # input too large to hold: exit 1 stays for violations
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -116,7 +116,7 @@ class Stabilizer:
         return tuple(sorted(elements))
 
 
-def equality_partition(x, tol: float = 0.0) -> BlockPartition:
+def equality_partition(x, tol: float = 0.0) -> BlockPartition | np.ndarray:
     """Group indices whose components coincide within ``tol``.
 
     Indices j, k land in the same block iff |x[j] - x[k]| <= tol, closed
@@ -124,16 +124,36 @@ def equality_partition(x, tol: float = 0.0) -> BlockPartition:
     sorted components whose consecutive gaps are <= tol, because float
     subtraction is monotone.  Blocks of size 1 are omitted; an all-distinct
     vector yields an empty block list.
+
+    A ``(B, n)`` batch gives ``(B, n)`` labels instead, row by row in the
+    ``Stabilizer.labels`` convention: the smallest index of each index's
+    block, or the index itself.  Both forms cut the same sorted runs.
     """
-    x = as_array(x)
+    x = as_array(x, ranks=(1, 2))
     if tol < 0:
         raise InputError(f"tolerance must be nonnegative, got {tol}")
-    order = np.argsort(x, kind="stable")
-    cuts = np.flatnonzero(~(np.diff(x[order]) <= tol)) + 1  # "not <=" also cuts at tol = nan
-    bounds = [0, *cuts.tolist(), x.size]
-    order = order.tolist()
-    blocks = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
-    return BlockPartition(blocks=blocks, n=x.size)
+    order = np.argsort(x, axis=-1, kind="stable")
+    ascending = np.sort(x, axis=-1)
+    starts = np.ones(x.shape, dtype=bool)  # where a run of a sorted row begins
+    starts[..., 1:] = ~(ascending[..., 1:] - ascending[..., :-1] <= tol)  # "not <=" cuts at nan
+    if x.ndim == 1:
+        bounds = [*np.flatnonzero(starts).tolist(), x.size]
+        order = order.tolist()
+        blocks = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
+        return BlockPartition(blocks=blocks, n=x.size)
+    smallest = np.minimum.reduceat(order.ravel(), np.flatnonzero(starts))  # per run
+    labels = np.empty_like(order)
+    np.put_along_axis(labels, order, smallest[np.cumsum(starts).reshape(x.shape) - 1], axis=1)
+    return labels
+
+
+def _partition_of_labels(labels) -> BlockPartition:
+    """The partition whose ``Stabilizer.labels`` are ``labels``: equal labels make a block.
+
+    A name of its own, so that converting sampled labels is not counted or
+    patched as a call of ``equality_partition`` on the data under test.
+    """
+    return equality_partition(labels, 0.0)
 
 
 def stabilizer_of(partition: BlockPartition) -> Stabilizer:

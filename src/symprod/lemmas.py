@@ -7,9 +7,12 @@ verification run.  The suite is deterministic given a seed and powers the
 
 Every check draws its trials as one ``(trials, n)`` batch and tests its
 property with array expressions over the trial axis, through the library's
-own batch forms (``boundary_class``, ``dist_to_diagonal``).  Only the pieces
-under test run per vector or per partition: ``equality_partition``, and one
-stabilizer enumeration per distinct random partition.
+own batch forms (``boundary_class``, ``dist_to_diagonal``,
+``equality_partition``).  Random partitions are drawn as one batch of block
+labels and grouped by distinct rows.  Only the pieces under test run per
+vector or per partition: ``equality_partition`` per boundary vector in
+stabilizer-minimality, and one stabilizer enumeration per distinct random
+partition.
 
 Checks (names as reported):
 
@@ -39,6 +42,7 @@ import numpy as np
 from .core import CHUNK_ELEMENTS, perm_matrix
 from .diagonal import (
     BlockPartition,
+    _partition_of_labels,
     boundary_class,
     dist_to_diagonal,
     equality_partition,
@@ -68,18 +72,34 @@ class LemmaCheck:
         return self.violations == 0
 
 
+def _random_partition_labels(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` random nonempty block partitions, as ``(count, n)`` ``Stabilizer.labels`` rows.
+
+    Each row takes a uniform permutation and cuts blocks off its front, of
+    sizes uniform in 2..min(4, rest), stopping after each block with
+    probability 1/2 or when fewer than two indices remain.
+    """
+    order = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
+    labels = np.tile(np.arange(n), (count, 1))
+    pos = np.zeros(count, dtype=np.intp)
+    rows = np.arange(count)  # rows still cutting blocks
+    span = np.arange(4)
+    while rows.size:
+        size = rng.integers(2, np.minimum(4, n - pos[rows]) + 1)
+        members = order[rows[:, np.newaxis], np.minimum(pos[rows, np.newaxis] + span, n - 1)]
+        inside = span < size[:, np.newaxis]
+        smallest = np.where(inside, members, n).min(axis=1)
+        r, j = np.nonzero(inside)
+        labels[rows[r], members[r, j]] = smallest[r]
+        pos[rows] += size
+        go_on = rng.random(rows.size) >= 0.5
+        rows = rows[go_on & (n - pos[rows] >= 2)]
+    return labels
+
+
 def _random_partition(n: int, rng: np.random.Generator) -> BlockPartition:
     """A random nonempty block partition: disjoint blocks of size >= 2."""
-    order = [int(i) for i in rng.permutation(n)]
-    blocks = []
-    pos = 0
-    while n - pos >= 2:
-        size = int(rng.integers(2, min(4, n - pos) + 1))
-        blocks.append(tuple(order[pos : pos + size]))
-        pos += size
-        if blocks and rng.random() < 0.5:
-            break
-    return BlockPartition(blocks=tuple(blocks), n=n)
+    return _partition_of_labels(_random_partition_labels(n, 1, rng)[0])
 
 
 def _partition_groups(
@@ -89,10 +109,10 @@ def _partition_groups(
 
     Local to one check, so it holds at most ``trials`` keys.
     """
-    groups: dict[BlockPartition, list[int]] = {}
-    for t in range(trials):
-        groups.setdefault(_random_partition(n, rng), []).append(t)
-    return {partition: np.array(ids) for partition, ids in groups.items()}
+    labels = _random_partition_labels(n, trials, rng)
+    distinct, which, counts = np.unique(labels, axis=0, return_inverse=True, return_counts=True)
+    ids = np.split(np.argsort(which.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    return {_partition_of_labels(row): group for row, group in zip(distinct, ids)}
 
 
 def _row_chunks(count: int, row_elements: int):
@@ -225,7 +245,8 @@ def check_boundary_has_ties(n: int, trials: int, rng: np.random.Generator) -> Le
     x = _random_boundary_vectors(n, trials, rng)
     if not np.all(boundary_class(x) == "boundary"):
         raise AssertionError("sampler broke its own precondition")
-    violations = sum(1 for row in x if not equality_partition(row, 0.0).blocks)
+    untied = np.all(equality_partition(x, 0.0) == np.arange(n), axis=1)
+    violations = int(np.count_nonzero(untied))
     return LemmaCheck(
         name="boundary-has-ties",
         n=n,

@@ -12,6 +12,14 @@ minimal intra-tuple gap; then every component's unique optimal partner is
 its nearest neighbour (all others are more than gap - C > gap/2 away), so
 one vectorised nearest-neighbour pass over all steps is exact.
 
+Most steps need no search at all.  When a step's stored-order cost (each
+component against the one stored at its own index next) is below gap/4,
+every component's stored partner is within gap/4 and every other point
+more than 3*gap/4 away, so the stored order is the nearest-neighbour map.
+One O(steps*n) pass certifies those steps; only the rest pay the n x n
+search.  On a roots loop that is the wrap-around step alone, where storage
+shifts by one root.
+
 The stock example is the set of k-th roots of a point circling the origin:
 one turn of the base point multiplies the composite by a k-cycle.
 """
@@ -123,6 +131,12 @@ def track_loop(loop: ComplexLoop) -> Holonomy:
     sum bounds the minimal cost from below, so a step is accepted exactly
     when that sum is below gap/2.  Such a map is a bijection: two components
     sharing a nearest neighbour are at least gap apart, so they cost >= gap.
+
+    A step whose stored-order cost is below gap/4 is certified without a
+    search: its stored order is the nearest-neighbour map, with the same
+    costs.  Float subtraction errs relative to its result, so rounding
+    cannot close the 3x gap between a stored partner (< gap/4) and any other
+    point (> 3*gap/4).  Tracking is O(steps*n) when storage follows the motion.
     """
     samples = loop.samples
     m, n = samples.shape
@@ -134,17 +148,22 @@ def track_loop(loop: ComplexLoop) -> Holonomy:
         )
 
     composite = identity_perm(n)
+    # Stored-order costs, summed as the search sums a step's nearest costs.
     step_costs = np.empty(m)
+    step_costs[:-1] = np.abs(samples[:-1] - samples[1:]).sum(axis=1)
+    step_costs[-1] = np.abs(samples[-1] - samples[0]).sum()
+    searched = np.flatnonzero(~(step_costs < 0.25 * gap))  # "not <" also searches a nan
     chunk = max(1, CHUNK_ELEMENTS // (n * n))
-    for start in range(0, m, chunk):
-        steps = np.arange(start, min(start + chunk, m))
+    for start in range(0, searched.size, chunk):
+        steps = searched[start : start + chunk]
         cost = np.abs(samples[steps, :, np.newaxis] - samples[(steps + 1) % m, np.newaxis, :])
         nearest = cost.argmin(axis=2)
         nearest_cost = np.take_along_axis(cost, nearest[:, :, np.newaxis], axis=2)[:, :, 0]
         step_costs[steps] = nearest_cost.sum(axis=1)
         accepted = step_costs[steps] < 0.5 * gap
         if not accepted.all():
-            # The first refused step costs at least gap/2, more than any step before it.
+            # The first refused step costs at least gap/2, more than any step before
+            # it; a certified step costs less than gap/4, so none is refused.
             i = int(steps[np.argmin(accepted)])
             step = _match(samples[i], samples[(i + 1) % m])
             suggested = _suggest_steps(m, step.value, gap)

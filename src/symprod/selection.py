@@ -57,13 +57,19 @@ def _as_rows(values, count: int) -> np.ndarray:
     return _read_only(rows)
 
 
+class _CheckedEdges(tuple):
+    """Edges ``_check_adjacency`` accepted, remembering the sample count they fit."""
+
+    count: int
+
+
 def _check_adjacency(adjacency, count: int) -> tuple[tuple[int, int], ...]:
     try:
         edges = np.asarray(adjacency)
     except (TypeError, ValueError) as exc:
         raise InputError(f"adjacency must be an (E, 2) array of sample indices: {exc}") from None
     if edges.ndim == 1 and edges.size == 0:
-        return ()
+        edges = np.empty((0, 2), dtype=np.intp)
     if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
         raise InputError(
             f"adjacency must be an (E, 2) array of integer sample indices, "
@@ -73,7 +79,9 @@ def _check_adjacency(adjacency, count: int) -> tuple[tuple[int, int], ...]:
     if outside.any():
         a, b = edges[np.argmax(outside)].tolist()
         raise InputError(f"adjacency edge {(a, b)} out of range for {count} samples")
-    return tuple(map(tuple, edges.tolist()))
+    checked = _CheckedEdges(map(tuple, edges.tolist()))
+    checked.count = count
+    return checked
 
 
 def path_adjacency(count: int) -> tuple[tuple[int, int], ...]:
@@ -99,7 +107,10 @@ class SampledField:
         points = _as_points(self.points)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", _as_rows(self.values, points.shape[0]))
-        object.__setattr__(self, "adjacency", _check_adjacency(self.adjacency, points.shape[0]))
+        edges = self.adjacency
+        if not (isinstance(edges, _CheckedEdges) and edges.count == points.shape[0]):
+            edges = _check_adjacency(edges, points.shape[0])
+        object.__setattr__(self, "adjacency", edges)
 
     @classmethod
     def path(cls, points, values) -> "SampledField":

@@ -92,3 +92,52 @@ def equality_blocks_by_closure(x, tol: float) -> tuple[tuple[int, ...], ...]:
         if len(component) >= 2:
             blocks.append(tuple(sorted(component)))
     return tuple(sorted(blocks))
+
+
+def blocks_of_labels(labels) -> tuple[tuple[int, ...], ...]:
+    """Blocks of size >= 2 named by a labels row.
+
+    Also checks that each label is the least index of its block.
+    """
+    members: dict[int, list[int]] = {}
+    for i, label in enumerate(int(v) for v in labels):
+        members.setdefault(label, []).append(i)
+    assert all(label == block[0] for label, block in members.items())
+    return tuple(sorted(tuple(block) for block in members.values() if len(block) >= 2))
+
+
+def random_partition_law(n: int) -> dict[tuple[int, ...], float]:
+    """Exact probability of each labels row of the random-partition decision tree.
+
+    The tree: a uniform permutation of range(n); blocks cut off its front,
+    each of a size uniform in 2..min(4, rest); after each block a fair coin
+    stops the cutting, as does a rest below 2.  A row's label for index i is
+    the least index of i's block, or i itself.  Found by walking every path
+    of the tree against every permutation.
+    """
+    paths = []  # (block sizes, probability)
+
+    def grow(sizes, rest, prob):
+        if rest < 2:
+            paths.append((sizes, prob))
+            return
+        choices = range(2, min(4, rest) + 1)
+        for size in choices:
+            paths.append((sizes + (size,), prob / len(choices) / 2))  # the coin stops
+            grow(sizes + (size,), rest - size, prob / len(choices) / 2)
+
+    grow((), n, 1.0)
+    law: dict[tuple[int, ...], float] = {}
+    perms = all_perms(n)
+    for sizes, prob in paths:
+        for perm in perms:
+            labels = list(range(n))
+            pos = 0
+            for size in sizes:
+                block = perm[pos : pos + size]
+                for i in block:
+                    labels[i] = min(block)
+                pos += size
+            key = tuple(labels)
+            law[key] = law.get(key, 0.0) + prob / len(perms)
+    return law

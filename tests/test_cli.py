@@ -292,6 +292,13 @@ def test_holonomy_fewer_than_two_steps_is_input_error(capsys):
     assert "need at least 24" in capsys.readouterr().err
 
 
+def test_holonomy_too_large_to_allocate_is_input_error(capsys):
+    # 10^13 sample angles need 80 TB: the first allocation is refused at once.
+    assert cli.main(["holonomy", "--k", "2", "--steps", "10000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_lemmas_pass_table(capsys):
     assert cli.main(["lemmas", "--n", "2..3", "--trials", "15"]) == 0
     out = capsys.readouterr().out
@@ -555,3 +562,31 @@ def test_lemmas_golden_table(capsys):
         + LEMMA_TABLE_SEED_3
         + "all 35 checks passed (seed = 3)\n"
     )
+
+
+HOLONOMY_GOLDEN = {
+    ("3", "192"): (
+        "cycle type = 3-cycle (0 1 2)\n"
+        "total cost = 6.28315415541\n"
+        "steps = 192\n"
+        "margin = 0.0377872994061 at step 176\n"
+    ),
+    ("8", "128"): (
+        "cycle type = 8-cycle (0 1 2 3 4 5 6 7)\n"
+        "total cost = 6.28317545055\n"
+        "steps = 128\n"
+        "margin = 0.128271317899 at step 93\n"
+    ),
+    ("64", "2048"): (
+        "cycle type = 64-cycle (" + " ".join(map(str, range(64))) + ")\n"
+        "total cost = 6.28318530658\n"
+        "steps = 2048\n"
+        "margin = 0.0625251067541 at step 1561\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("k, steps", list(HOLONOMY_GOLDEN))
+def test_holonomy_golden_output(capsys, k, steps):
+    assert cli.main(["holonomy", "--k", k, "--steps", steps]) == 0
+    assert capsys.readouterr().out == HOLONOMY_GOLDEN[k, steps]

@@ -20,7 +20,7 @@ from symprod.core import (
     perm_matrix,
     random_perm,
 )
-from symprod.diagonal import boundary_class
+from symprod.diagonal import boundary_class, equality_partition
 from symprod.errors import CapExceededError, InputError
 from symprod.metric import dist
 from symprod.monodromy import ComplexLoop
@@ -194,6 +194,8 @@ ENTRY_POINTS = [
     ("dist", lambda v: dist(v, [0.0, 0.0]), 1, COMPLEX[:2]),
     ("dist-sorted", lambda v: dist(v, [0.0, 0.0], engine="sorted"), 1, ()),
     ("boundary_class", boundary_class, 1, ()),
+    ("equality_partition", equality_partition, 1, ()),
+    ("equality_partition-batch", equality_partition, 2, ()),
 ]
 
 

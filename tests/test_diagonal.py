@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import equality_blocks_by_closure, grid_min_block_cost
+from oracles import blocks_of_labels, equality_blocks_by_closure, grid_min_block_cost
 from symprod.core import apply_perm, compose, enumerate_perms, invert, perm_matrix
 from symprod.diagonal import (
     BlockPartition,
@@ -36,14 +36,24 @@ def test_equality_partition_is_transitively_closed():
 
 def test_equality_partition_matches_pairwise_closure():
     rng = np.random.default_rng(31)
+    tols = (0.0, 0.05, 0.1, 0.5, 1.0, float("inf"), float("nan"))
     for n in list(range(1, 10)) + [40, 120]:
+        rows = []
         for _ in range(60 if n < 40 else 8):
             # a coarse grid plus small jitter gives exact ties and near-ties
             x = rng.integers(-4, 5, size=n) * 0.5
             x = x + np.where(rng.random(n) < 0.5, 0.0, rng.uniform(-0.05, 0.05, size=n))
-            for tol in (0.0, 0.05, 0.1, 0.5, 1.0, float("inf"), float("nan")):
+            rows.append(x)
+            for tol in tols:
                 expected = equality_blocks_by_closure(x, tol)
                 assert equality_partition(x, tol).blocks == expected, (x.tolist(), tol)
+        # the batch form: each row's labels name that vector's blocks
+        for tol in tols:
+            labels = equality_partition(np.array(rows), tol)
+            assert labels.shape == (len(rows), n)
+            for x, row in zip(rows, labels):
+                expected = equality_blocks_by_closure(x, tol)
+                assert blocks_of_labels(row) == expected, (x.tolist(), tol)
 
 
 def test_equality_partition_rejects_negative_tol():

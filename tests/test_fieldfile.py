@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symprod import cli, fieldfile
+from symprod import cli, fieldfile, selection
 from symprod.errors import InputError
 from symprod.fieldfile import (
     FieldDocument,
@@ -554,3 +554,28 @@ def test_lifted_rows_are_the_json_dumps_text(tmp_path_factory, rows):
         for p, r in zip(lifted.points.tolist(), lifted.values.tolist())
     ]
     assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("explicit", [True, False])
+def test_lift_checks_the_edges_once(tmp_path, monkeypatch, capsys, explicit):
+    rows = np.random.default_rng(17).uniform(-5.0, 5.0, size=(40, 3)).round(3).tolist()
+    edges = [[i, (7 * i + 3) % 40] for i in range(40)] if explicit else "path"
+    meta = {"meta": {"m": 1, "n": 3, "adjacency": edges}}
+    source, out = tmp_path / "field.jsonl", tmp_path / "lifted.jsonl"
+    write_lines(source, [meta] + [{"point": [float(i)], "tuple": r} for i, r in enumerate(rows)])
+    checked = []
+    real_check = selection._check_adjacency
+
+    def counted(adjacency, count):
+        checked.append(count)
+        return real_check(adjacency, count)
+
+    monkeypatch.setattr(selection, "_check_adjacency", counted)
+    monkeypatch.setattr(fieldfile, "_check_adjacency", counted)
+    assert cli.main(["lift", "--input", str(source), "--output", str(out)]) == 0
+    assert checked == [40]
+    expected = [json.dumps(meta)] + [
+        json.dumps({"point": [float(i)], "tuple": sorted(r)}) for i, r in enumerate(rows)
+    ]
+    assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    assert capsys.readouterr().err.startswith("max_ratio = 1 ")

@@ -1,8 +1,11 @@
+import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from oracles import random_partition_law
 from symprod import lemmas
 from symprod.diagonal import BlockPartition, Stabilizer
 from symprod.errors import InputError
@@ -10,6 +13,7 @@ from symprod.lemmas import (
     DISPLACEMENT_EPSILONS,
     KNOWN_FAULTS,
     all_passed,
+    check_boundary_has_ties,
     check_diagonal_distance_closed_form,
     check_displacement_bound,
     check_exterior_openness,
@@ -190,7 +194,7 @@ def test_suite_calls_the_classifier_once_per_batch(monkeypatch):
     # A guard on the shape of the work, not its speed: the per-trial loop
     # would make these counts grow with the trial count.
     def counts(trials):
-        calls = {"boundary_class": 0, "dist_to_diagonal": 0}
+        calls = {"boundary_class": 0, "dist_to_diagonal": 0, "equality_partition": 0}
         for name in calls:
             real = getattr(lemmas, name)
 
@@ -209,6 +213,10 @@ def test_suite_calls_the_classifier_once_per_batch(monkeypatch):
     # possible partition, n = 3 has four, and four batches per n use them
     assert few["dist_to_diagonal"] <= 4 * (1 + 4)
     assert many["dist_to_diagonal"] <= 4 * (1 + 4)
+    # boundary-has-ties labels its whole batch in one call per size; only
+    # stabilizer-minimality still partitions one vector per call
+    assert few["equality_partition"] == 2 * (1 + 40)
+    assert many["equality_partition"] == 2 * (1 + 160)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -263,3 +271,35 @@ def test_batched_grid_oracle_equals_the_old_layout():
                 assert lemmas.grid_min_block_cost(values[0], -10.0, 10.0, 1e-3) == old[0]
                 checked += len(old)
     assert checked >= 40
+
+
+def test_boundary_has_ties_catches_a_batch_form_without_ties(monkeypatch):
+    check = check_boundary_has_ties(5, 30, np.random.default_rng(9))
+    assert check.passed
+    real_partition = lemmas.equality_partition
+
+    def all_singletons(x, tol):  # the batch form loses every tie
+        if np.ndim(x) == 2:
+            return np.tile(np.arange(x.shape[1]), (len(x), 1))
+        return real_partition(x, tol)
+
+    monkeypatch.setattr(lemmas, "equality_partition", all_singletons)
+    check = check_boundary_has_ties(5, 30, np.random.default_rng(9))
+    assert check.violations == check.trials == 30
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_partition_sampler_law(n):
+    # Frequencies of the batch sampler against the exact probabilities of the
+    # decision tree, each within five binomial standard deviations.
+    rows = 20_000
+    law = random_partition_law(n)
+    labels = lemmas._random_partition_labels(n, rows, np.random.default_rng(100 + n))
+    assert labels.shape == (rows, n)
+    counts = Counter(map(tuple, labels.tolist()))
+    assert set(counts) <= set(law)  # every row is a partition the tree can draw
+    for row in counts:  # and names its partition in the Stabilizer.labels convention
+        assert tuple(Stabilizer(lemmas._partition_of_labels(np.array(row))).labels) == row
+    for row, p in law.items():
+        bound = 5.0 * math.sqrt(rows * p * (1.0 - p))
+        assert abs(counts[row] - rows * p) <= bound, (row, counts[row], rows * p)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,3 +344,80 @@ def test_track_loop_matches_stepwise_reference_on_random_walks(monkeypatch):
     assert len(accepted) >= 60
     assert len(results) - len(accepted) >= 60
     assert sum(not is_identity_perm(r[1]) for r in accepted) >= 30
+
+
+def stored_order_costs(samples) -> np.ndarray:
+    """Each step's cost with every component matched to the one stored at its own index."""
+    return np.array([np.abs(samples[i] - samples[(i + 1) % len(samples)]).sum()
+                     for i in range(len(samples))])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 64])
+def test_track_loop_matches_stepwise_reference_on_partly_shuffled_roots_loops(k, monkeypatch):
+    # Storage reshuffled at a few samples: the steps into and out of them need
+    # the search, every other step is certified by its stored order.
+    rng = np.random.default_rng(59 + k)
+    for steps in (8 * k, 16 * k):
+        samples = roots_loop_generator(k, steps).samples.copy()
+        for j in rng.choice(steps, size=3, replace=False):
+            samples[j] = samples[j, rng.permutation(k)]
+        quarter_gap = 0.25 * min_intra_gap(samples)
+        costs = stored_order_costs(samples)
+        assert (costs < quarter_gap).any() and (costs >= quarter_gap).any()
+        kind, perm, _, margin, _ = assert_tracks_like_reference(samples, monkeypatch)
+        assert kind == "accepted"
+        assert cycle_type(perm) == (k,)
+        assert 0.0 < margin < 1.0
+
+
+def rotating_polygon(rng) -> np.ndarray:
+    """A regular n-gon turning one n-th of a turn at an uneven pace.
+
+    The pace swings by up to 80% around its mean, and the mean step is a few
+    n-ths of the gap, so a loop's step costs spread over both sides of gap/4
+    and some reach gap/2.
+    """
+    n = int(rng.integers(2, 11))
+    steps = int(rng.uniform(2.5, 6.0) * n) + 3
+    swing = rng.uniform(0.3, 0.8)
+    t = np.arange(steps) / steps
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    pace = swing * (np.sin(2.0 * np.pi * t + phase) - np.sin(phase)) / (2.0 * np.pi)
+    angle = 2.0 * np.pi / n * (t + pace)
+    radius = 10 ** rng.uniform(-3.0, 3.0)
+    corners = 2.0 * np.pi * np.arange(n) / n
+    return radius * np.exp(1j * (angle[:, np.newaxis] + corners))
+
+
+def test_track_loop_matches_stepwise_reference_between_a_quarter_and_half_the_gap(monkeypatch):
+    rng = np.random.default_rng(61)
+    mixed = 0
+    outcomes = set()
+    for _ in range(120):
+        samples = rotating_polygon(rng)
+        n = samples.shape[1]
+        gap = min_intra_gap(samples)
+        costs = stored_order_costs(samples)
+        kind, perm, *_ = assert_tracks_like_reference(samples, monkeypatch)
+        outcomes.add(kind)
+        window = (costs >= 0.25 * gap) & (costs < 0.5 * gap)
+        if kind == "accepted":
+            assert cycle_type(perm) == (n,)
+            mixed += bool(window.any() and (costs < 0.25 * gap).any())
+    # accepted loops whose searched steps lie in [gap/4, gap/2) among certified ones
+    assert mixed >= 30
+    assert outcomes == {"accepted", "rejected"}
+
+
+def test_track_loop_memory_is_linear_in_the_loop():
+    # The n x n cost matrices of a chunk of steps took 32 MB here; only the
+    # searched steps build them now, so the peak stays near the 2 MB of samples.
+    loop = roots_loop_generator(64, 2048)
+    tracemalloc.start()
+    try:
+        holonomy = track_loop(loop)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cycle_type(holonomy.permutation) == (64,)
+    assert peak_bytes < 8 * 2**20
