@@ -36,7 +36,9 @@ from .metric import UnorderedTuple  # noqa: F401
 from .monodromy import ComplexLoop
 from .selection import LiftedField, SampledField, _check_adjacency, path_adjacency
 
-AdjacencySpec = str | tuple[tuple[int, int], ...]
+# "path", or the checked read-only (E, 2) edge array; test with isinstance(spec, str),
+# since an array compares with == element by element.
+AdjacencySpec = str | np.ndarray
 
 # Lines per json.loads call in the real-mode reader; the joined text of one
 # block is all the extra copy of the input it holds.
@@ -52,17 +54,15 @@ class FieldDocument:
     adjacency_spec: AdjacencySpec
     complex_mode: bool
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        if self.adjacency_spec == "path":
+    def edges(self) -> np.ndarray:
+        if isinstance(self.adjacency_spec, str):
             return path_adjacency(self.points.shape[0])
-        return self.adjacency_spec  # type: ignore[return-value]
+        return self.adjacency_spec
 
     def to_sampled_field(self) -> SampledField:
         if self.complex_mode:
             raise InputError("complex-mode field cannot be lifted by sorting")
-        if self.adjacency_spec == "path":
-            return SampledField.path(self.points, self.tuples)
-        return SampledField(points=self.points, values=self.tuples, adjacency=self.adjacency_spec)
+        return SampledField(self.points, self.tuples, self.edges())
 
     def to_loop(self) -> ComplexLoop:
         return ComplexLoop(samples=self.tuples)
@@ -321,9 +321,7 @@ def read_csv_field(path) -> FieldDocument:
 
 
 def _adjacency_json(spec: AdjacencySpec):
-    if spec == "path":
-        return "path"
-    return [[a, b] for a, b in spec]  # type: ignore[union-attr]
+    return spec if isinstance(spec, str) else np.asarray(spec).tolist()
 
 
 @contextmanager

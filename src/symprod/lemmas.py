@@ -9,10 +9,8 @@ Every check draws its trials as one ``(trials, n)`` batch and tests its
 property with array expressions over the trial axis, through the library's
 own batch forms (``boundary_class``, ``dist_to_diagonal``,
 ``equality_partition``).  Random partitions are drawn as one batch of block
-labels and grouped by distinct rows.  Only the pieces under test run per
-vector or per partition: ``equality_partition`` per boundary vector in
-stabilizer-minimality, and one stabilizer enumeration per distinct random
-partition.
+labels and grouped by distinct rows.  Only the piece under test runs per
+partition: one stabilizer enumeration per distinct random partition.
 
 Checks (names as reported):
 
@@ -259,7 +257,7 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
     """Exactly the coincidence stabilizer keeps a boundary vector sorted."""
     perms = perm_matrix(n)
     x = _random_boundary_vectors(n, trials, rng)
-    labels = np.array([stabilizer_of(equality_partition(row, 0.0)).labels for row in x])
+    labels = equality_partition(x, 0.0)  # each row in the Stabilizer.labels convention
     violations = 0
     for rows in _row_chunks(trials, perms.size):
         keeps_sorted = _nondescending(x[rows][:, perms])

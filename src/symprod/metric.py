@@ -107,6 +107,16 @@ def _coerce_pair(y, z, *, allow_complex: bool):
     return ya, za
 
 
+_OVERFLOW = "the distance between these tuples overflows float64"
+
+
+def _finite(value: float) -> float:
+    """``value``, or InputError: finite components so far apart that their distance overflows."""
+    if not np.isfinite(value):
+        raise InputError(_OVERFLOW)
+    return value
+
+
 def dist_bruteforce(y, z) -> Distance:
     """Minimize over all n! pairings explicitly (n <= 8).
 
@@ -120,9 +130,10 @@ def dist_bruteforce(y, z) -> Distance:
             f"brute force too large: n = {n} exceeds cap {BRUTE_FORCE_CAP}"
         )
     perms = perm_matrix(n)
-    costs = np.abs(y[np.newaxis, :] - z[perms]).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowed cost is inf, refused below if minimal
+        costs = np.abs(y[np.newaxis, :] - z[perms]).sum(axis=1)
     best = int(np.argmin(costs))  # first minimum = lexicographically smallest
-    return Distance(float(costs[best]), tuple(perms[best].tolist()), "brute")
+    return Distance(_finite(float(costs[best])), tuple(perms[best].tolist()), "brute")
 
 
 def _stable_argsort(x: np.ndarray) -> np.ndarray:
@@ -151,7 +162,8 @@ def dist_sorted(y, z) -> Distance:
     y, z = _coerce_pair(y, z, allow_complex=False)
     order_y = _stable_argsort(y)
     order_z = _stable_argsort(z)
-    value = float(np.abs(y[order_y] - z[order_z]).sum())
+    with np.errstate(over="ignore"):
+        value = _finite(float(np.abs(y[order_y] - z[order_z]).sum()))
     # Pair y[order_y[i]] with z[order_z[i]]: the minimizing p has
     # p[order_y[i]] = order_z[i].
     p = np.empty(y.size, dtype=np.intp)
@@ -197,9 +209,13 @@ def dist_assignment(y, z) -> Distance:
     """
     linear_sum_assignment = _linear_sum_assignment()
     y, z = _coerce_pair(y, z, allow_complex=True)
-    cost = np.abs(y[:, np.newaxis] - z[np.newaxis, :])
-    rows, cols = linear_sum_assignment(cost)
-    value = float(cost[rows, cols].sum())
+    with np.errstate(over="ignore"):  # the solver avoids inf costs where it can
+        cost = np.abs(y[:, np.newaxis] - z[np.newaxis, :])
+        try:
+            rows, cols = linear_sum_assignment(cost)
+        except ValueError:  # "infeasible": every pairing has an overflowed cost
+            raise InputError(_OVERFLOW) from None
+        value = _finite(float(cost[rows, cols].sum()))
     return Distance(value, tuple(cols.tolist()), "assignment")
 
 

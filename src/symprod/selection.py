@@ -57,13 +57,8 @@ def _as_rows(values, count: int) -> np.ndarray:
     return _read_only(rows)
 
 
-class _CheckedEdges(tuple):
-    """Edges ``_check_adjacency`` accepted, remembering the sample count they fit."""
-
-    count: int
-
-
-def _check_adjacency(adjacency, count: int) -> tuple[tuple[int, int], ...]:
+def _check_adjacency(adjacency, count: int) -> np.ndarray:
+    """Edges as a read-only (E, 2) intp array of indices below ``count``; no edges is (0, 2)."""
     try:
         edges = np.asarray(adjacency)
     except (TypeError, ValueError) as exc:
@@ -79,14 +74,15 @@ def _check_adjacency(adjacency, count: int) -> tuple[tuple[int, int], ...]:
     if outside.any():
         a, b = edges[np.argmax(outside)].tolist()
         raise InputError(f"adjacency edge {(a, b)} out of range for {count} samples")
-    checked = _CheckedEdges(map(tuple, edges.tolist()))
-    checked.count = count
-    return checked
+    return _read_only(edges.astype(np.intp, copy=False))
 
 
-def path_adjacency(count: int) -> tuple[tuple[int, int], ...]:
-    """Consecutive samples are neighbors."""
-    return tuple((i, i + 1) for i in range(count - 1))
+def path_adjacency(count: int) -> np.ndarray:
+    """Consecutive samples are neighbors: the read-only (count - 1, 2) edges (i, i + 1)."""
+    index = np.arange(count, dtype=np.intp)
+    edges = np.stack((index[:-1], index[1:]), axis=1)
+    edges.setflags(write=False)
+    return edges
 
 
 @dataclass(frozen=True)
@@ -96,29 +92,25 @@ class SampledField:
     ``points`` is an (N, m) array, ``values`` an (N, n) array whose row i is
     the unordered tuple at point i, in the order given; both are read-only
     copies, never the caller's writable array.  ``adjacency`` declares which
-    samples count as neighbors (grid edges, consecutive path points, ...).
+    samples count as neighbors (grid edges, consecutive path points, ...),
+    as a read-only (E, 2) intp array of sample indices.
     """
 
     points: np.ndarray
     values: np.ndarray
-    adjacency: tuple[tuple[int, int], ...]
+    adjacency: np.ndarray
 
     def __post_init__(self):
         points = _as_points(self.points)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", _as_rows(self.values, points.shape[0]))
-        edges = self.adjacency
-        if not (isinstance(edges, _CheckedEdges) and edges.count == points.shape[0]):
-            edges = _check_adjacency(edges, points.shape[0])
-        object.__setattr__(self, "adjacency", edges)
+        object.__setattr__(self, "adjacency", _check_adjacency(self.adjacency, points.shape[0]))
 
     @classmethod
     def path(cls, points, values) -> "SampledField":
         """Build a field whose samples form a path in sample order."""
         points = _as_points(points)
-        index = np.arange(points.shape[0])
-        edges = np.stack((index[:-1], index[1:]), axis=1)
-        return cls(points=points, values=values, adjacency=edges)
+        return cls(points=points, values=values, adjacency=path_adjacency(points.shape[0]))
 
     @property
     def dim_m(self) -> int:
@@ -145,17 +137,12 @@ class LiftedField(SampledField):
 def lift_field(field: SampledField) -> LiftedField:
     """Apply ``canonicalize`` to every row; classes are preserved at every point.
 
-    The lifted field shares the source's points and adjacency, which the
-    source already validated; only the sorted rows are new.
+    The lifted field shares the source's read-only points and adjacency
+    arrays; only the sorted rows are new.
     """
     values = np.sort(field.values, axis=1)
     values.setflags(write=False)
-    _check_nondescending(values)
-    lifted = object.__new__(LiftedField)
-    object.__setattr__(lifted, "points", field.points)
-    object.__setattr__(lifted, "values", values)
-    object.__setattr__(lifted, "adjacency", field.adjacency)
-    return lifted
+    return LiftedField(points=field.points, values=values, adjacency=field.adjacency)
 
 
 @dataclass(frozen=True)
@@ -181,15 +168,14 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     edge with differing lifted values is impossible by construction and
     raises InvariantViolation.
     """
-    if lifted.adjacency != field.adjacency:
+    if not np.array_equal(lifted.adjacency, field.adjacency):
         raise InputError("mismatched fields: adjacency differs")
     if lifted.values.shape[0] != field.values.shape[0]:
         raise InputError("mismatched fields: sample counts differ")
     if not np.array_equal(lifted.points, field.points):
         raise InputError("mismatched fields: sample points differ")
 
-    edges = np.array(field.adjacency, dtype=np.intp).reshape(-1, 2)
-    a, b = edges[:, 0], edges[:, 1]
+    a, b = field.adjacency[:, 0], field.adjacency[:, 1]
     # Finite values near the float limit can overflow to inf (and inf / inf to
     # nan); the nan ratio that follows is the report, not a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,7 +188,7 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     if broken.any():
         i = int(np.argmax(broken))
         raise InvariantViolation(
-            f"edge {field.adjacency[i]}: equal classes lifted {moved[i]:.3e} apart"
+            f"edge {tuple(field.adjacency[i].tolist())}: equal classes lifted {moved[i]:.3e} apart"
         )
     zero_edges = int(zero.sum())
     ratio_index = np.flatnonzero(~zero)
@@ -211,9 +197,8 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     with np.errstate(invalid="ignore"):
         ratios = moved[ratio_index] / d[ratio_index]
     worst = int(np.argmax(ratios))  # first maximum, as in adjacency order
-    return ContinuityReport(
-        float(ratios[worst]), field.adjacency[ratio_index[worst]], ratio_index.size, zero_edges
-    )
+    worst_edge = tuple(field.adjacency[ratio_index[worst]].tolist())
+    return ContinuityReport(float(ratios[worst]), worst_edge, ratio_index.size, zero_edges)
 
 
 __all__ = [

@@ -78,6 +78,41 @@ def test_dist_input_errors(tmp_path, capsys):
     assert cli.main(["dist", "--file", str(tmp_path / "missing.txt")]) == 2
 
 
+@pytest.mark.parametrize("engine", ["auto", "sorted", "brute", "assignment"])
+@pytest.mark.parametrize(
+    "a, b",
+    [("1e308,1e308", "-1e308,-1e308"), ("1e308,0", "-1e308,0"),
+     ("1e308+1e308j,1e308+1e308j", "-1e308-1e308j,-1e308-1e308j"), ("1e308+1e308j,0", "-1e308,0")],
+    ids=["real-every-pairing", "real-some-pairings", "complex-every-pairing",
+         "complex-some-pairings"],
+)
+def test_dist_overflow_is_input_error(capsys, engine, a, b):
+    code = cli.main(["dist", f"--a={a}", f"--b={b}", "--engine", engine])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    if engine == "sorted" and "j" in a:
+        assert "complex" in captured.err
+    else:
+        assert captured.err == "error: the distance between these tuples overflows float64\n"
+
+
+def test_dist_overflow_prints_no_numpy_warning():
+    # The real stderr of a fresh interpreter, where numpy's warnings would land.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for engine in ("sorted", "brute", "assignment"):
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from symprod.cli import main; sys.exit(main(sys.argv[1:]))",
+             "dist", "--a=1e308,0", "--b=-1e308,0", "--engine", engine],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: the distance between these tuples overflows float64\n"
+
+
 @pytest.mark.parametrize("n", [1, 2, 250_000])
 def test_dist_file_output_is_the_joined_minimizer(tmp_path, capsys, n):
     rng = np.random.default_rng(n)

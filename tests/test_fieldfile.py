@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symprod import cli, fieldfile, selection
+from symprod import cli, fieldfile
 from symprod.errors import InputError
 from symprod.fieldfile import (
     FieldDocument,
@@ -38,7 +38,8 @@ def test_read_real_field(tmp_path):
     assert not doc.complex_mode
     assert np.array_equal(doc.points, [[0.0], [1.0]])
     assert np.array_equal(doc.tuples, [[3.0, 1.0], [1.5, 2.5]])
-    assert doc.edges() == ((0, 1),)
+    assert doc.edges().tolist() == [[0, 1]]
+    assert doc.edges().dtype == np.intp and not doc.edges().flags.writeable
 
 
 def test_meta_is_optional(tmp_path):
@@ -59,7 +60,9 @@ def test_explicit_edge_list(tmp_path):
             {"point": [2.0], "tuple": [3.0]},
         ],
     )
-    assert read_field_file(path).edges() == ((0, 2), (1, 2))
+    edges = read_field_file(path).edges()
+    assert edges.tolist() == [[0, 2], [1, 2]]
+    assert edges.dtype == np.intp and not edges.flags.writeable
 
 
 def test_complex_mode_parses_and_refuses_sorting(tmp_path):
@@ -445,11 +448,14 @@ def read_outcome(path):
         doc = read_field_file(path)
     except InputError as exc:
         return ("error", str(exc))
+    spec = doc.adjacency_spec
+    if not isinstance(spec, str):
+        spec = (spec.dtype, spec.shape, spec.flags.writeable, spec.tolist())
     return (
         "doc",
         doc.points.dtype, doc.points.shape, doc.points.tobytes(),
         doc.tuples.dtype, doc.tuples.shape, doc.tuples.tobytes(),
-        doc.adjacency_spec, doc.complex_mode,
+        spec, doc.complex_mode,
     )
 
 
@@ -556,24 +562,57 @@ def test_lifted_rows_are_the_json_dumps_text(tmp_path_factory, rows):
     assert out.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
+def test_lift_writes_explicit_edges_back_as_json_integers(tmp_path):
+    meta = {"meta": {"m": 1, "n": 2, "adjacency": [[0, 2], [2, 1], [1, 1]]}}
+    rows = [[3.0, 1.0], [0.5, 0.5], [-1.0, 2.0]]
+    source, out, again = (tmp_path / f"{name}.jsonl" for name in ("field", "lifted", "again"))
+    write_lines(source, [meta] + [{"point": [float(i)], "tuple": r} for i, r in enumerate(rows)])
+    assert cli.main(["lift", "--input", str(source), "--output", str(out)]) == 0
+    written = out.read_bytes()
+    assert written == "".join(
+        json.dumps(obj) + "\n"
+        for obj in [meta] + [{"point": [float(i)], "tuple": sorted(r)} for i, r in enumerate(rows)]
+    ).encode()
+    head = b'{"meta": {"m": 1, "n": 2, "adjacency": [[0, 2], [2, 1], [1, 1]]}}\n'
+    assert written.startswith(head)  # the edges as JSON integers, not floats or strings
+    assert cli.main(["lift", "--input", str(out), "--output", str(again)]) == 0
+    assert again.read_bytes() == written  # a lifted file lifts to the same bytes
+    lifted = read_field_file(out).to_sampled_field()
+    write_lifted_file(again, lift_field(lifted), adjacency_spec=[(0, 2), (2, 1), (1, 1)])
+    assert again.read_bytes() == written  # a list of pairs is written as the array is
+
+
 @pytest.mark.parametrize("explicit", [True, False])
 def test_lift_checks_the_edges_once(tmp_path, monkeypatch, capsys, explicit):
+    # No edge list is converted twice: the document's checked array is the
+    # field's, and the lifted field shares it.
     rows = np.random.default_rng(17).uniform(-5.0, 5.0, size=(40, 3)).round(3).tolist()
     edges = [[i, (7 * i + 3) % 40] for i in range(40)] if explicit else "path"
     meta = {"meta": {"m": 1, "n": 3, "adjacency": edges}}
     source, out = tmp_path / "field.jsonl", tmp_path / "lifted.jsonl"
     write_lines(source, [meta] + [{"point": [float(i)], "tuple": r} for i, r in enumerate(rows)])
-    checked = []
-    real_check = selection._check_adjacency
+    seen = {}
+    real_read, real_report = fieldfile.read_field_file, cli.continuity_report
 
-    def counted(adjacency, count):
-        checked.append(count)
-        return real_check(adjacency, count)
+    def read(path):
+        seen["doc"] = real_read(path)
+        return seen["doc"]
 
-    monkeypatch.setattr(selection, "_check_adjacency", counted)
-    monkeypatch.setattr(fieldfile, "_check_adjacency", counted)
+    def report(lifted, field):
+        seen["lifted"], seen["field"] = lifted, field
+        return real_report(lifted, field)
+
+    monkeypatch.setattr(fieldfile, "read_field_file", read)
+    monkeypatch.setattr(cli, "continuity_report", report)
     assert cli.main(["lift", "--input", str(source), "--output", str(out)]) == 0
-    assert checked == [40]
+    doc, field, lifted = seen["doc"], seen["field"], seen["lifted"]
+    assert lifted.adjacency is field.adjacency
+    if explicit:
+        assert field.adjacency is doc.adjacency_spec
+        assert field.adjacency.tolist() == edges
+    else:
+        assert doc.adjacency_spec == "path"
+        assert field.adjacency.tolist() == [[i, i + 1] for i in range(39)]
     expected = [json.dumps(meta)] + [
         json.dumps({"point": [float(i)], "tuple": sorted(r)}) for i, r in enumerate(rows)
     ]

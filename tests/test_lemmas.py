@@ -101,13 +101,27 @@ def drop_first_block(partition):
     return BlockPartition(blocks=partition.blocks[1:], n=partition.n)
 
 
+def drop_first_block_labels(labels):
+    """``drop_first_block`` on each row of a ``(B, n)`` batch of ``Stabilizer.labels``."""
+    labels = labels.copy()
+    index = np.arange(labels.shape[1])
+    for row in labels:
+        tied = np.flatnonzero(row != index)  # members of a block other than its smallest
+        if tied.size:
+            first = row[tied].min()  # the first block's smallest index
+            row[row == first] = index[row == first]
+    return labels
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_stabilizer_minimality_catches_a_missing_block(monkeypatch, n):
     check = check_stabilizer_minimality(n, 30, np.random.default_rng(2))
     assert check.passed
     real_partition = lemmas.equality_partition
     monkeypatch.setattr(
-        lemmas, "equality_partition", lambda x, tol: drop_first_block(real_partition(x, tol))
+        lemmas,
+        "equality_partition",
+        lambda x, tol: drop_first_block_labels(real_partition(x, tol)),
     )
     check = check_stabilizer_minimality(n, 30, np.random.default_rng(2))
     assert check.violations == check.trials == 30  # every boundary vector has a tie to lose
@@ -213,10 +227,10 @@ def test_suite_calls_the_classifier_once_per_batch(monkeypatch):
     # possible partition, n = 3 has four, and four batches per n use them
     assert few["dist_to_diagonal"] <= 4 * (1 + 4)
     assert many["dist_to_diagonal"] <= 4 * (1 + 4)
-    # boundary-has-ties labels its whole batch in one call per size; only
-    # stabilizer-minimality still partitions one vector per call
-    assert few["equality_partition"] == 2 * (1 + 40)
-    assert many["equality_partition"] == 2 * (1 + 160)
+    # boundary-has-ties and stabilizer-minimality each label their whole batch
+    # in one call per size
+    assert few["equality_partition"] == 2 * (1 + 1)
+    assert many["equality_partition"] == 2 * (1 + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,41 @@ def test_bruteforce_cap():
     rng = np.random.default_rng(31)
     with pytest.raises(CapExceededError):
         dist_bruteforce(rng.normal(size=9), rng.normal(size=9))
+
+
+# Finite components whose distance overflows float64: every pairing's cost
+# overflows, or only some pairings' costs do and the rest overflow their sum.
+OVERFLOWING_PAIRS = {
+    "real-every-pairing": ([1e308, 1e308], [-1e308, -1e308]),
+    "real-some-pairings": ([1e308, 0.0], [-1e308, 0.0]),
+    "complex-every-pairing": ([1e308 + 1e308j] * 2, [-1e308 - 1e308j] * 2),
+    "complex-some-pairings": ([1e308 + 1e308j, 0.0], [-1e308 + 0j, 0.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "engine, pair",
+    [
+        pytest.param(engine, pair, id=f"{engine.__name__}-{name}")
+        for name, pair in OVERFLOWING_PAIRS.items()
+        for engine in ALL_ENGINES
+        if not (engine is dist_sorted and name.startswith("complex"))
+    ],
+)
+def test_overflowing_distance_is_input_error(engine, pair):
+    y, z = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the error
+        with pytest.raises(InputError, match="overflows float64"):
+            engine(y, z)
+
+
+@pytest.mark.parametrize("engine", ALL_ENGINES, ids=lambda f: f.__name__)
+def test_largest_finite_distances_are_unchanged(engine):
+    assert engine([8e307, 0.0], [-8e307, 0.0]).value == 1.6e308
+    assert engine([1e308, -1e308], [-1e308, 1e308]).value == 0.0
+    if engine is not dist_sorted:
+        assert engine([1e308 + 0j, 0.0], [0.0, -5e307 + 0j]).value == 1.5e308
 
 
 def test_sorted_rejects_complex():

@@ -76,8 +76,34 @@ def test_isometry_hypothesis(pair):
 
 
 def test_path_adjacency():
-    assert path_adjacency(4) == ((0, 1), (1, 2), (2, 3))
-    assert path_adjacency(1) == ()
+    edges = path_adjacency(4)
+    assert edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert edges.dtype == np.intp and not edges.flags.writeable
+    assert path_adjacency(1).shape == (0, 2)
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+def test_adjacency_is_one_read_only_edge_array(kind):
+    edges = kind([kind([0, 2]), kind([2, 1]), kind([1, 1])])
+    field = SampledField(points=[0.0, 0.5, 1.0], values=[[1.0], [2.0], [3.0]], adjacency=edges)
+    assert field.adjacency.shape == (3, 2) and field.adjacency.dtype == np.intp
+    assert not field.adjacency.flags.writeable
+    assert field.adjacency.tolist() == [[0, 2], [2, 1], [1, 1]]
+    empty = SampledField(points=[0.0], values=[[1.0]], adjacency=kind([]))
+    assert empty.adjacency.shape == (0, 2) and empty.adjacency.dtype == np.intp
+    assert not empty.adjacency.flags.writeable
+
+
+def test_adjacency_is_not_the_callers_array():
+    given = np.array([[0, 1], [1, 2]])
+    field = SampledField(points=[0.0, 0.5, 1.0], values=[[1.0], [2.0], [3.0]], adjacency=given)
+    assert field.adjacency is not given
+    given[0] = [2, 2]
+    assert field.adjacency.tolist() == [[0, 1], [1, 2]]
+    with pytest.raises(ValueError):
+        field.adjacency[0, 0] = 2
+    lifted = lift_field(field)
+    assert lifted.adjacency is field.adjacency
 
 
 def test_sampled_field_validation():
@@ -122,8 +148,8 @@ def test_sampled_field_values_are_one_read_only_array():
     assert not field.values.flags.writeable
     given[0, 0] = 99.0
     assert field.values[0, 0] == 3.0  # the field keeps its own copy
-    assert field.adjacency == ((0, 2), (2, 1))
-    assert all(type(i) is int for edge in field.adjacency for i in edge)
+    assert field.adjacency.tolist() == [[0, 2], [2, 1]]
+    assert field.adjacency.dtype == np.intp and not field.adjacency.flags.writeable
     assert field.tuple_n == 2 and field.dim_m == 1
 
 
@@ -144,7 +170,7 @@ def test_lifted_field_is_a_sampled_field():
     field = SampledField.path([[0.0], [1.0]], [[3.0, 1.0], [1.1, 2.9]])
     lifted = lift_field(field)
     assert isinstance(lifted, SampledField)
-    assert lifted.adjacency == field.adjacency
+    assert lifted.adjacency.tolist() == field.adjacency.tolist() == [[0, 1]]
     assert lifted.tuple_n == 2 and lifted.dim_m == 1
     with pytest.raises(InputError):
         LiftedField(points=[0.0, 1.0], values=[[1.0, 2.0], [np.nan, 3.0]], adjacency=[[0, 1]])
@@ -158,7 +184,9 @@ def test_lifted_field_shares_the_validated_source_arrays():
     assert lifted.points is field.points
     assert lifted.adjacency is field.adjacency
     assert not lifted.values.flags.writeable
-    assert lifted == LiftedField(points=field.points, values=lifted.values, adjacency=[[0, 1], [1, 2]])
+    rebuilt = LiftedField(points=field.points, values=lifted.values, adjacency=[[0, 1], [1, 2]])
+    assert rebuilt.points is lifted.points and rebuilt.values is lifted.values
+    assert rebuilt.adjacency.tolist() == lifted.adjacency.tolist()
 
 
 def test_lift_single_point():
@@ -234,6 +262,7 @@ def test_continuity_report_two_point_example():
     # moved = |0-0.5| + |1-0.5| = 1 and the matching distance is also 1
     assert report.max_ratio == pytest.approx(1.0, abs=1e-12)
     assert report.worst_edge == (0, 1)
+    assert all(type(i) is int for i in report.worst_edge)  # plain ints, not numpy scalars
     assert report.ratio_edges == 1
 
 
@@ -291,7 +320,7 @@ def test_report_is_plain_data():
 def report_by_edge_loop(lifted, field):
     """The per-edge formulation: one dist_sorted call per adjacency edge."""
     max_ratio, worst, zero_edges = None, None, 0
-    for a, b in field.adjacency:
+    for a, b in field.adjacency.tolist():
         moved = float(np.abs(lifted.values[a] - lifted.values[b]).sum())
         d = dist_sorted(field.values[a], field.values[b]).value
         if d == 0.0:
@@ -358,5 +387,5 @@ def test_continuity_report_matches_per_edge_loop():
                 assert type(got.max_ratio) is float
                 seen["ratio"] += got.ratio_edges > 0
                 seen["zero"] += got.zero_edges > 0
-                seen["empty"] += not field.adjacency
+                seen["empty"] += field.adjacency.shape == (0, 2)
     assert min(seen.values()) > 0, seen
