@@ -75,13 +75,40 @@ def as_complex_vector(values, *, name: str = "tuple") -> np.ndarray:
     return as_array(values, dtype=complex, name=name)
 
 
+def as_perm(p, n: int | None = None) -> np.ndarray:
+    """``p`` as an intp array holding each of ``0..len(p) - 1`` once, else InputError.
+
+    The one permutation validator.  Bools and integral floats count as their
+    ints; ``n``, when given, is the required length.
+    """
+    try:
+        arr = np.asarray(p)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"not a permutation: {exc}") from None
+    size = arr.size if n is None else n
+    # Sorted, the entries are exactly 0..size - 1: no fraction, nan, repeat or gap.
+    if not (arr.ndim == 1 and 0 < arr.size == size and arr.dtype.kind in "biuf"
+            and np.array_equal(np.sort(arr), np.arange(size))):
+        raise InputError(f"not a permutation of range({size}): {p!r}")
+    return arr.astype(np.intp)
+
+
 def is_perm(p: Sequence[int]) -> bool:
     """True iff ``p`` is a permutation of ``range(len(p))``.
 
     >>> is_perm((1, 2, 0)), is_perm((0, 0, 2))
     (True, False)
     """
-    return len(p) >= 1 and sorted(p) == list(range(len(p)))
+    try:
+        as_perm(p)
+    except InputError:
+        return False
+    return True
+
+
+def nondescending(x: np.ndarray) -> np.ndarray:
+    """Which rows (along the last axis) are non-descending; compared, so nothing overflows."""
+    return np.all(x[..., 1:] >= x[..., :-1], axis=-1)
 
 
 def identity_perm(n: int) -> Perm:
@@ -94,12 +121,9 @@ def apply_perm(p: Sequence[int], x) -> np.ndarray:
     The result is always a permutation of the input multiset.
     """
     x = np.asarray(x)
-    if x.ndim != 1 or len(p) != x.size:
-        raise InputError(f"permutation of size {len(p)} applied to tuple of size {x.size}")
-    idx = np.asarray(p, dtype=np.intp)
-    if not is_perm(tuple(int(i) for i in idx)):
-        raise InputError(f"not a permutation of range({len(p)}): {tuple(p)}")
-    return x[idx]
+    if x.ndim != 1:
+        raise InputError(f"a permutation applies to a 1-D tuple, got shape {x.shape}")
+    return x[as_perm(p, x.size)]
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
@@ -111,9 +135,8 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     >>> compose((1, 2, 0), (2, 1, 0))
     (0, 2, 1)
     """
-    if len(p) != len(q):
-        raise InputError("cannot compose permutations of different sizes")
-    return tuple(p[i] for i in q)
+    p = as_perm(p)
+    return tuple(p[as_perm(q, p.size)].tolist())
 
 
 def invert(p: Sequence[int]) -> Perm:
@@ -122,10 +145,10 @@ def invert(p: Sequence[int]) -> Perm:
     >>> invert((1, 2, 0))
     (2, 0, 1)
     """
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
+    p = as_perm(p)
+    inv = np.empty_like(p)
+    inv[p] = np.arange(p.size)
+    return tuple(inv.tolist())
 
 
 def enumerate_perms(n: int) -> tuple[Perm, ...]:

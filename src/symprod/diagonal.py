@@ -27,7 +27,8 @@ from .core import (
     Perm,
     apply_perm,
     as_array,
-    is_perm,
+    as_perm,
+    nondescending,
 )
 from .errors import CapExceededError, InputError
 
@@ -94,10 +95,12 @@ class Stabilizer:
         return labels
 
     def __contains__(self, perm) -> bool:
-        labels, p = self.labels, np.asarray(perm)
-        if p.shape != labels.shape or p.dtype.kind not in "biuf" or not is_perm(p.tolist()):
+        labels = self.labels
+        try:
+            p = as_perm(perm, labels.size)
+        except InputError:
             return False
-        return bool(np.array_equal(labels[p.astype(np.intp)], labels))
+        return bool(np.array_equal(labels[p], labels))
 
     @property
     def elements(self) -> tuple[Perm, ...]:
@@ -198,8 +201,7 @@ def perm_displacement(x, perm: Sequence[int]) -> float:
 
 def is_nondescending(x) -> bool:
     """True iff x[0] <= x[1] <= ... <= x[n-1] (exact comparison)."""
-    x = as_array(x)
-    return bool(np.all(np.diff(x) >= 0))
+    return bool(nondescending(as_array(x)))
 
 
 BoundaryClass = Literal["interior", "boundary", "exterior"]
@@ -215,11 +217,10 @@ def boundary_class(x) -> BoundaryClass | np.ndarray:
     class names, one per row.
     """
     x = as_array(x, ranks=(1, 2))
-    diffs = np.diff(x, axis=-1)
     classes = np.where(
-        np.any(diffs < 0, axis=-1),
+        ~nondescending(x),
         "exterior",
-        np.where(np.any(diffs == 0, axis=-1), "boundary", "interior"),
+        np.where(np.any(x[..., 1:] == x[..., :-1], axis=-1), "boundary", "interior"),
     )
     return str(classes) if x.ndim == 1 else classes
 

@@ -36,33 +36,27 @@ from .metric import UnorderedTuple  # noqa: F401
 from .monodromy import ComplexLoop
 from .selection import LiftedField, SampledField, _check_adjacency, path_adjacency
 
-# "path", or the checked read-only (E, 2) edge array; test with isinstance(spec, str),
-# since an array compares with == element by element.
-AdjacencySpec = str | np.ndarray
-
 # Lines per json.loads call in the real-mode reader; the joined text of one
 # block is all the extra copy of the input it holds.
 _DECODE_LINES = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldDocument:
-    """Parsed contents of a field file, before semantic interpretation."""
+    """Parsed contents of a field file, before semantic interpretation; equal only to itself."""
 
     points: np.ndarray
     tuples: np.ndarray  # (N, n); complex dtype in complex mode
-    adjacency_spec: AdjacencySpec
+    adjacency: np.ndarray  # the checked read-only (E, 2) intp edges; "path" becomes its edges
     complex_mode: bool
-
-    def edges(self) -> np.ndarray:
-        if isinstance(self.adjacency_spec, str):
-            return path_adjacency(self.points.shape[0])
-        return self.adjacency_spec
 
     def to_sampled_field(self) -> SampledField:
         if self.complex_mode:
-            raise InputError("complex-mode field cannot be lifted by sorting")
-        return SampledField(self.points, self.tuples, self.edges())
+            raise InputError(
+                "complex-mode input cannot be lifted by sorting; use `symprod holonomy` "
+                "to track components around a loop instead"
+            )
+        return SampledField(self.points, self.tuples, self.adjacency)
 
     def to_loop(self) -> ComplexLoop:
         return ComplexLoop(samples=self.tuples)
@@ -109,14 +103,14 @@ def utf8_text(path, newline: str | None = None):
         raise
 
 
-def _parse_adjacency(spec, count: int) -> AdjacencySpec:
-    """The meta adjacency: "path", or an edge list checked as ``SampledField`` checks it.
+def _parse_adjacency(spec, count: int) -> np.ndarray:
+    """The meta adjacency, "path" or an edge list, as edges checked as ``SampledField`` does.
 
     Only what the array pass cannot see is checked here: JSON true/false
     would become the indices 1 and 0.
     """
     if spec == "path":
-        return "path"
+        return path_adjacency(count)
     if not isinstance(spec, list):
         raise InputError('line 1: adjacency must be "path" or an edge list')
     if any(type(i) is bool for edge in spec if isinstance(edge, list) for i in edge):
@@ -272,7 +266,7 @@ def read_field_file(path) -> FieldDocument:
             raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
     adjacency = _parse_adjacency(meta.get("adjacency", "path"), points.shape[0])
     return FieldDocument(
-        points=points, tuples=tuples, adjacency_spec=adjacency, complex_mode=complex_mode
+        points=points, tuples=tuples, adjacency=adjacency, complex_mode=complex_mode
     )
 
 
@@ -315,13 +309,9 @@ def read_csv_field(path) -> FieldDocument:
     return FieldDocument(
         points=np.asarray(points, dtype=float),
         tuples=np.asarray(rows, dtype=float),
-        adjacency_spec="path",
+        adjacency=path_adjacency(len(rows)),
         complex_mode=False,
     )
-
-
-def _adjacency_json(spec: AdjacencySpec):
-    return spec if isinstance(spec, str) else np.asarray(spec).tolist()
 
 
 @contextmanager
@@ -342,16 +332,20 @@ def _replacing(path):
         raise
 
 
-def write_lifted_file(path, lifted: LiftedField, adjacency_spec: AdjacencySpec = "path"):
+def write_lifted_file(path, lifted: LiftedField):
     """Write a lifted field as JSON-lines with a meta header line.
 
-    A row is written from the repr of its float lists: for finite floats that
-    is ``json.dumps``'s text (the same ``float.__repr__``, the same ``", "``).
+    The meta adjacency is the field's own edges: "path" when they are exactly
+    the path's, in order, else the edge list.  A row is written from the repr
+    of its float lists: for finite floats that is ``json.dumps``'s text (the
+    same ``float.__repr__``, the same ``", "``).
     """
-    m = lifted.points.shape[1]
+    count, m = lifted.points.shape
     n = lifted.values.shape[1]
+    edges = lifted.adjacency
+    adjacency = "path" if np.array_equal(edges, path_adjacency(count)) else edges.tolist()
     with _replacing(path) as handle:
-        meta = {"meta": {"m": m, "n": n, "adjacency": _adjacency_json(adjacency_spec)}}
+        meta = {"meta": {"m": m, "n": n, "adjacency": adjacency}}
         handle.write(json.dumps(meta) + "\n")
         for point, row in zip(lifted.points.tolist(), lifted.values.tolist()):
             handle.write(f'{{"point": {point}, "tuple": {row}}}\n')

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CHUNK_ELEMENTS, perm_matrix
+from .core import CHUNK_ELEMENTS, nondescending, perm_matrix
 from .diagonal import (
     BlockPartition,
     _partition_of_labels,
@@ -49,10 +49,6 @@ from .diagonal import (
 from .errors import InputError
 
 DISPLACEMENT_EPSILONS = (0.1, 1.0, 10.0)
-
-# Test-only fault switch: flips the displacement comparison so the suite
-# can demonstrate that it is able to fail.  Never set outside CI/tests.
-KNOWN_FAULTS = ("flip-displacement",)
 
 
 @dataclass(frozen=True)
@@ -119,11 +115,6 @@ def _row_chunks(count: int, row_elements: int):
     return (slice(a, a + rows) for a in range(0, count, rows))
 
 
-def _nondescending(x: np.ndarray) -> np.ndarray:
-    """Which rows (along the last axis) are non-descending, exactly."""
-    return np.all(np.diff(x, axis=-1) >= 0, axis=-1)
-
-
 def _random_boundary_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` sorted rows, each with one or more exact ties at uniformly chosen places."""
     x = np.sort(rng.uniform(-10.0, 10.0, size=(count, n)), axis=1)
@@ -141,7 +132,7 @@ def _random_exterior_vectors(n: int, count: int, rng: np.random.Generator) -> np
     redraw = np.arange(count)
     for _ in range(100):
         x[redraw] = rng.uniform(-10.0, 10.0, size=(redraw.size, n))
-        redraw = redraw[_nondescending(x[redraw])]
+        redraw = redraw[nondescending(x[redraw])]
         if redraw.size == 0:
             return x
     raise AssertionError("could not sample an out-of-order vector")
@@ -157,9 +148,7 @@ def _random_l1_perturbation(
     return weights * signs * scale[:, np.newaxis]
 
 
-def check_displacement_bound(
-    n: int, trials: int, rng: np.random.Generator, fault: str | None = None
-) -> LemmaCheck:
+def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Within eps of a diagonal set, every stabilizer element moves x < 2*eps."""
     violations = 0
     for eps in DISPLACEMENT_EPSILONS:
@@ -176,10 +165,7 @@ def check_displacement_bound(
             stab = np.array(stabilizer_of(partition).elements, dtype=np.intp)
             for rows in _row_chunks(ids.size, stab.size):
                 displacement = np.abs(near[rows][:, stab] - near[rows][:, np.newaxis]).sum(axis=2)
-                if fault == "flip-displacement":
-                    ok = np.all(displacement > 2.0 * eps, axis=1)
-                else:
-                    ok = np.all(displacement < 2.0 * eps, axis=1)
+                ok = np.all(displacement < 2.0 * eps, axis=1)
                 violations += int(np.count_nonzero(~ok))
     return LemmaCheck(
         name="displacement-bound",
@@ -227,7 +213,7 @@ def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generato
         redraw = redraw[~np.all(np.diff(x[redraw], axis=1) > 0, axis=1)]
     violations = 0
     for rows in _row_chunks(trials, perms.size):
-        nondesc = _nondescending(x[rows][:, perms])
+        nondesc = nondescending(x[rows][:, perms])
         violations += int(np.count_nonzero((nondesc.sum(axis=1) != 1) | ~nondesc[:, identity_row]))
     return LemmaCheck(
         name="interior-order-uniqueness",
@@ -260,7 +246,7 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
     labels = equality_partition(x, 0.0)  # each row in the Stabilizer.labels convention
     violations = 0
     for rows in _row_chunks(trials, perms.size):
-        keeps_sorted = _nondescending(x[rows][:, perms])
+        keeps_sorted = nondescending(x[rows][:, perms])
         fixes_labels = np.all(labels[rows][:, perms] == labels[rows][:, np.newaxis], axis=2)
         violations += int(np.count_nonzero(np.any(keeps_sorted != fixes_labels, axis=1)))
     return LemmaCheck(
@@ -332,16 +318,13 @@ def run_lemma_suite(
     n_values: Iterable[int] = (2, 3, 4, 5, 6),
     trials: int = 500,
     seed: int | None = 0,
-    fault: str | None = None,
     grid_trials: int | None = None,
 ) -> list[LemmaCheck]:
     """Run every check at every requested tuple size, deterministically.
 
     ``grid_trials`` caps the (slower) grid-oracle check; default is
-    min(trials, 50) per n.  ``fault`` must be None outside of tests.
+    min(trials, 50) per n.
     """
-    if fault is not None and fault not in KNOWN_FAULTS:
-        raise InputError(f"unknown fault {fault!r}; known: {KNOWN_FAULTS}")
     n_values = sorted(set(int(n) for n in n_values))
     if not n_values:
         raise InputError("need at least one tuple size")
@@ -356,7 +339,7 @@ def run_lemma_suite(
     rng = np.random.default_rng(seed)
     results: list[LemmaCheck] = []
     for n in n_values:
-        results.append(check_displacement_bound(n, trials, rng, fault=fault))
+        results.append(check_displacement_bound(n, trials, rng))
         results.append(check_exterior_openness(n, trials, rng))
         results.append(check_interior_order_uniqueness(n, trials, rng))
         results.append(check_boundary_has_ties(n, trials, rng))

@@ -31,18 +31,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BRUTE_FORCE_CAP, CHUNK_ELEMENTS, Perm, as_array, compose, identity_perm
+from .core import BRUTE_FORCE_CAP, CHUNK_ELEMENTS, Perm, as_array, as_perm, compose, identity_perm
 from .errors import InputError, UndersampledLoopError
 from .metric import Distance, dist_assignment, dist_bruteforce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexLoop:
     """A closed path of unordered complex tuples, sampled discretely.
 
     ``samples[j]`` holds the tuple at loop parameter j/step_count of a full
     turn; the edge from the last sample back to sample 0 closes the loop.
     Component order within each sample is arbitrary but fixed by storage.
+    Loops compare and hash by identity.
     """
 
     samples: np.ndarray
@@ -85,7 +86,7 @@ class Holonomy:
 
 def min_intra_gap(samples) -> float:
     """Smallest pairwise distance between components within any one sample."""
-    arr = np.asarray(samples, dtype=complex)
+    arr = as_array(samples, dtype=complex, ranks=(1, 2), name="samples")
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     n = arr.shape[1]
@@ -226,6 +227,7 @@ def roots_loop_generator(k: int, steps: int, radius: float = 1.0) -> ComplexLoop
 
 def disjoint_cycles(perm: Perm) -> list[tuple[int, ...]]:
     """Cycle decomposition; each cycle starts at its smallest element."""
+    perm = as_perm(perm).tolist()
     seen = [False] * len(perm)
     cycles = []
     for start in range(len(perm)):

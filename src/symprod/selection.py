@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_array
+from .core import as_array, nondescending
 from .errors import InputError, InvariantViolation
 from .metric import UnorderedTuple
 # perfbench/tracer.py patches this name; ROADMAP item 6 drops the import.
@@ -85,7 +85,7 @@ def path_adjacency(count: int) -> np.ndarray:
     return edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledField:
     """A quotient-space-valued map sampled on finitely many points of R^m.
 
@@ -93,7 +93,8 @@ class SampledField:
     the unordered tuple at point i, in the order given; both are read-only
     copies, never the caller's writable array.  ``adjacency`` declares which
     samples count as neighbors (grid edges, consecutive path points, ...),
-    as a read-only (E, 2) intp array of sample indices.
+    as a read-only (E, 2) intp array of sample indices.  Fields compare and
+    hash by identity.
     """
 
     points: np.ndarray
@@ -121,17 +122,13 @@ class SampledField:
         return self.values.shape[1]
 
 
-def _check_nondescending(values: np.ndarray) -> None:
-    if np.any(values[:, 1:] < values[:, :-1]):
-        raise InputError("lifted values must be non-descending rows")
-
-
 class LiftedField(SampledField):
     """An ordered-representative field: a sampled field whose rows are sorted."""
 
     def __post_init__(self):
         super().__post_init__()
-        _check_nondescending(self.values)
+        if not nondescending(self.values).all():
+            raise InputError("lifted values must be non-descending rows")
 
 
 def lift_field(field: SampledField) -> LiftedField:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symprod import cli
+from symprod import cli, lemmas
+from symprod.diagonal import BlockPartition
 from symprod.errors import InputError
 from symprod.monodromy import roots_loop_generator
 from symprod.selection import LiftedField
@@ -351,24 +352,20 @@ def test_lemmas_pass_table(capsys):
     assert "all 14 checks passed (seed = 0)" in out
 
 
-def test_lemmas_fault_injection_fails(capsys):
-    assert (
-        cli.main(
-            [
-                "lemmas",
-                "--n",
-                "2..3",
-                "--trials",
-                "15",
-                "--inject-fault",
-                "flip-displacement",
-            ]
-        )
-        == 1
+def test_lemmas_fault_injection_fails(capsys, monkeypatch):
+    # A mutation: every stabilizer is all of S_n, which moves points off their diagonal.
+    real_stabilizer = lemmas.stabilizer_of
+    monkeypatch.setattr(
+        lemmas, "stabilizer_of",
+        lambda p: real_stabilizer(BlockPartition(blocks=(tuple(range(p.n)),), n=p.n)),
     )
+    assert cli.main(["lemmas", "--n", "2..3", "--trials", "15"]) == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "FAILED" in captured.err
+    with pytest.raises(SystemExit) as exc:  # no option switches a fault on
+        cli.main(["lemmas", "--inject-fault", "flip-displacement"])
+    assert exc.value.code == 2
 
 
 def test_lemmas_seed_sources(capsys, monkeypatch):
@@ -548,6 +545,22 @@ def test_any_argv_exits_with_a_known_code(argv_files, data):
         assert exc.code in (0, 2)
         return
     assert code in (0, 1, 2, 3)
+
+
+def test_importing_the_cli_loads_no_statistics_modules():
+    # Only `bench` takes a median, and numpy's serves; statistics would pull in
+    # fractions and decimal at every start.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, symprod.cli; "
+         "print(sorted({'statistics', 'fractions', 'decimal'} & sys.modules.keys()))"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_lift_overflow_prints_no_numpy_warning(tmp_path):

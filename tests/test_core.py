@@ -1,16 +1,23 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import symprod
 from oracles import all_perms, compose_by_application, invert_by_search
 from symprod.core import (
     BRUTE_FORCE_CAP,
     apply_perm,
     as_complex_vector,
+    as_perm,
     as_real_vector,
     compose,
     enumerate_perms,
@@ -20,10 +27,10 @@ from symprod.core import (
     perm_matrix,
     random_perm,
 )
-from symprod.diagonal import boundary_class, equality_partition
+from symprod.diagonal import BlockPartition, Stabilizer, boundary_class, equality_partition
 from symprod.errors import CapExceededError, InputError
 from symprod.metric import dist
-from symprod.monodromy import ComplexLoop
+from symprod.monodromy import ComplexLoop, min_intra_gap
 from symprod.selection import SampledField
 
 perms_upto_6 = st.integers(2, 6).flatmap(
@@ -139,6 +146,81 @@ def test_is_perm_rejects_bad_words():
     assert is_perm((2, 0, 1))
 
 
+# Words that are no permutation of range(len); each entry point refuses them.
+NOT_PERMUTATIONS = {
+    "repeat": (0, 0),
+    "repeat-cycle": (1, 1),
+    "repeat-long": (1, 2, 1),
+    "out-of-range": (0, 5),
+    "too-large": (5,),
+    "negative": (-1, 0),
+    "fraction": (0.7, 1),
+    "nan": (float("nan"), 1.0),
+    "huge": (0, 2**70),
+    "strings": ("0", "1"),
+    "text": "01",
+    "none": None,
+    "empty": (),
+    "2-D": [[0, 1], [1, 0]],
+}
+
+
+@pytest.mark.parametrize("p", NOT_PERMUTATIONS.values(), ids=NOT_PERMUTATIONS.keys())
+def test_non_permutations_are_refused_at_every_entry_point(p):
+    with pytest.raises(InputError, match="not a permutation"):
+        as_perm(p)
+    assert not is_perm(p)
+    for call in (
+        lambda: apply_perm(p, [1.0, 2.0]),
+        lambda: compose(p, (0, 1)),
+        lambda: compose((0, 1), p),
+        lambda: invert(p),
+    ):
+        with pytest.raises(InputError):
+            call()
+    assert p not in Stabilizer(BlockPartition(blocks=((0, 1),), n=2))
+
+
+def test_cycle_functions_refuse_non_permutations_in_bounded_time():
+    # A cycle walk over a repeated index never returns to its start, so run it apart.
+    script = (
+        "import json, sys\n"
+        "from symprod.errors import InputError\n"
+        "from symprod.monodromy import cycle_type, describe_cycles, disjoint_cycles\n"
+        "for p in json.loads(sys.argv[1]):\n"
+        "    for f in (disjoint_cycles, cycle_type, describe_cycles):\n"
+        "        try:\n"
+        "            f(p)\n"
+        "        except InputError:\n"
+        "            continue\n"
+        "        sys.exit(f'{f.__name__}({p!r}) returned')\n"
+    )
+    src = str(Path(symprod.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(list(NOT_PERMUTATIONS.values()))],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "p, word",
+    [
+        ((1, 2, 0), [1, 2, 0]),
+        ([True, False], [1, 0]),
+        ((1.0, 0.0), [1, 0]),
+        (np.array([2, 0, 1], dtype=np.uint8), [2, 0, 1]),
+    ],
+)
+def test_as_perm_counts_bools_and_integral_floats_as_their_ints(p, word):
+    idx = as_perm(p, len(word))
+    assert idx.dtype == np.intp and idx.tolist() == word
+    assert is_perm(p) and invert(invert(p)) == tuple(word)
+    assert p in Stabilizer(BlockPartition(blocks=(tuple(range(len(word))),), n=len(word)))
+    with pytest.raises(InputError, match="not a permutation"):
+        as_perm(p, len(word) + 1)
+
+
 def test_as_real_vector_validation():
     v = as_real_vector([1, 2, 3])
     assert v.dtype == np.float64
@@ -196,6 +278,7 @@ ENTRY_POINTS = [
     ("boundary_class", boundary_class, 1, ()),
     ("equality_partition", equality_partition, 1, ()),
     ("equality_partition-batch", equality_partition, 2, ()),
+    ("min_intra_gap", min_intra_gap, 2, COMPLEX),
 ]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,17 @@ def test_boundary_class_examples():
     assert boundary_class([1.0, 1.0, 3.0]) == "boundary"
     assert boundary_class([3.0, 1.0]) == "exterior"
     assert boundary_class([5.0]) == "interior"
+
+
+def test_order_tests_compare_neighbours_without_overflow():
+    # Differences of these neighbours overflow to inf; comparing them warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_nondescending([-1e308, 1e308])
+        assert not is_nondescending([1e308, -1e308])
+        assert boundary_class([1e308, -1e308]) == "exterior"
+        batch = [[-1e308, 1e308], [1e308, -1e308], [1e308, 1e308]]
+        assert boundary_class(batch).tolist() == ["interior", "exterior", "boundary"]
 
 
 def test_boundary_implies_nonempty_partition():

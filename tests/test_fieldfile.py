@@ -38,15 +38,16 @@ def test_read_real_field(tmp_path):
     assert not doc.complex_mode
     assert np.array_equal(doc.points, [[0.0], [1.0]])
     assert np.array_equal(doc.tuples, [[3.0, 1.0], [1.5, 2.5]])
-    assert doc.edges().tolist() == [[0, 1]]
-    assert doc.edges().dtype == np.intp and not doc.edges().flags.writeable
+    assert doc.adjacency.tolist() == [[0, 1]]
+    assert doc.adjacency.dtype == np.intp and not doc.adjacency.flags.writeable
 
 
 def test_meta_is_optional(tmp_path):
     path = tmp_path / "f.jsonl"
     write_lines(path, [{"point": [0.0], "tuple": [1.0, 2.0]}, {"point": [1.0], "tuple": [0.0, 0.0]}])
     doc = read_field_file(path)
-    assert doc.adjacency_spec == "path"
+    assert doc.adjacency.tolist() == [[0, 1]]
+    assert doc.adjacency.dtype == np.intp and not doc.adjacency.flags.writeable
 
 
 def test_explicit_edge_list(tmp_path):
@@ -60,7 +61,7 @@ def test_explicit_edge_list(tmp_path):
             {"point": [2.0], "tuple": [3.0]},
         ],
     )
-    edges = read_field_file(path).edges()
+    edges = read_field_file(path).adjacency
     assert edges.tolist() == [[0, 2], [1, 2]]
     assert edges.dtype == np.intp and not edges.flags.writeable
 
@@ -241,7 +242,7 @@ def test_lift_write_read_round_trip(tmp_path):
     doc = read_field_file(src)
     lifted = lift_field(doc.to_sampled_field())
     out = tmp_path / "lifted.jsonl"
-    write_lifted_file(out, lifted, adjacency_spec=doc.adjacency_spec)
+    write_lifted_file(out, lifted)
 
     again = read_field_file(out)
     assert np.array_equal(again.tuples, lifted.values)
@@ -250,7 +251,7 @@ def test_lift_write_read_round_trip(tmp_path):
     # the lifted file is a fixed point: lifting it again changes no byte
     relifted = lift_field(again.to_sampled_field())
     out2 = tmp_path / "lifted2.jsonl"
-    write_lifted_file(out2, relifted, adjacency_spec=again.adjacency_spec)
+    write_lifted_file(out2, relifted)
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -289,7 +290,8 @@ def test_read_csv_field(tmp_path):
     assert doc.points.shape == (2, 2)
     assert doc.tuples.shape == (2, 3)
     assert not doc.complex_mode
-    assert doc.adjacency_spec == "path"
+    assert doc.adjacency.tolist() == [[0, 1]]
+    assert doc.adjacency.dtype == np.intp and not doc.adjacency.flags.writeable
     assert np.array_equal(doc.tuples[0], [3.0, 1.0, 2.0])
 
 
@@ -448,14 +450,12 @@ def read_outcome(path):
         doc = read_field_file(path)
     except InputError as exc:
         return ("error", str(exc))
-    spec = doc.adjacency_spec
-    if not isinstance(spec, str):
-        spec = (spec.dtype, spec.shape, spec.flags.writeable, spec.tolist())
+    edges = doc.adjacency
     return (
         "doc",
         doc.points.dtype, doc.points.shape, doc.points.tobytes(),
         doc.tuples.dtype, doc.tuples.shape, doc.tuples.tobytes(),
-        spec, doc.complex_mode,
+        edges.dtype, edges.shape, edges.flags.writeable, edges.tolist(), doc.complex_mode,
     )
 
 
@@ -577,9 +577,40 @@ def test_lift_writes_explicit_edges_back_as_json_integers(tmp_path):
     assert written.startswith(head)  # the edges as JSON integers, not floats or strings
     assert cli.main(["lift", "--input", str(out), "--output", str(again)]) == 0
     assert again.read_bytes() == written  # a lifted file lifts to the same bytes
-    lifted = read_field_file(out).to_sampled_field()
-    write_lifted_file(again, lift_field(lifted), adjacency_spec=[(0, 2), (2, 1), (1, 1)])
-    assert again.read_bytes() == written  # a list of pairs is written as the array is
+
+
+@pytest.mark.parametrize(
+    "edges, written",
+    [
+        ([[0, 1], [1, 2]], "path"),  # exactly the path, in order
+        ([[1, 2], [0, 1]], [[1, 2], [0, 1]]),
+        ([[0, 1]], [[0, 1]]),  # a part of the path is not the path
+        ([[0, 1], [1, 2], [0, 1]], [[0, 1], [1, 2], [0, 1]]),
+        ([], []),
+    ],
+)
+def test_writer_takes_the_edges_from_the_field(tmp_path, edges, written):
+    field = SampledField([0.0, 1.0, 2.0], [[1.0, 0.0], [2.0, 3.0], [5.0, 4.0]], edges)
+    out = tmp_path / "lifted.jsonl"
+    write_lifted_file(out, lift_field(field))
+    meta = json.loads(out.read_text(encoding="utf-8").split("\n")[0])["meta"]
+    assert meta["adjacency"] == written
+    assert read_field_file(out).adjacency.tolist() == edges
+
+
+def test_fields_and_loops_compare_and_hash_by_identity(tmp_path):
+    rows = [[1.0, 0.0], [2.0, 3.0]]
+    path = tmp_path / "f.jsonl"
+    write_lines(path, [{"point": [float(i)], "tuple": r} for i, r in enumerate(rows)])
+    for make in (
+        lambda: SampledField.path([0.0, 1.0], rows),
+        lambda: lift_field(SampledField.path([0.0, 1.0], rows)),
+        lambda: read_field_file(path),
+        lambda: roots_loop_generator(3, 48),
+    ):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 @pytest.mark.parametrize("explicit", [True, False])
@@ -607,11 +638,10 @@ def test_lift_checks_the_edges_once(tmp_path, monkeypatch, capsys, explicit):
     assert cli.main(["lift", "--input", str(source), "--output", str(out)]) == 0
     doc, field, lifted = seen["doc"], seen["field"], seen["lifted"]
     assert lifted.adjacency is field.adjacency
+    assert field.adjacency is doc.adjacency
     if explicit:
-        assert field.adjacency is doc.adjacency_spec
         assert field.adjacency.tolist() == edges
     else:
-        assert doc.adjacency_spec == "path"
         assert field.adjacency.tolist() == [[i, i + 1] for i in range(39)]
     expected = [json.dumps(meta)] + [
         json.dumps({"point": [float(i)], "tuple": sorted(r)}) for i, r in enumerate(rows)

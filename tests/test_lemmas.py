@@ -11,7 +11,6 @@ from symprod.diagonal import BlockPartition, Stabilizer
 from symprod.errors import InputError
 from symprod.lemmas import (
     DISPLACEMENT_EPSILONS,
-    KNOWN_FAULTS,
     all_passed,
     check_boundary_has_ties,
     check_diagonal_distance_closed_form,
@@ -58,20 +57,27 @@ def test_displacement_bound_counts_all_epsilons():
     assert check.violations == 0
 
 
-def test_injected_fault_is_caught():
-    results = run_lemma_suite(n_values=(2, 3), trials=40, seed=0, fault="flip-displacement")
+def list_a_foreign_permutation(monkeypatch):
+    """List the n-cycle in place of each stabilizer's last element.
+
+    The n-cycle lies in no stabilizer but S_n's.  The number of elements
+    stays, so of the suite's checks only displacement-bound can see it.
+    """
+    listed = Stabilizer.elements.fget
+    monkeypatch.setattr(Stabilizer, "elements", property(
+        lambda stab: listed(stab)[:-1] + ((*range(1, stab.partition.n), 0),)
+    ))
+
+
+def test_injected_fault_is_caught(monkeypatch):
+    list_a_foreign_permutation(monkeypatch)
+    results = run_lemma_suite(n_values=(2, 3), trials=40, seed=0)
     assert not all_passed(results)
     broken = [r for r in results if not r.passed]
     assert broken
     assert all(r.name == "displacement-bound" for r in broken)
     untouched = [r for r in results if r.name != "displacement-bound"]
     assert all(r.passed for r in untouched)
-
-
-def test_unknown_fault_rejected():
-    with pytest.raises(InputError):
-        run_lemma_suite(n_values=(2,), trials=5, seed=0, fault="no-such-fault")
-    assert KNOWN_FAULTS == ("flip-displacement",)
 
 
 def test_n_values_validated_and_deduplicated():
@@ -173,15 +179,26 @@ def test_closed_form_check_catches_a_shifted_distance(monkeypatch):
 
 
 def test_batched_checks_do_not_depend_on_the_chunk_size(monkeypatch):
-    def table(**kwargs):
-        results = run_lemma_suite(n_values=(2, 3, 4), trials=25, seed=5, grid_trials=6, **kwargs)
+    def table():
+        results = run_lemma_suite(n_values=(2, 3, 4), trials=25, seed=5, grid_trials=6)
         return [(r.name, r.n, r.trials, r.violations) for r in results]
 
-    default, flipped = table(), table(fault="flip-displacement")
+    def faulty_counts():
+        # A generator per check: the suite's later draws depend on the chunk
+        # size, and a fault's count, unlike a pass, depends on the draws.
+        with pytest.MonkeyPatch.context() as mp:
+            list_a_foreign_permutation(mp)
+            return [
+                check_displacement_bound(n, 25, np.random.default_rng(5)).violations
+                for n in (2, 3, 4)
+            ]
+
+    default, faulty = table(), faulty_counts()
+    assert any(faulty)
     for elements in (1, 7, 100):
         monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", elements)
         assert table() == default
-        assert table(fault="flip-displacement") == flipped
+        assert faulty_counts() == faulty
 
 
 def test_exterior_openness_memory_does_not_grow_with_trials(monkeypatch):

@@ -46,5 +46,5 @@ def test_star_import_binds_exactly_the_public_names():
 def test_names_left_out_of_the_export_lists_stay_importable_by_module_path():
     from symprod.diagonal import BoundaryClass  # noqa: F401
     from symprod.fieldfile import utf8_text  # noqa: F401
-    from symprod.lemmas import DISPLACEMENT_EPSILONS, KNOWN_FAULTS, grid_min_block_cost  # noqa: F401
+    from symprod.lemmas import DISPLACEMENT_EPSILONS, grid_min_block_cost  # noqa: F401
     from symprod.selection import EQUAL_CLASS_TOL  # noqa: F401
