@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import fieldfile
-from .core import BRUTE_FORCE_CAP
+from .core import BRUTE_FORCE_CAP, as_count
 from .errors import InputError, InvariantViolation, UndersampledLoopError
 from .lemmas import run_lemma_suite
 from .metric import dist, engine_names
@@ -178,8 +178,7 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_bench(args) -> int:
     n_values = _parse_n_values(args.n)
-    if args.reps < 1:
-        raise InputError(f"need --reps >= 1, got {args.reps}")
+    reps = as_count(args.reps, "--reps", 1)
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     mismatch = False
@@ -191,7 +190,7 @@ def _cmd_bench(args) -> int:
         values = {}
         for engine in engines:
             times = []
-            for _ in range(args.reps):
+            for _ in range(reps):
                 start = time.perf_counter()
                 result = dist(y, z, engine=engine)
                 times.append(time.perf_counter() - start)

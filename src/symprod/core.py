@@ -65,14 +65,19 @@ def as_array(values, *, dtype=float, ranks=(1,), name: str = "tuple") -> np.ndar
     return arr
 
 
-def as_real_vector(values, *, name: str = "tuple") -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting NaN/inf entries."""
-    return as_array(values, name=name)
+def as_count(value, name: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``, else InputError.
 
-
-def as_complex_vector(values, *, name: str = "tuple") -> np.ndarray:
-    """Coerce to a 1-D complex128 array, rejecting non-finite entries."""
-    return as_array(values, dtype=complex, name=name)
+    The one validator for counts and sizes.  Bools and integral floats count
+    as their ints, as in ``as_perm``; a fraction or a non-number is refused.
+    """
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InputError(f"need {name} >= {minimum}, got {value}")
+    return int(value)
 
 
 def as_perm(p, n: int | None = None) -> np.ndarray:
@@ -156,8 +161,7 @@ def enumerate_perms(n: int) -> tuple[Perm, ...]:
 
     Raises CapExceededError above the brute-force cap.
     """
-    if n < 1:
-        raise InputError(f"need n >= 1, got {n}")
+    n = as_count(n, "n", 1)
     if n > BRUTE_FORCE_CAP:
         raise CapExceededError(
             f"brute force too large: n = {n} exceeds cap {BRUTE_FORCE_CAP} ({n}! permutations)"
@@ -177,21 +181,15 @@ def perm_matrix(n: int) -> np.ndarray:
     return table
 
 
-def random_perm(n: int, rng: np.random.Generator) -> Perm:
-    return tuple(int(i) for i in rng.permutation(n))
-
-
 __all__ = [
     "BRUTE_FORCE_CAP",
     "STABILIZER_ORDER_CAP",
     "Perm",
     "apply_perm",
-    "as_complex_vector",
-    "as_real_vector",
+    "as_array",
     "compose",
     "enumerate_perms",
     "identity_perm",
     "invert",
     "is_perm",
-    "random_perm",
 ]

@@ -7,7 +7,6 @@ describes the set of vectors whose components agree within every block
 - the partition of near-equal components of a concrete vector,
 - the subgroup of permutations fixing every vector with that pattern,
 - the 1-norm distance from a vector to the diagonal set (closed form),
-- how far a permutation moves a vector,
 - order classification of a vector relative to the sorted cone.
 
 Pure functions on immutable values throughout.
@@ -18,15 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
 from .core import (
     STABILIZER_ORDER_CAP,
     Perm,
-    apply_perm,
     as_array,
+    as_count,
     as_perm,
     nondescending,
 )
@@ -45,17 +44,16 @@ class BlockPartition:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputError(f"need n >= 1, got n = {self.n}")
+        object.__setattr__(self, "n", as_count(self.n, "n", 1))
         seen: set[int] = set()
         normalized = []
         for block in self.blocks:
-            ids = tuple(sorted(int(i) for i in block))
+            ids = tuple(sorted(as_count(i, "block index", 0) for i in block))
             if len(ids) < 2:
                 raise InputError(f"block {ids} has size < 2")
             if len(set(ids)) != len(ids):
                 raise InputError(f"block {ids} repeats an index")
-            if ids[0] < 0 or ids[-1] >= self.n:
+            if ids[-1] >= self.n:
                 raise InputError(f"block {ids} out of range for n = {self.n}")
             if seen & set(ids):
                 raise InputError("blocks are not pairwise disjoint")
@@ -193,17 +191,6 @@ def dist_to_diagonal(x, partition: BlockPartition) -> float | np.ndarray:
     return float(d) if x.ndim == 1 else d
 
 
-def perm_displacement(x, perm: Sequence[int]) -> float:
-    """How far ``perm`` moves ``x``: the 1-norm of ``apply_perm(perm, x) - x``."""
-    x = as_array(x)
-    return float(np.abs(apply_perm(perm, x) - x).sum())
-
-
-def is_nondescending(x) -> bool:
-    """True iff x[0] <= x[1] <= ... <= x[n-1] (exact comparison)."""
-    return bool(nondescending(as_array(x)))
-
-
 BoundaryClass = Literal["interior", "boundary", "exterior"]
 
 
@@ -231,8 +218,6 @@ __all__ = [
     "boundary_class",
     "dist_to_diagonal",
     "equality_partition",
-    "is_nondescending",
     "nearest_diagonal_point",
-    "perm_displacement",
     "stabilizer_of",
 ]

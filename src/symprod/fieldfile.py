@@ -332,37 +332,36 @@ def _replacing(path):
         raise
 
 
+def _write_rows(path, meta: dict, points: np.ndarray, rows: np.ndarray):
+    """Write a meta header line, then one ``{"point": ..., "tuple": ...}`` line per row.
+
+    A row is written from the repr of its float lists: for finite floats that
+    is ``json.dumps``'s text (the same ``float.__repr__``, the same ``", "``).
+    """
+    with _replacing(path) as handle:
+        handle.write(json.dumps({"meta": meta}) + "\n")
+        for point, row in zip(points.tolist(), rows.tolist()):
+            handle.write(f'{{"point": {point}, "tuple": {row}}}\n')
+
+
 def write_lifted_file(path, lifted: LiftedField):
     """Write a lifted field as JSON-lines with a meta header line.
 
     The meta adjacency is the field's own edges: "path" when they are exactly
-    the path's, in order, else the edge list.  A row is written from the repr
-    of its float lists: for finite floats that is ``json.dumps``'s text (the
-    same ``float.__repr__``, the same ``", "``).
+    the path's, in order, else the edge list.
     """
     count, m = lifted.points.shape
-    n = lifted.values.shape[1]
     edges = lifted.adjacency
     adjacency = "path" if np.array_equal(edges, path_adjacency(count)) else edges.tolist()
-    with _replacing(path) as handle:
-        meta = {"meta": {"m": m, "n": n, "adjacency": adjacency}}
-        handle.write(json.dumps(meta) + "\n")
-        for point, row in zip(lifted.points.tolist(), lifted.values.tolist()):
-            handle.write(f'{{"point": {point}, "tuple": {row}}}\n')
+    meta = {"m": m, "n": lifted.values.shape[1], "adjacency": adjacency}
+    _write_rows(path, meta, lifted.points, lifted.values)
 
 
 def write_loop_file(path, loop: ComplexLoop):
     """Write a loop as a complex-mode field file; the point is the step fraction."""
-    m = loop.step_count
-    with _replacing(path) as handle:
-        meta = {"meta": {"m": 1, "n": loop.tuple_n, "adjacency": "path"}}
-        handle.write(json.dumps(meta) + "\n")
-        for j in range(m):
-            record = {
-                "point": [j / m],
-                "tuple": [[float(z.real), float(z.imag)] for z in loop.samples[j]],
-            }
-            handle.write(json.dumps(record) + "\n")
+    m, z = loop.step_count, loop.samples
+    meta = {"m": 1, "n": loop.tuple_n, "adjacency": "path"}
+    _write_rows(path, meta, (np.arange(m) / m)[:, np.newaxis], np.stack((z.real, z.imag), -1))
 
 
 __all__ = [

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CHUNK_ELEMENTS, nondescending, perm_matrix
+from .core import CHUNK_ELEMENTS, as_count, nondescending, perm_matrix
 from .diagonal import (
     BlockPartition,
     _partition_of_labels,
@@ -89,11 +89,6 @@ def _random_partition_labels(n: int, count: int, rng: np.random.Generator) -> np
         go_on = rng.random(rows.size) >= 0.5
         rows = rows[go_on & (n - pos[rows] >= 2)]
     return labels
-
-
-def _random_partition(n: int, rng: np.random.Generator) -> BlockPartition:
-    """A random nonempty block partition: disjoint blocks of size >= 2."""
-    return _partition_of_labels(_random_partition_labels(n, 1, rng)[0])
 
 
 def _partition_groups(
@@ -322,30 +317,27 @@ def run_lemma_suite(
 ) -> list[LemmaCheck]:
     """Run every check at every requested tuple size, deterministically.
 
-    ``grid_trials`` caps the (slower) grid-oracle check; default is
-    min(trials, 50) per n.
+    Each check draws from its own generator, spawned from ``seed``, so no
+    check's samples depend on how much another one drew.  ``grid_trials``
+    caps the (slower) grid-oracle check; default is min(trials, 50) per n.
     """
-    n_values = sorted(set(int(n) for n in n_values))
+    n_values = sorted(set(as_count(n, "n", 2) for n in n_values))
     if not n_values:
         raise InputError("need at least one tuple size")
-    if any(n < 2 for n in n_values):
-        raise InputError("lemma checks need n >= 2")
-    if trials < 1:
-        raise InputError(f"need trials >= 1, got {trials}")
-    if grid_trials is None:
-        grid_trials = min(trials, 50)
-    if grid_trials < 1:
-        raise InputError(f"need grid_trials >= 1, got {grid_trials}")
-    rng = np.random.default_rng(seed)
+    trials = as_count(trials, "trials", 1)
+    grid_trials = as_count(min(trials, 50) if grid_trials is None else grid_trials,
+                           "grid_trials", 1)
+    rng = np.random.default_rng(None if seed is None else as_count(seed, "seed", 0))
     results: list[LemmaCheck] = []
     for n in n_values:
-        results.append(check_displacement_bound(n, trials, rng))
-        results.append(check_exterior_openness(n, trials, rng))
-        results.append(check_interior_order_uniqueness(n, trials, rng))
-        results.append(check_boundary_has_ties(n, trials, rng))
-        results.append(check_stabilizer_minimality(n, trials, rng))
-        results.append(check_stabilizer_order(n, trials, rng))
-        results.append(check_diagonal_distance_closed_form(n, grid_trials, rng))
+        g = rng.spawn(7)
+        results.append(check_displacement_bound(n, trials, g[0]))
+        results.append(check_exterior_openness(n, trials, g[1]))
+        results.append(check_interior_order_uniqueness(n, trials, g[2]))
+        results.append(check_boundary_has_ties(n, trials, g[3]))
+        results.append(check_stabilizer_minimality(n, trials, g[4]))
+        results.append(check_stabilizer_order(n, trials, g[5]))
+        results.append(check_diagonal_distance_closed_form(n, grid_trials, g[6]))
     return results
 
 

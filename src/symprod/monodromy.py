@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BRUTE_FORCE_CAP, CHUNK_ELEMENTS, Perm, as_array, as_perm, compose, identity_perm
+from .core import (BRUTE_FORCE_CAP, CHUNK_ELEMENTS, Perm, as_array, as_count, as_perm, compose,
+                   identity_perm)
 from .errors import InputError, UndersampledLoopError
 from .metric import Distance, dist_assignment, dist_bruteforce
 
@@ -105,20 +106,6 @@ def _match(prev: np.ndarray, next_: np.ndarray) -> Distance:
     if prev.size <= BRUTE_FORCE_CAP:
         return dist_bruteforce(prev, next_)  # lexicographically smallest minimizer
     return dist_assignment(prev, next_)
-
-
-def match_step(prev, next_) -> Perm:
-    """Minimal-cost matching of one tuple's components onto the next.
-
-    The component at index j of ``prev`` continues at index ``perm[j]`` of
-    ``next_``.  Ties break to the lexicographically smallest permutation for
-    n <= 8 and are solver-deterministic above.
-    """
-    prev = as_array(prev, dtype=complex, name="prev")
-    next_ = as_array(next_, dtype=complex, name="next")
-    if prev.size != next_.size:
-        raise InputError(f"dimension mismatch: {prev.size} vs {next_.size}")
-    return _match(prev, next_).attaining_perm
 
 
 def track_loop(loop: ComplexLoop) -> Holonomy:
@@ -207,10 +194,8 @@ def roots_loop_generator(k: int, steps: int, radius: float = 1.0) -> ComplexLoop
     One full turn of the base point advances each root a k-th of a turn,
     so the tracked holonomy is a k-cycle.
     """
-    if k < 2:
-        raise InputError(f"need k >= 2, got {k}")
-    if steps < 2:
-        raise InputError(f"need steps >= 2, got {steps}")
+    k = as_count(k, "k", 2)
+    steps = as_count(steps, "steps", 2)
     if radius <= 0:
         raise InputError(f"need radius > 0, got {radius}")
     if steps < 8 * k:
@@ -266,7 +251,6 @@ __all__ = [
     "cycle_type",
     "describe_cycles",
     "disjoint_cycles",
-    "match_step",
     "min_intra_gap",
     "roots_loop_generator",
     "track_loop",

@@ -39,6 +39,21 @@ def min_matching_cost(y, z) -> float:
     return min_matching(y, z)[0]
 
 
+def reference_match(prev, next_) -> tuple[int, ...]:
+    """A loop step as a minimal-cost assignment: the component at j goes to ``perm[j]``.
+
+    Brute force over all permutations for n <= 8 (the first lexicographic
+    minimizer), scipy's assignment solver above: a search over pairings,
+    independent of the tracker's nearest-neighbour pass.
+    """
+    if len(prev) <= 8:
+        return min_matching(prev, next_)[1]
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(np.asarray(prev)[:, np.newaxis] - np.asarray(next_)[np.newaxis, :])
+    return tuple(linear_sum_assignment(cost)[1].tolist())
+
+
 def grid_min_block_cost(values, lo=-12.0, hi=12.0, step=1e-3) -> float:
     """min over c in the grid of sum_j |values[j] - c|, by exhaustive search."""
     values = np.asarray(values, dtype=float)

@@ -16,21 +16,20 @@ from oracles import all_perms, compose_by_application, invert_by_search
 from symprod.core import (
     BRUTE_FORCE_CAP,
     apply_perm,
-    as_complex_vector,
+    as_array,
     as_perm,
-    as_real_vector,
     compose,
     enumerate_perms,
     identity_perm,
     invert,
     is_perm,
     perm_matrix,
-    random_perm,
 )
 from symprod.diagonal import BlockPartition, Stabilizer, boundary_class, equality_partition
 from symprod.errors import CapExceededError, InputError
+from symprod.lemmas import run_lemma_suite
 from symprod.metric import dist
-from symprod.monodromy import ComplexLoop, min_intra_gap
+from symprod.monodromy import ComplexLoop, min_intra_gap, roots_loop_generator
 from symprod.selection import SampledField
 
 perms_upto_6 = st.integers(2, 6).flatmap(
@@ -97,6 +96,47 @@ def test_enumerate_perms_cap():
         enumerate_perms(BRUTE_FORCE_CAP + 1)
 
 
+# Every count and size goes through as_count: a fraction, a non-number or a value
+# below the minimum is InputError, never truncated, rounded or left to numpy.
+BAD_COUNTS = {
+    "enumerate_perms-fraction": lambda: enumerate_perms(2.5),
+    "enumerate_perms-string": lambda: enumerate_perms("3"),
+    "enumerate_perms-zero": lambda: enumerate_perms(0),
+    "partition-n-fraction": lambda: BlockPartition(((0, 1),), 2.5),
+    "partition-index-fraction": lambda: BlockPartition(((0, 1.5),), 3),
+    "partition-index-negative": lambda: BlockPartition(((-1, 1),), 3),
+    "partition-index-nan": lambda: BlockPartition(((0, math.nan),), 3),
+    "roots-k-fraction": lambda: roots_loop_generator(3.5, 100),
+    "roots-k-one": lambda: roots_loop_generator(1, 100),
+    "roots-steps-fraction": lambda: roots_loop_generator(3, 100.5),
+    "roots-steps-none": lambda: roots_loop_generator(3, None),
+    "lemmas-n-fraction": lambda: run_lemma_suite(n_values=(2.5,)),
+    "lemmas-n-one": lambda: run_lemma_suite(n_values=(1,)),
+    "lemmas-trials-fraction": lambda: run_lemma_suite(n_values=(2,), trials=2.5),
+    "lemmas-trials-inf": lambda: run_lemma_suite(n_values=(2,), trials=math.inf),
+    "lemmas-grid-trials-zero": lambda: run_lemma_suite(n_values=(2,), trials=1, grid_trials=0),
+    "lemmas-seed-negative": lambda: run_lemma_suite(n_values=(2,), trials=1, seed=-1),
+    "lemmas-seed-fraction": lambda: run_lemma_suite(n_values=(2,), trials=1, seed=1.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_bad_counts_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_integral_float_counts_act_as_their_ints():
+    assert enumerate_perms(3.0) == enumerate_perms(3)
+    assert BlockPartition(((0.0, 2.0),), 3.0) == BlockPartition(((0, 2),), 3)
+    assert np.array_equal(roots_loop_generator(3.0, 96.0).samples,
+                          roots_loop_generator(3, 96).samples)
+    table = [(r.name, r.n, r.trials, r.violations)
+             for r in run_lemma_suite(n_values=(2.0,), trials=4.0, seed=2.0, grid_trials=np.int8(3))]
+    assert table == [(r.name, r.n, r.trials, r.violations)
+                     for r in run_lemma_suite(n_values=(2,), trials=4, seed=2, grid_trials=3)]
+
+
 def test_perm_matrix_matches_enumeration():
     mat = perm_matrix(4)
     assert mat.shape == (24, 4)
@@ -117,7 +157,7 @@ def test_invert_round_trip_against_index_search():
     x = {n: rng.normal(size=n) for n in range(2, 7)}
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        p = random_perm(n, rng)
+        p = tuple(rng.permutation(n).tolist())
         assert invert(p) == invert_by_search(p)
         assert np.array_equal(apply_perm(invert(p), apply_perm(p, x[n])), x[n])
 
@@ -222,27 +262,27 @@ def test_as_perm_counts_bools_and_integral_floats_as_their_ints(p, word):
 
 
 def test_as_real_vector_validation():
-    v = as_real_vector([1, 2, 3])
+    v = as_array([1, 2, 3])
     assert v.dtype == np.float64
     with pytest.raises(InputError):
-        as_real_vector([])
+        as_array([])
     with pytest.raises(InputError):
-        as_real_vector([1.0, float("nan")])
+        as_array([1.0, float("nan")])
     with pytest.raises(InputError):
-        as_real_vector([1.0, float("inf")])
+        as_array([1.0, float("inf")])
     with pytest.raises(InputError):
-        as_real_vector([[1.0, 2.0]])
+        as_array([[1.0, 2.0]])
     with pytest.raises(InputError):
-        as_real_vector([1 + 2j, 0j])
+        as_array([1 + 2j, 0j])
 
 
 def test_as_complex_vector_validation():
-    v = as_complex_vector([1 + 2j, 3])
+    v = as_array([1 + 2j, 3], dtype=complex)
     assert v.dtype == np.complex128
     with pytest.raises(InputError):
-        as_complex_vector([complex("nan"), 0j])
+        as_array([complex("nan"), 0j], dtype=complex)
     with pytest.raises(InputError):
-        as_complex_vector([])
+        as_array([], dtype=complex)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -267,8 +307,8 @@ COMPLEX = ("complex-list", "complex-array", "complex-scalar-object")
 
 # (id, call, rank of the input it takes, the MALFORMED kinds that are valid input there)
 ENTRY_POINTS = [
-    ("as_real_vector", as_real_vector, 1, ()),
-    ("as_complex_vector", as_complex_vector, 1, COMPLEX),
+    ("as_real_vector", as_array, 1, ()),  # as_array's rank-1 real and complex vectors
+    ("as_complex_vector", lambda v: as_array(v, dtype=complex), 1, COMPLEX),
     ("field-points", lambda v: SampledField(v, [[1.0], [2.0]], [(0, 1)]), 1, ()),
     ("field-values", lambda v: SampledField([0.0, 1.0], v, [(0, 1)]), 2, ()),
     ("loop-samples", ComplexLoop, 2, COMPLEX),

@@ -16,7 +16,7 @@ from symprod.fieldfile import (
     write_lifted_file,
     write_loop_file,
 )
-from symprod.monodromy import roots_loop_generator
+from symprod.monodromy import ComplexLoop, roots_loop_generator
 from symprod.selection import SampledField, lift_field
 
 
@@ -279,6 +279,33 @@ def test_loop_file_round_trip(tmp_path):
     assert np.allclose(back.samples, loop.samples, atol=0)  # exact float copies
 
 
+def loop_file_by_json(loop) -> str:
+    """A loop file built one ``json.dumps`` per line from Python floats."""
+    m = loop.step_count
+    lines = [json.dumps({"meta": {"m": 1, "n": loop.tuple_n, "adjacency": "path"}})]
+    lines += [
+        json.dumps({"point": [j / m], "tuple": [[z.real, z.imag] for z in loop.samples[j].tolist()]})
+        for j in range(m)
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_loop_file_bytes_match_json_dumps(tmp_path):
+    rng = np.random.default_rng(29)
+    loops = [roots_loop_generator(k, 8 * k + 3) for k in (2, 3, 7, 64)]
+    for _ in range(20):
+        m, n = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+        magnitude = 10.0 ** rng.uniform(-300, 300, size=(m, n))
+        loops.append(ComplexLoop(magnitude * (rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))))
+    # signed zeros, subnormals and the float64 extremes
+    loops.append(ComplexLoop([[complex(-0.0, 5e-324), complex(1.79e308, -0.0)],
+                              [complex(2.2e-308, -0.0), complex(-1.79e308, 1.0)]]))
+    path = tmp_path / "loop.jsonl"
+    for loop in loops:
+        write_loop_file(path, loop)
+        assert path.read_text(encoding="utf-8") == loop_file_by_json(loop)
+
+
 def test_read_csv_field(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text(
@@ -356,19 +383,6 @@ def test_lifted_write_replaces_the_whole_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["lifted.jsonl"]  # no temporary left
 
 
-def fail_on_dump(monkeypatch, call, error):
-    """Make the ``call``-th ``json.dumps`` in fieldfile raise ``error``."""
-    calls = itertools.count()
-    real_dumps = json.dumps
-
-    def dumps(obj):
-        if next(calls) == call:
-            raise error
-        return real_dumps(obj)
-
-    monkeypatch.setattr(fieldfile.json, "dumps", dumps)
-
-
 def fail_on_write(monkeypatch, call, error):
     """Make the ``call``-th ``write`` on fieldfile's output handle raise ``error``."""
     calls = itertools.count()
@@ -407,7 +421,7 @@ def test_failed_lifted_write_leaves_the_target_alone(tmp_path, monkeypatch, exis
 def test_failed_loop_write_leaves_the_target_alone(tmp_path, monkeypatch):
     path = tmp_path / "loop.jsonl"
     path.write_bytes(b"previous loop\n")
-    fail_on_dump(monkeypatch, 5, RuntimeError("interrupted"))
+    fail_on_write(monkeypatch, 5, RuntimeError("interrupted"))  # after the header and 4 rows
     with pytest.raises(RuntimeError, match="interrupted"):
         write_loop_file(path, roots_loop_generator(3, 48))
     assert path.read_bytes() == b"previous loop\n"

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import random_partition_law
 from symprod import lemmas
-from symprod.diagonal import BlockPartition, Stabilizer
+from symprod.diagonal import BlockPartition, Stabilizer, _partition_of_labels
 from symprod.errors import InputError
 from symprod.lemmas import (
     DISPLACEMENT_EPSILONS,
@@ -184,8 +184,8 @@ def test_batched_checks_do_not_depend_on_the_chunk_size(monkeypatch):
         return [(r.name, r.n, r.trials, r.violations) for r in results]
 
     def faulty_counts():
-        # A generator per check: the suite's later draws depend on the chunk
-        # size, and a fault's count, unlike a pass, depends on the draws.
+        # One check alone: a fault's count, unlike a pass, depends on the
+        # draws, so it shows a check whose own draws follow the chunk size.
         with pytest.MonkeyPatch.context() as mp:
             list_a_foreign_permutation(mp)
             return [
@@ -199,6 +199,25 @@ def test_batched_checks_do_not_depend_on_the_chunk_size(monkeypatch):
         monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", elements)
         assert table() == default
         assert faulty_counts() == faulty
+
+
+def test_suite_draws_do_not_depend_on_the_chunk_size(monkeypatch):
+    # Each check draws from a generator of its own, so the blocks that
+    # exterior-openness draws in cannot shift the samples of a later check.
+    # With every stabilizer all of S_n, the violation counts show the samples.
+    real_stabilizer = lemmas.stabilizer_of
+    monkeypatch.setattr(lemmas, "stabilizer_of", lambda p: real_stabilizer(
+        BlockPartition(blocks=(tuple(range(p.n)),), n=p.n)))
+
+    def violations():
+        results = run_lemma_suite(n_values=(2, 3, 4), trials=25, seed=5)
+        return [(r.name, r.n, r.violations) for r in results]
+
+    default = violations()
+    assert any(v for _, n, v in default if n > 2)
+    for elements in (1, 7):
+        monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", elements)
+        assert violations() == default
 
 
 def test_exterior_openness_memory_does_not_grow_with_trials(monkeypatch):
@@ -290,7 +309,8 @@ def test_batched_grid_oracle_equals_the_old_layout():
     grid = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
     checked = 0
     for n in (2, 3, 4, 5, 6):
-        partitions = [lemmas._random_partition(n, rng) for _ in range(8)]
+        partitions = [_partition_of_labels(lemmas._random_partition_labels(n, 1, rng)[0])
+                      for _ in range(8)]
         x = rng.uniform(-10.0, 10.0, size=(8, n))
         for partition in partitions:
             for block in partition.blocks:

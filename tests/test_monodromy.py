@@ -4,16 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import min_matching
+from oracles import min_matching, reference_match
 from symprod import monodromy
 from symprod.core import apply_perm, compose, identity_perm, is_perm
 from symprod.errors import InputError, UndersampledLoopError
+from symprod.metric import dist_bruteforce
 from symprod.monodromy import (
     ComplexLoop,
     cycle_type,
     describe_cycles,
     disjoint_cycles,
-    match_step,
     min_intra_gap,
     roots_loop_generator,
     track_loop,
@@ -21,14 +21,15 @@ from symprod.monodromy import (
 from symprod.selection import canonicalize
 
 
+# A loop step matched by search: the lexicographically smallest minimal-cost assignment.
 def test_match_step_equal_tuples_is_identity():
     prev = np.array([1.0 + 0j, 3.0 + 1j, -2.0 - 1j])
-    assert match_step(prev, prev.copy()) == (0, 1, 2)
+    assert dist_bruteforce(prev, prev.copy()).attaining_perm == (0, 1, 2)
 
 
 def test_match_step_frozen_swap():
     # costs: keep = |1+1.01| + |-1-1.01| = 4.02, swap = 0.01 + 0.01 = 0.02
-    assert match_step([1.0, -1.0], [-1.01, 1.01]) == (1, 0)
+    assert dist_bruteforce([1.0, -1.0], [-1.01, 1.01]).attaining_perm == (1, 0)
 
 
 def test_match_step_small_perturbations_stay_identity():
@@ -39,7 +40,7 @@ def test_match_step_small_perturbations_stay_identity():
         gap = min_intra_gap(prev.reshape(1, -1))
         delta = rng.normal(size=n) + 1j * rng.normal(size=n)
         delta *= (gap / 4) * rng.uniform(0, 0.99) / np.abs(delta).sum()
-        assert match_step(prev, prev + delta) == tuple(range(n))
+        assert dist_bruteforce(prev, prev + delta).attaining_perm == tuple(range(n))
 
 
 def test_match_step_agrees_with_independent_matching():
@@ -49,12 +50,12 @@ def test_match_step_agrees_with_independent_matching():
         prev = rng.normal(size=n) + 1j * rng.normal(size=n)
         next_ = rng.normal(size=n) + 1j * rng.normal(size=n)
         _, oracle_perm = min_matching(prev, next_)
-        assert match_step(prev, next_) == oracle_perm
+        assert dist_bruteforce(prev, next_).attaining_perm == oracle_perm
 
 
 def test_match_step_dimension_mismatch():
     with pytest.raises(InputError):
-        match_step([1.0 + 0j], [1.0 + 0j, 2.0 + 0j])
+        dist_bruteforce([1.0 + 0j], [1.0 + 0j, 2.0 + 0j])
 
 
 def test_min_intra_gap():
@@ -123,7 +124,7 @@ def test_nontrivial_holonomy_permutes_any_consistent_labeling():
     labels = list(identity_perm(loop.tuple_n))
     perm = identity_perm(loop.tuple_n)
     for j in range(loop.step_count):
-        step = match_step(loop.samples[j], loop.samples[(j + 1) % loop.step_count])
+        step = reference_match(loop.samples[j], loop.samples[(j + 1) % loop.step_count])
         perm = compose(step, perm)
     assert perm == h.permutation
     assert [labels[i] for i in perm] != labels  # labeling comes back permuted
@@ -198,7 +199,7 @@ def test_real_loop_identity_holonomy_and_sorted_cross_check():
     for j in range(64):
         a = canonicalize(samples[j].real)
         b = canonicalize(samples[(j + 1) % 64].real)
-        assert match_step(a.astype(complex), b.astype(complex)) == (0, 1)
+        assert reference_match(a.astype(complex), b.astype(complex)) == (0, 1)
 
 
 def test_eigenvalue_family_loop_is_identity():
@@ -263,7 +264,7 @@ def reference_track(samples):
     total, worst, costs = 0.0, 0.0, []
     for i in range(m):
         prev, next_ = samples[i], samples[(i + 1) % m]
-        step = match_step(prev, next_)
+        step = reference_match(prev, next_)
         value = float(np.abs(prev - next_[list(step)]).sum())
         worst = max(worst, value)
         if value >= 0.5 * gap:

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import min_matching_cost, symmetric_2x2_eigenvalues
 from symprod.core import apply_perm, enumerate_perms
-from symprod.diagonal import is_nondescending
+from symprod.diagonal import boundary_class
 from symprod.errors import InputError, InvariantViolation
 from symprod.metric import UnorderedTuple, dist_bruteforce, dist_sorted, l1_norm
 from symprod.selection import (
@@ -31,7 +31,7 @@ def test_canonicalize_idempotent_and_sorted():
     for _ in range(50):
         x = rng.uniform(-10, 10, size=int(rng.integers(1, 8)))
         c = canonicalize(x)
-        assert is_nondescending(c)
+        assert boundary_class(c) != "exterior"
         assert np.array_equal(canonicalize(c), c)
         assert sorted(x.tolist()) == c.tolist()
 
@@ -213,7 +213,7 @@ def test_lift_preserves_classes_pointwise():
     lifted = lift_field(field)
     for row, v in zip(lifted.values, vals):
         assert UnorderedTuple(row) == UnorderedTuple(v)
-        assert is_nondescending(row)
+        assert boundary_class(row) != "exterior"
 
 
 def test_lift_is_pointwise_in_sample_order():
