@@ -9,21 +9,41 @@ take --seed, falling back to the SYMPROD_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import fieldfile
-from .core import BRUTE_FORCE_CAP, as_count
 from .errors import InputError, InvariantViolation, UndersampledLoopError
-from .lemmas import run_lemma_suite
-from .metric import dist, engine_names
-from .monodromy import describe_cycles, roots_loop_generator, track_loop
-from .selection import canonicalize, continuity_report, lift_field
 
 LIFT_RATIO_TOL = 1e-6
+ENGINE_NAMES = ("assignment", "brute", "sorted")  # metric.engine_names(), without loading metric
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for ``module.name`` that imports ``module`` on its first call.
+
+    A subcommand then loads only the modules it calls, and the name stays a
+    ``cli`` attribute that callers can wrap or replace.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+dist = _deferred("metric", "dist")
+canonicalize = _deferred("selection", "canonicalize")
+lift_field = _deferred("selection", "lift_field")
+continuity_report = _deferred("selection", "continuity_report")
+roots_loop_generator = _deferred("monodromy", "roots_loop_generator")
+track_loop = _deferred("monodromy", "track_loop")
+describe_cycles = _deferred("monodromy", "describe_cycles")
+run_lemma_suite = _deferred("lemmas", "run_lemma_suite")
 
 
 def _fmt(value: float) -> str:
@@ -80,15 +100,17 @@ def _resolve_seed(value: int | None) -> int:
             value = int(env)
         except ValueError:
             raise InputError(f"SYMPROD_SEED must be an integer, got {env!r}") from None
-    if value < 0:  # numpy's generators take non-negative seeds only
-        raise InputError(f"seed must be a non-negative integer, got {value}")
-    return value
+    from .core import as_count
+
+    return as_count(value, "seed", 0)  # numpy's generators take non-negative seeds only
 
 
 def _cmd_dist(args) -> int:
     if args.file is not None:
         if args.a is not None or args.b is not None:
             raise InputError("give either --file or --a/--b, not both")
+        from . import fieldfile
+
         with fieldfile.utf8_text(args.file) as handle:
             lines = [line.strip() for line in handle if line.strip()]
         if len(lines) != 2:
@@ -115,6 +137,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from . import fieldfile
+
     in_path = args.input
     if args.csv or str(in_path).endswith(".csv"):
         doc = fieldfile.read_csv_field(in_path)
@@ -140,6 +164,8 @@ def _cmd_holonomy(args) -> int:
     if args.input is not None:
         if args.k is not None:
             raise InputError("give either --input or --k/--steps, not both")
+        from . import fieldfile
+
         doc = fieldfile.read_field_file(args.input)
         loop = doc.to_loop()
     else:
@@ -177,6 +203,8 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .core import BRUTE_FORCE_CAP, as_count
+
     n_values = _parse_n_values(args.n)
     reps = as_count(args.reps, "--reps", 1)
     seed = _resolve_seed(args.seed)
@@ -219,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="file with the two tuples on two lines")
     p.add_argument(
         "--engine",
-        choices=["auto", *engine_names()],
+        choices=["auto", *ENGINE_NAMES],
         default="auto",
         help="auto picks sorted for real input, assignment for complex",
     )

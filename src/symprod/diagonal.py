@@ -131,12 +131,12 @@ def equality_partition(x, tol: float = 0.0) -> BlockPartition | np.ndarray:
     block, or the index itself.  Both forms cut the same sorted runs.
     """
     x = as_array(x, ranks=(1, 2))
-    if tol < 0:
+    if not tol >= 0:  # a NaN tolerance is refused too
         raise InputError(f"tolerance must be nonnegative, got {tol}")
     order = np.argsort(x, axis=-1, kind="stable")
     ascending = np.sort(x, axis=-1)
     starts = np.ones(x.shape, dtype=bool)  # where a run of a sorted row begins
-    starts[..., 1:] = ~(ascending[..., 1:] - ascending[..., :-1] <= tol)  # "not <=" cuts at nan
+    starts[..., 1:] = ascending[..., 1:] - ascending[..., :-1] > tol
     if x.ndim == 1:
         bounds = [*np.flatnonzero(starts).tolist(), x.size]
         order = order.tolist()

@@ -30,8 +30,13 @@ from .errors import CapExceededError, InputError
 
 
 def l1_norm(x) -> float:
-    """Sum of absolute values of the components."""
-    x = np.asarray(x)
+    """Sum of absolute values of the components; inf entries sum to inf."""
+    try:
+        x = np.asarray(x)
+    except (TypeError, ValueError) as exc:  # ragged input
+        raise InputError(f"l1_norm needs an array of numbers: {exc}") from None
+    if x.dtype.kind not in "biufc":
+        raise InputError(f"l1_norm needs numbers, got dtype {x.dtype}")
     return float(np.abs(x).sum())
 
 

@@ -56,6 +56,32 @@ def test_dist_engine_choices_come_from_the_engine_table(capsys):
     assert "(choose from 'auto', 'assignment', 'brute', 'sorted')" in capsys.readouterr().err
 
 
+DIST_HELP = """\
+usage: symprod dist [-h] [--a A] [--b B] [--file FILE]
+                    [--engine {auto,assignment,brute,sorted}]
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 first tuple, e.g. "1,5" or "1+2j,-1j"
+  --b B                 second tuple
+  --file FILE           file with the two tuples on two lines
+  --engine {auto,assignment,brute,sorted}
+                        auto picks sorted for real input, assignment for
+                        complex
+"""
+
+
+def test_engine_choices_are_the_engine_table_names(capsys, monkeypatch):
+    from symprod import metric
+
+    assert list(cli.ENGINE_NAMES) == metric.engine_names()
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dist", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == DIST_HELP
+
+
 def test_dist_twelve_significant_digits(capsys):
     assert cli.main(["dist", "--a", "0,0", "--b", "0.1,0.1"]) == 0
     assert "distance = 0.2" in capsys.readouterr().out
@@ -494,7 +520,7 @@ def test_tuple_text_refusals(text):
 def test_negative_seed_is_input_error(command, capsys, monkeypatch):
     argv = [command, "--n", "2", "--" + ("trials" if command == "lemmas" else "reps"), "1"]
     assert cli.main(argv + ["--seed", "-1"]) == 2
-    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "need seed >= 0, got -1" in capsys.readouterr().err
     monkeypatch.setenv("SYMPROD_SEED", "-3")
     assert cli.main(argv) == 2
 
@@ -561,6 +587,57 @@ def test_importing_the_cli_loads_no_statistics_modules():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+LOAD_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+import symprod
+code = None
+if argv is not None:
+    import symprod.cli
+    symprod.cli.build_parser()
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = symprod.cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("symprod."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (None, []),
+        ([], ["cli", "errors"]),
+        (["holonomy", "--k", "3", "--steps", "24"], ["cli", "core", "errors", "metric", "monodromy"]),
+        (["lemmas", "--n", "2", "--trials", "2"], ["cli", "core", "diagonal", "errors", "lemmas"]),
+        (["canon", "--t", "3,1,2"], ["cli", "core", "errors", "metric", "selection"]),
+        (["dist", "--a", "1,5", "--b", "2,3"], ["cli", "core", "errors", "metric"]),
+        (["bench", "--n", "2", "--reps", "1"], ["cli", "core", "errors", "metric"]),
+        (["lift"], ["cli", "core", "errors", "fieldfile", "metric", "monodromy", "selection"]),
+    ],
+    ids=["import-symprod", "build-parser", "holonomy", "lemmas", "canon", "dist", "bench", "lift"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
+    # A fresh interpreter: `import symprod` loads no submodule, and a subcommand
+    # loads the modules it calls and nothing more.
+    if argv == ["lift"]:
+        field = tmp_path / "field.jsonl"
+        write_lines(field, [{"point": [0.0], "tuple": [2.0, 1.0]},
+                            {"point": [1.0], "tuple": [1.0, 3.0]}])
+        argv = argv + ["--input", str(field), "--output", str(tmp_path / "out.jsonl")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    code, modules = json.loads(result.stdout)
+    assert code == (0 if argv else None)
+    assert modules == [f"symprod.{name}" for name in loaded]
 
 
 def test_lift_overflow_prints_no_numpy_warning(tmp_path):

@@ -36,6 +36,17 @@ def test_l1_norm_examples():
     assert l1_norm([0.0, 0.0, 0.0]) == 0.0
     assert l1_norm([1.0, -2.0]) == 3.0
     assert l1_norm([-5.0]) == 5.0
+    assert l1_norm([1.0, -np.inf]) == np.inf
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["ab", ["a", 1], np.array(["a", "b"], dtype=object), [[1.0], [1.0, 2.0]]],
+    ids=["str", "mixed-list", "object-strings", "ragged"],
+)
+def test_l1_norm_refuses_non_numbers(bad):
+    with pytest.raises(InputError):
+        l1_norm(bad)
 
 
 def test_bruteforce_same_class_is_zero():

@@ -48,3 +48,9 @@ def test_names_left_out_of_the_export_lists_stay_importable_by_module_path():
     from symprod.fieldfile import utf8_text  # noqa: F401
     from symprod.lemmas import DISPLACEMENT_EPSILONS, grid_min_block_cost  # noqa: F401
     from symprod.selection import EQUAL_CLASS_TOL  # noqa: F401
+
+
+def test_dir_lists_every_public_name_and_submodule():
+    listed = set(dir(symprod))
+    assert set(PUBLIC_NAMES) <= listed
+    assert {*SUBMODULES, "cli"} <= listed
