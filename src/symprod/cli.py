@@ -109,10 +109,9 @@ def _cmd_dist(args) -> int:
     if args.file is not None:
         if args.a is not None or args.b is not None:
             raise InputError("give either --file or --a/--b, not both")
-        from . import fieldfile
+        from .core import read_text
 
-        with fieldfile.utf8_text(args.file) as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+        lines = [line.strip() for line in read_text(args.file).split("\n") if line.strip()]
         if len(lines) != 2:
             raise InputError(f"{args.file}: expected exactly two tuple lines, got {len(lines)}")
         a, b = parse_tuple_text(lines[0]), parse_tuple_text(lines[1])

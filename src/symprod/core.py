@@ -80,6 +80,26 @@ def as_count(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def row_chunks(count: int, row_elements: int):
+    """Slices over ``count`` rows holding at most CHUNK_ELEMENTS elements (at least one row)."""
+    rows = max(1, CHUNK_ELEMENTS // row_elements)
+    return (slice(a, a + rows) for a in range(0, count, rows))
+
+
+def read_text(path, newline: str | None = None) -> str:
+    """The whole text of a UTF-8 file, opened with ``newline``; the one file reader.
+
+    Bytes that are not UTF-8 raise InputError naming the line of the first
+    of them, wherever it sits, before any parser sees the text.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:  # read() decodes the file's bytes in one call
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"line {line_no}: not UTF-8 text ({exc.reason})") from None
+
+
 def as_perm(p, n: int | None = None) -> np.ndarray:
     """``p`` as an intp array holding each of ``0..len(p) - 1`` once, else InputError.
 
@@ -117,7 +137,7 @@ def nondescending(x: np.ndarray) -> np.ndarray:
 
 
 def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
+    return tuple(range(as_count(n, "n", 1)))
 
 
 def apply_perm(p: Sequence[int], x) -> np.ndarray:
@@ -125,7 +145,10 @@ def apply_perm(p: Sequence[int], x) -> np.ndarray:
 
     The result is always a permutation of the input multiset.
     """
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except (TypeError, ValueError) as exc:  # ragged input
+        raise InputError(f"a permutation applies to a 1-D tuple: {exc}") from None
     if x.ndim != 1:
         raise InputError(f"a permutation applies to a 1-D tuple, got shape {x.shape}")
     return x[as_perm(p, x.size)]

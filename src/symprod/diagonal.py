@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -45,10 +46,12 @@ class BlockPartition:
 
     def __post_init__(self):
         object.__setattr__(self, "n", as_count(self.n, "n", 1))
+        try:
+            blocks = [tuple(sorted(as_count(i, "block index", 0) for i in b)) for b in self.blocks]
+        except TypeError:  # the blocks, or one of them, not iterable
+            raise InputError(f"blocks must be sequences of indices, got {self.blocks!r}") from None
         seen: set[int] = set()
-        normalized = []
-        for block in self.blocks:
-            ids = tuple(sorted(as_count(i, "block index", 0) for i in block))
+        for ids in blocks:
             if len(ids) < 2:
                 raise InputError(f"block {ids} has size < 2")
             if len(set(ids)) != len(ids):
@@ -58,9 +61,7 @@ class BlockPartition:
             if seen & set(ids):
                 raise InputError("blocks are not pairwise disjoint")
             seen.update(ids)
-            normalized.append(ids)
-        normalized.sort()
-        object.__setattr__(self, "blocks", tuple(normalized))
+        object.__setattr__(self, "blocks", tuple(sorted(blocks)))
 
     @property
     def constrained(self) -> frozenset[int]:
@@ -131,8 +132,8 @@ def equality_partition(x, tol: float = 0.0) -> BlockPartition | np.ndarray:
     block, or the index itself.  Both forms cut the same sorted runs.
     """
     x = as_array(x, ranks=(1, 2))
-    if not tol >= 0:  # a NaN tolerance is refused too
-        raise InputError(f"tolerance must be nonnegative, got {tol}")
+    if not (isinstance(tol, numbers.Real) and tol >= 0):  # NaN and non-numbers fail too
+        raise InputError(f"tolerance must be a nonnegative number, got {tol!r}")
     order = np.argsort(x, axis=-1, kind="stable")
     ascending = np.sort(x, axis=-1)
     starts = np.ones(x.shape, dtype=bool)  # where a run of a sorted row begins

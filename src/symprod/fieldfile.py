@@ -21,6 +21,7 @@ one sample per row, path adjacency.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -30,8 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import read_text
 from .errors import InputError
-# perfbench/tracer.py patches this name; ROADMAP item 6 drops the import.
+# perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
 from .metric import UnorderedTuple  # noqa: F401
 from .monodromy import ComplexLoop
 from .selection import LiftedField, SampledField, _check_adjacency, path_adjacency
@@ -85,22 +87,6 @@ def _parse_tuple_entry(entry, line_no: int):
     raise InputError(
         f"line {line_no}: tuple entries must be numbers or [re, im] pairs, got {entry!r}"
     )
-
-
-@contextmanager
-def utf8_text(path, newline: str | None = None):
-    """Open a text file for reading; non-UTF-8 bytes become InputError naming their line."""
-    try:
-        with open(path, encoding="utf-8", newline=newline) as handle:
-            yield handle
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()  # the decoder saw one chunk; find the line in the file
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = data.count(b"\n", 0, exc.start) + 1
-            raise InputError(f"line {line_no}: not UTF-8 text ({exc.reason})") from None
-        raise
 
 
 def _parse_adjacency(spec, count: int) -> np.ndarray:
@@ -176,7 +162,7 @@ def _read_real_lines(lines: list[str]):
         return None
 
 
-def _read_lines(lines, path: Path) -> tuple[dict, np.ndarray, np.ndarray, bool]:
+def _read_lines(lines: list[str], path: Path) -> tuple[dict, np.ndarray, np.ndarray, bool]:
     """Parse field-file lines one at a time; every read error is raised here."""
     meta: dict = {}
     points: list[list[float]] = []
@@ -245,14 +231,8 @@ def read_field_file(path) -> FieldDocument:
     per-line parser, so both routes give the same arrays and the same errors.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError:  # the per-line parser finds and reports the line
-        lines = None
-    if lines is None:
-        with utf8_text(path) as handle:
-            meta, points, tuples, complex_mode = _read_lines(handle, path)
-    elif fast := _read_real_lines([s for s in map(str.strip, lines) if s]):
+    lines = read_text(path).split("\n")
+    if fast := _read_real_lines([s for s in map(str.strip, lines) if s]):
         (meta, points, tuples), complex_mode = fast, False
     else:
         meta, points, tuples, complex_mode = _read_lines(lines, path)
@@ -273,12 +253,11 @@ def read_field_file(path) -> FieldDocument:
 def read_csv_field(path) -> FieldDocument:
     """Parse the real-only CSV layout: point_* columns then tuple_* columns."""
     path = Path(path)
-    with utf8_text(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            records = list(reader)
-        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-            raise InputError(f"line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise InputError(f"line {reader.line_num}: {exc}") from None
     if not records:
         raise InputError(f"{path}: empty CSV file")
     names = [h.strip() for h in records[0]]

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import CHUNK_ELEMENTS, as_count, nondescending, perm_matrix
+from .core import as_count, nondescending, perm_matrix, row_chunks
 from .diagonal import (
     BlockPartition,
     _partition_of_labels,
@@ -104,12 +104,6 @@ def _partition_groups(
     return {_partition_of_labels(row): group for row, group in zip(distinct, ids)}
 
 
-def _row_chunks(count: int, row_elements: int):
-    """Slices over ``count`` rows holding at most CHUNK_ELEMENTS elements (at least one row)."""
-    rows = max(1, CHUNK_ELEMENTS // row_elements)
-    return (slice(a, a + rows) for a in range(0, count, rows))
-
-
 def _random_boundary_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` sorted rows, each with one or more exact ties at uniformly chosen places."""
     x = np.sort(rng.uniform(-10.0, 10.0, size=(count, n)), axis=1)
@@ -158,7 +152,7 @@ def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> L
             if not np.all(dist_to_diagonal(near, partition) < eps):
                 raise AssertionError("sampler broke its own precondition")
             stab = np.array(stabilizer_of(partition).elements, dtype=np.intp)
-            for rows in _row_chunks(ids.size, stab.size):
+            for rows in row_chunks(ids.size, stab.size):
                 displacement = np.abs(near[rows][:, stab] - near[rows][:, np.newaxis]).sum(axis=2)
                 ok = np.all(displacement < 2.0 * eps, axis=1)
                 violations += int(np.count_nonzero(~ok))
@@ -176,9 +170,9 @@ def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> Le
     probes = 10
     violations = 0
     # A block of vectors and all their probes.  A probe's draws, sum and class
-    # label take about eight times its n floats, so a block stays near
-    # CHUNK_ELEMENTS float64s in all.
-    for rows in _row_chunks(trials, 8 * probes * n):
+    # label take about eight times its n floats, so a block stays near one
+    # chunk of float64s in all.
+    for rows in row_chunks(trials, 8 * probes * n):
         count = len(range(trials)[rows])
         x = _random_exterior_vectors(n, count, rng)
         running_max = np.maximum.accumulate(x, axis=1)[:, :-1]
@@ -207,7 +201,7 @@ def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generato
         x[redraw] = np.sort(rng.uniform(-10.0, 10.0, size=(redraw.size, n)), axis=1)
         redraw = redraw[~np.all(np.diff(x[redraw], axis=1) > 0, axis=1)]
     violations = 0
-    for rows in _row_chunks(trials, perms.size):
+    for rows in row_chunks(trials, perms.size):
         nondesc = nondescending(x[rows][:, perms])
         violations += int(np.count_nonzero((nondesc.sum(axis=1) != 1) | ~nondesc[:, identity_row]))
     return LemmaCheck(
@@ -240,7 +234,7 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
     x = _random_boundary_vectors(n, trials, rng)
     labels = equality_partition(x, 0.0)  # each row in the Stabilizer.labels convention
     violations = 0
-    for rows in _row_chunks(trials, perms.size):
+    for rows in row_chunks(trials, perms.size):
         keeps_sorted = nondescending(x[rows][:, perms])
         fixes_labels = np.all(labels[rows][:, perms] == labels[rows][:, np.newaxis], axis=2)
         violations += int(np.count_nonzero(np.any(keeps_sorted != fixes_labels, axis=1)))
@@ -280,7 +274,7 @@ def grid_min_block_cost(values: np.ndarray, lo: float, hi: float, step: float):
     batch = blocks.reshape(-1, blocks.shape[-1])
     best = np.concatenate([
         np.abs(batch[rows, :, np.newaxis] - grid).sum(axis=1).min(axis=1)
-        for rows in _row_chunks(len(batch), batch.shape[1] * grid.size)
+        for rows in row_chunks(len(batch), batch.shape[1] * grid.size)
     ])
     return float(best[0]) if blocks.ndim == 1 else best
 
@@ -321,7 +315,10 @@ def run_lemma_suite(
     check's samples depend on how much another one drew.  ``grid_trials``
     caps the (slower) grid-oracle check; default is min(trials, 50) per n.
     """
-    n_values = sorted(set(as_count(n, "n", 2) for n in n_values))
+    try:
+        n_values = sorted(set(as_count(n, "n", 2) for n in n_values))
+    except TypeError:  # not iterable
+        raise InputError(f"n_values must be a sequence of tuple sizes, got {n_values!r}") from None
     if not n_values:
         raise InputError("need at least one tuple size")
     trials = as_count(trials, "trials", 1)

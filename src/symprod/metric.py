@@ -37,7 +37,8 @@ def l1_norm(x) -> float:
         raise InputError(f"l1_norm needs an array of numbers: {exc}") from None
     if x.dtype.kind not in "biufc":
         raise InputError(f"l1_norm needs numbers, got dtype {x.dtype}")
-    return float(np.abs(x).sum())
+    with np.errstate(over="ignore"):  # components too large to sum, or a huge modulus, give inf
+        return float(np.abs(x).sum())
 
 
 class UnorderedTuple:
@@ -241,7 +242,7 @@ def dist(y, z, engine: str = "auto") -> Distance:
         engine = "assignment" if _is_complex(y) or _is_complex(z) else "sorted"
     try:
         fn = _ENGINES[engine]
-    except KeyError:
+    except (KeyError, TypeError):  # an unknown name, or an unhashable one
         raise InputError(f"unknown engine {engine!r}; choose from {sorted(_ENGINES)}") from None
     return fn(y, z)
 

@@ -27,12 +27,13 @@ one turn of the base point multiplies the composite by a k-cycle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BRUTE_FORCE_CAP, CHUNK_ELEMENTS, Perm, as_array, as_count, as_perm, compose,
-                   identity_perm)
+from .core import (BRUTE_FORCE_CAP, Perm, as_array, as_count, as_perm, compose, identity_perm,
+                   row_chunks)
 from .errors import InputError, UndersampledLoopError
 from .metric import Distance, dist_assignment, dist_bruteforce
 
@@ -85,18 +86,18 @@ class Holonomy:
         return all(i == j for i, j in enumerate(self.permutation))
 
 
+@np.errstate(over="ignore")
 def min_intra_gap(samples) -> float:
-    """Smallest pairwise distance between components within any one sample."""
+    """Smallest pairwise distance between components within any one sample; inf past float range."""
     arr = as_array(samples, dtype=complex, ranks=(1, 2), name="samples")
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     n = arr.shape[1]
     if n < 2:
         return math.inf
-    rows = max(1, CHUNK_ELEMENTS // n)
     column_gaps = [  # component j against every later one, over a chunk of samples
-        np.abs(arr[a : a + rows, j, np.newaxis] - arr[a : a + rows, j + 1 :]).min()
-        for a in range(0, arr.shape[0], rows)
+        np.abs(arr[rows, j, np.newaxis] - arr[rows, j + 1 :]).min()
+        for rows in row_chunks(arr.shape[0], n)
         for j in range(n - 1)
     ]
     return float(np.min(column_gaps))
@@ -108,6 +109,7 @@ def _match(prev: np.ndarray, next_: np.ndarray) -> Distance:
     return dist_assignment(prev, next_)
 
 
+@np.errstate(over="ignore")  # an overflowed cost is inf: searched, then refused
 def track_loop(loop: ComplexLoop) -> Holonomy:
     """Compose matchings around the loop, wrap-around edge included.
 
@@ -141,9 +143,8 @@ def track_loop(loop: ComplexLoop) -> Holonomy:
     step_costs[:-1] = np.abs(samples[:-1] - samples[1:]).sum(axis=1)
     step_costs[-1] = np.abs(samples[-1] - samples[0]).sum()
     searched = np.flatnonzero(~(step_costs < 0.25 * gap))  # "not <" also searches a nan
-    chunk = max(1, CHUNK_ELEMENTS // (n * n))
-    for start in range(0, searched.size, chunk):
-        steps = searched[start : start + chunk]
+    for rows in row_chunks(searched.size, n * n):
+        steps = searched[rows]
         cost = np.abs(samples[steps, :, np.newaxis] - samples[(steps + 1) % m, np.newaxis, :])
         nearest = cost.argmin(axis=2)
         nearest_cost = np.take_along_axis(cost, nearest[:, :, np.newaxis], axis=2)[:, :, 0]
@@ -158,7 +159,7 @@ def track_loop(loop: ComplexLoop) -> Holonomy:
             raise UndersampledLoopError(
                 f"undersampled loop: consecutive matching distance {step.value:.6g} "
                 f"is not below half the minimal intra-tuple gap ({0.5 * gap:.6g}); "
-                f"try about {suggested} steps",
+                + (f"try about {suggested} steps" if suggested else "no step count will do"),
                 suggested_steps=suggested,
             )
         composite = compose(_chain(nearest), composite)
@@ -181,10 +182,11 @@ def _chain(maps: np.ndarray) -> Perm:
     return tuple(int(i) for i in maps[0])
 
 
-def _suggest_steps(steps: int, worst: float, gap: float) -> int:
+def _suggest_steps(steps: int, worst: float, gap: float) -> int | None:
     # Consecutive movement shrinks like 1/steps; aim 25% under the threshold.
-    factor = worst / (0.5 * gap)
-    return int(math.ceil(steps * factor * 1.25)) + 1
+    # None when the gap is too small for any float count of steps to do.
+    target = steps * (worst / (0.5 * gap)) * 1.25 if 0.5 * gap > 0.0 else math.inf
+    return int(math.ceil(target)) + 1 if math.isfinite(target) else None
 
 
 def roots_loop_generator(k: int, steps: int, radius: float = 1.0) -> ComplexLoop:
@@ -196,8 +198,8 @@ def roots_loop_generator(k: int, steps: int, radius: float = 1.0) -> ComplexLoop
     """
     k = as_count(k, "k", 2)
     steps = as_count(steps, "steps", 2)
-    if radius <= 0:
-        raise InputError(f"need radius > 0, got {radius}")
+    if not (isinstance(radius, numbers.Real) and 0 < radius < math.inf):  # NaN fails too
+        raise InputError(f"need a finite radius > 0, got {radius!r}")
     if steps < 8 * k:
         raise UndersampledLoopError(
             f"undersampled loop: {steps} steps for k = {k} roots; need at least {8 * k}",

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_array, nondescending
+from .core import as_array, as_count, nondescending
 from .errors import InputError, InvariantViolation
 from .metric import UnorderedTuple
-# perfbench/tracer.py patches this name; ROADMAP item 6 drops the import.
+# perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
 from .metric import dist_sorted  # noqa: F401
 
 # Lifted values of two samples in the same class must coincide to this level.
@@ -79,7 +79,7 @@ def _check_adjacency(adjacency, count: int) -> np.ndarray:
 
 def path_adjacency(count: int) -> np.ndarray:
     """Consecutive samples are neighbors: the read-only (count - 1, 2) edges (i, i + 1)."""
-    index = np.arange(count, dtype=np.intp)
+    index = np.arange(as_count(count, "count", 1), dtype=np.intp)
     edges = np.stack((index[:-1], index[1:]), axis=1)
     edges.setflags(write=False)
     return edges

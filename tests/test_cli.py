@@ -613,10 +613,12 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("symprod."
         (["lemmas", "--n", "2", "--trials", "2"], ["cli", "core", "diagonal", "errors", "lemmas"]),
         (["canon", "--t", "3,1,2"], ["cli", "core", "errors", "metric", "selection"]),
         (["dist", "--a", "1,5", "--b", "2,3"], ["cli", "core", "errors", "metric"]),
+        (["dist", "--file"], ["cli", "core", "errors", "metric"]),
         (["bench", "--n", "2", "--reps", "1"], ["cli", "core", "errors", "metric"]),
         (["lift"], ["cli", "core", "errors", "fieldfile", "metric", "monodromy", "selection"]),
     ],
-    ids=["import-symprod", "build-parser", "holonomy", "lemmas", "canon", "dist", "bench", "lift"],
+    ids=["import-symprod", "build-parser", "holonomy", "lemmas", "canon", "dist", "dist-file",
+         "bench", "lift"],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
     # A fresh interpreter: `import symprod` loads no submodule, and a subcommand
@@ -626,6 +628,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
         write_lines(field, [{"point": [0.0], "tuple": [2.0, 1.0]},
                             {"point": [1.0], "tuple": [1.0, 3.0]}])
         argv = argv + ["--input", str(field), "--output", str(tmp_path / "out.jsonl")]
+    if argv == ["dist", "--file"]:
+        pair = tmp_path / "pair.txt"
+        pair.write_text("1,5\n2,3\n")
+        argv = argv + [str(pair)]
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", LOAD_PROBE, json.dumps(argv)],

@@ -111,6 +111,19 @@ def test_parse_errors_carry_line_numbers(tmp_path):
             read_field_file(path)
 
 
+@pytest.mark.parametrize("rows", [10, 1000], ids=["in-first-8kb", "past-first-8kb"])
+def test_bad_bytes_are_named_before_a_syntax_error_wherever_they_sit(tmp_path, rows):
+    # Bad JSON on line 1 and a bad byte after the rows: the bad byte is reported
+    # whether or not it falls in the first block the text decoder reads.
+    row = b'{"point": [0.0], "tuple": [1.0, 2.0]}\n'
+    data = b"{not json\n" + row * rows + b"\xff\n"
+    assert (data.index(b"\xff") > 8192) == (rows == 1000)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(InputError, match=f"^line {rows + 2}: not UTF-8 text"):
+        read_field_file(path)
+
+
 def test_mixed_real_and_complex_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import random_partition_law
-from symprod import lemmas
+from symprod import core, lemmas
 from symprod.diagonal import BlockPartition, Stabilizer, _partition_of_labels
 from symprod.errors import InputError
 from symprod.lemmas import (
@@ -196,7 +196,7 @@ def test_batched_checks_do_not_depend_on_the_chunk_size(monkeypatch):
     default, faulty = table(), faulty_counts()
     assert any(faulty)
     for elements in (1, 7, 100):
-        monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", elements)
+        monkeypatch.setattr(core, "CHUNK_ELEMENTS", elements)
         assert table() == default
         assert faulty_counts() == faulty
 
@@ -216,14 +216,14 @@ def test_suite_draws_do_not_depend_on_the_chunk_size(monkeypatch):
     default = violations()
     assert any(v for _, n, v in default if n > 2)
     for elements in (1, 7):
-        monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", elements)
+        monkeypatch.setattr(core, "CHUNK_ELEMENTS", elements)
         assert violations() == default
 
 
 def test_exterior_openness_memory_does_not_grow_with_trials(monkeypatch):
     # With blocks far smaller than the probes of 2,000 vectors, ten times the
     # vectors must not raise the peak: only one block is held at a time.
-    monkeypatch.setattr(lemmas, "CHUNK_ELEMENTS", 1 << 14)
+    monkeypatch.setattr(core, "CHUNK_ELEMENTS", 1 << 14)
 
     def peak(trials):
         tracemalloc.start()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import min_matching, reference_match
-from symprod import monodromy
+from symprod import core, monodromy
 from symprod.core import apply_perm, compose, identity_perm, is_perm
 from symprod.errors import InputError, UndersampledLoopError
 from symprod.metric import dist_bruteforce
@@ -82,7 +82,7 @@ def test_min_intra_gap_matches_all_pairs_formula(monkeypatch):
     for samples in cases:
         assert min_intra_gap(samples) == triu_gap(samples)
     # chunks of one or a few samples still scan every pair
-    monkeypatch.setattr(monodromy, "CHUNK_ELEMENTS", 7)
+    monkeypatch.setattr(core, "CHUNK_ELEMENTS", 7)
     for samples in cases[:20]:
         assert min_intra_gap(samples) == triu_gap(samples)
 
@@ -300,7 +300,7 @@ def assert_tracks_like_reference(samples, monkeypatch):
     # the same result when every chunk holds a single step or just a few
     for elements in (1, 3 * samples.shape[1] ** 2 + 1):
         with monkeypatch.context() as patch:
-            patch.setattr(monodromy, "CHUNK_ELEMENTS", elements)
+            patch.setattr(core, "CHUNK_ELEMENTS", elements)
             assert tracked(samples) == expected
     return expected
 
