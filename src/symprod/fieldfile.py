@@ -21,9 +21,10 @@ one sample per row, path adjacency.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
+import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -250,17 +251,32 @@ def read_field_file(path) -> FieldDocument:
     )
 
 
-def read_csv_field(path) -> FieldDocument:
-    """Parse the real-only CSV layout: point_* columns then tuple_* columns."""
-    path = Path(path)
-    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+# A line with its ending, cut where a handle opened with newline="" cuts: at
+# "\r\n", "\r" and "\n" only (str.splitlines cuts at more characters).
+_CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _csv_records(text: str):
+    """The CSV records of ``text``, one at a time; a malformed record is InputError."""
+    reader = csv.reader(match.group() for match in _CSV_LINE.finditer(text))
     try:
-        records = list(reader)
+        yield from reader
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise InputError(f"line {reader.line_num}: {exc}") from None
-    if not records:
+
+
+def read_csv_field(path) -> FieldDocument:
+    """Parse the real-only CSV layout: point_* columns then tuple_* columns.
+
+    Rows are converted as they are read, into one flat buffer of doubles, so
+    the file's text is the only copy of its cells held as strings.
+    """
+    path = Path(path)
+    records = _csv_records(read_text(path, newline=""))
+    header = next(records, None)
+    if header is None:
         raise InputError(f"{path}: empty CSV file")
-    names = [h.strip() for h in records[0]]
+    names = [h.strip() for h in header]
     m = sum(1 for h in names if h.startswith("point"))
     n = sum(1 for h in names if h.startswith("tuple"))
     if m == 0 or n == 0 or m + n != len(names):
@@ -271,24 +287,23 @@ def read_csv_field(path) -> FieldDocument:
         h.startswith("point") for h in names[m:]
     ):
         raise InputError("CSV columns must be ordered: point_* first, then tuple_*")
-    points, rows = [], []
-    for line_no, row in enumerate(records[1:], start=2):
+    values = array("d")
+    for line_no, row in enumerate(records, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != m + n:
             raise InputError(f"line {line_no}: expected {m + n} cells, got {len(row)}")
         try:
-            numbers = [float(cell) for cell in row]
+            values.extend(map(float, row))
         except ValueError as exc:
             raise InputError(f"line {line_no}: {exc}") from None
-        points.append(numbers[:m])
-        rows.append(numbers[m:])
-    if not rows:
+    if not values:
         raise InputError(f"{path}: no samples found")
+    table = np.frombuffer(values).reshape(-1, m + n)
     return FieldDocument(
-        points=np.asarray(points, dtype=float),
-        tuples=np.asarray(rows, dtype=float),
-        adjacency=path_adjacency(len(rows)),
+        points=np.array(table[:, :m]),
+        tuples=np.array(table[:, m:]),
+        adjacency=path_adjacency(len(table)),
         complex_mode=False,
     )
 

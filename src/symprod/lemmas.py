@@ -10,7 +10,10 @@ property with array expressions over the trial axis, through the library's
 own batch forms (``boundary_class``, ``dist_to_diagonal``,
 ``equality_partition``).  Random partitions are drawn as one batch of block
 labels and grouped by distinct rows.  Only the piece under test runs per
-partition: one stabilizer enumeration per distinct random partition.
+partition: one distance call and one stabilizer enumeration per distinct
+random partition.  displacement-bound draws its three epsilons as one
+batch, an epsilon per row, so each partition is grouped, measured and
+enumerated once for all three.
 
 Checks (names as reported):
 
@@ -91,14 +94,11 @@ def _random_partition_labels(n: int, count: int, rng: np.random.Generator) -> np
     return labels
 
 
-def _partition_groups(
-    n: int, trials: int, rng: np.random.Generator
-) -> dict[BlockPartition, np.ndarray]:
-    """One random partition per trial, grouped: each distinct partition -> its trial indices.
+def _partition_groups(labels: np.ndarray) -> dict[BlockPartition, np.ndarray]:
+    """Rows of a ``(count, n)`` labels batch, grouped: each distinct partition -> its row indices.
 
-    Local to one check, so it holds at most ``trials`` keys.
+    Local to one check, so it holds at most ``count`` keys.
     """
-    labels = _random_partition_labels(n, trials, rng)
     distinct, which, counts = np.unique(labels, axis=0, return_inverse=True, return_counts=True)
     ids = np.split(np.argsort(which.ravel(), kind="stable"), np.cumsum(counts)[:-1])
     return {_partition_of_labels(row): group for row, group in zip(distinct, ids)}
@@ -139,23 +139,21 @@ def _random_l1_perturbation(
 
 def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Within eps of a diagonal set, every stabilizer element moves x < 2*eps."""
+    eps = np.repeat(DISPLACEMENT_EPSILONS, trials)  # the three batches as one, eps per row
+    labels = _random_partition_labels(n, eps.size, rng)
+    # one common value per row and block: each component takes its block label's draw
+    x = np.take_along_axis(rng.uniform(-10.0, 10.0, size=labels.shape), labels, axis=1)
+    x += _random_l1_perturbation(n, eps, rng, eps.size)
     violations = 0
-    for eps in DISPLACEMENT_EPSILONS:
-        groups = _partition_groups(n, trials, rng)
-        x = rng.uniform(-10.0, 10.0, size=(trials, n))
-        for partition, ids in groups.items():
-            for block in partition.blocks:  # one common value per trial and block
-                x[ids[:, np.newaxis], list(block)] = rng.uniform(-10.0, 10.0, size=(ids.size, 1))
-        x += _random_l1_perturbation(n, eps, rng, trials)
-        for partition, ids in groups.items():
-            near = x[ids]
-            if not np.all(dist_to_diagonal(near, partition) < eps):
-                raise AssertionError("sampler broke its own precondition")
-            stab = np.array(stabilizer_of(partition).elements, dtype=np.intp)
-            for rows in row_chunks(ids.size, stab.size):
-                displacement = np.abs(near[rows][:, stab] - near[rows][:, np.newaxis]).sum(axis=2)
-                ok = np.all(displacement < 2.0 * eps, axis=1)
-                violations += int(np.count_nonzero(~ok))
+    for partition, ids in _partition_groups(labels).items():
+        near, bound = x[ids], eps[ids]
+        if not np.all(dist_to_diagonal(near, partition) < bound):
+            raise AssertionError("sampler broke its own precondition")
+        stab = np.array(stabilizer_of(partition).elements, dtype=np.intp)
+        for rows in row_chunks(ids.size, stab.size):
+            displacement = np.abs(near[rows][:, stab] - near[rows][:, np.newaxis]).sum(axis=2)
+            ok = np.all(displacement < 2.0 * bound[rows, np.newaxis], axis=1)
+            violations += int(np.count_nonzero(~ok))
     return LemmaCheck(
         name="displacement-bound",
         n=n,
@@ -250,7 +248,7 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
 def check_stabilizer_order(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """The enumerated stabilizer's size is the product of block factorials."""
     violations = 0
-    for partition, ids in _partition_groups(n, trials, rng).items():
+    for partition, ids in _partition_groups(_random_partition_labels(n, trials, rng)).items():
         expected = math.prod(math.factorial(len(b)) for b in partition.blocks)
         if len(stabilizer_of(partition).elements) != expected:
             violations += ids.size
@@ -267,15 +265,21 @@ def grid_min_block_cost(values: np.ndarray, lo: float, hi: float, step: float):
 
     ``values`` is one block's components (a float comes back) or a ``(B, k)``
     batch of blocks (a ``(B,)`` array).  The k costs at a grid point are
-    summed in component order, over the grid's contiguous axis.
+    added into one running total in component order.
     """
     grid = np.arange(lo, hi + step, step)
     blocks = np.asarray(values, dtype=float)
     batch = blocks.reshape(-1, blocks.shape[-1])
-    best = np.concatenate([
-        np.abs(batch[rows, :, np.newaxis] - grid).sum(axis=1).min(axis=1)
-        for rows in row_chunks(len(batch), batch.shape[1] * grid.size)
-    ])
+    best = np.empty(len(batch))
+    # A total and a term buffer per row, a few rows at a time: at an eighth of a
+    # chunk both fit a core's cache (about 3x faster than whole chunks with a 4 MB L2).
+    for rows in row_chunks(len(batch), 16 * grid.size):
+        total = np.zeros((len(best[rows]), grid.size))
+        term = np.empty_like(total)
+        for column in batch[rows].T:
+            np.abs(np.subtract(column[:, np.newaxis], grid, out=term), out=term)
+            total += term
+        best[rows] = total.min(axis=1)
     return float(best[0]) if blocks.ndim == 1 else best
 
 
@@ -283,7 +287,7 @@ def check_diagonal_distance_closed_form(
     n: int, trials: int, rng: np.random.Generator
 ) -> LemmaCheck:
     """Closed-form distance to a diagonal set vs a 1e-3 grid over [-10, 10]."""
-    groups = _partition_groups(n, trials, rng)
+    groups = _partition_groups(_random_partition_labels(n, trials, rng))
     x = rng.uniform(-10.0, 10.0, size=(trials, n))
     violations = 0
     for partition, ids in groups.items():

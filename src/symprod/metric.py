@@ -37,6 +37,8 @@ def l1_norm(x) -> float:
         raise InputError(f"l1_norm needs an array of numbers: {exc}") from None
     if x.dtype.kind not in "biufc":
         raise InputError(f"l1_norm needs numbers, got dtype {x.dtype}")
+    if x.dtype.kind in "biu":  # in their own dtype, abs and sum would wrap around
+        x = x.astype(np.float64)
     with np.errstate(over="ignore"):  # components too large to sum, or a huge modulus, give inf
         return float(np.abs(x).sum())
 

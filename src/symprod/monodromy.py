@@ -20,6 +20,11 @@ One O(steps*n) pass certifies those steps; only the rest pay the n x n
 search.  On a roots loop that is the wrap-around step alone, where storage
 shifts by one root.
 
+The minimal gap that both bounds rest on is found by a sorted sweep, the
+strip step of Shamos and Hoey's closest-pair method ("Closest-point
+problems", FOCS 1975): it compares only the component pairs that could beat
+the best distance so far, and returns the all-pairs minimum exactly.
+
 The stock example is the set of k-th roots of a point circling the origin:
 one turn of the base point multiplies the composite by a k-cycle.
 """
@@ -88,19 +93,36 @@ class Holonomy:
 
 @np.errstate(over="ignore")
 def min_intra_gap(samples) -> float:
-    """Smallest pairwise distance between components within any one sample; inf past float range."""
+    """Smallest pairwise distance between components within any one sample; inf past float range.
+
+    A sorted sweep: each sample is sorted by its wider-spread coordinate, and
+    components d places apart (d = 1, 2, ...) are compared only where that
+    coordinate differs by less than the best distance so far.  The coordinate
+    difference is exactly one part of the ``a - b`` whose modulus ``np.abs``
+    takes, and a modulus is never below either part, so every skipped pair is
+    at least the best; differences grow with d, so the first offset with no
+    such pair ends the sweep.  The result is the all-pairs minimum, bit for bit.
+    """
     arr = as_array(samples, dtype=complex, ranks=(1, 2), name="samples")
     if arr.ndim == 1:
         arr = arr[np.newaxis, :]
     n = arr.shape[1]
-    if n < 2:
-        return math.inf
-    column_gaps = [  # component j against every later one, over a chunk of samples
-        np.abs(arr[rows, j, np.newaxis] - arr[rows, j + 1 :]).min()
-        for rows in row_chunks(arr.shape[0], n)
-        for j in range(n - 1)
-    ]
-    return float(np.min(column_gaps))
+    best = math.inf
+    # A thirty-second of a chunk of samples at a time, since the sweep makes about
+    # a dozen sorted copies, masks and differences of them.
+    for rows in row_chunks(arr.shape[0], 32 * n):
+        chunk = arr[rows]
+        by_imag = np.ptp(chunk.imag, axis=1) > np.ptp(chunk.real, axis=1)
+        key = np.where(by_imag[:, np.newaxis], chunk.imag, chunk.real)
+        order = np.argsort(key, axis=1)
+        key = np.take_along_axis(key, order, axis=1)
+        chunk = np.take_along_axis(chunk, order, axis=1)
+        for d in range(1, n):
+            near = key[:, d:] - key[:, :-d] < best
+            if not near.any():
+                break
+            best = min(best, float(np.abs(chunk[:, d:][near] - chunk[:, :-d][near]).min()))
+    return best
 
 
 def _match(prev: np.ndarray, next_: np.ndarray) -> Distance:

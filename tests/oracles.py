@@ -6,6 +6,7 @@ formula) so the library under test is never its own oracle.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -52,6 +53,16 @@ def reference_match(prev, next_) -> tuple[int, ...]:
 
     cost = np.abs(np.asarray(prev)[:, np.newaxis] - np.asarray(next_)[np.newaxis, :])
     return tuple(linear_sum_assignment(cost)[1].tolist())
+
+
+def triu_gap(samples) -> float:
+    """All component pairs of all samples in one array, then the minimum; inf past float range."""
+    n = samples.shape[1]
+    if n < 2:
+        return math.inf
+    j, k = np.triu_indices(n, k=1)
+    with np.errstate(over="ignore"):
+        return float(np.abs(samples[:, j] - samples[:, k]).min())
 
 
 def grid_min_block_cost(values, lo=-12.0, hi=12.0, step=1e-3) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,32 @@ def test_csv_cell_errors_carry_line_numbers(tmp_path):
     path.write_text("point_0,tuple_0\n0.0\n")
     with pytest.raises(InputError, match="line 2: expected 2 cells"):
         read_csv_field(path)
+
+
+def test_csv_reader_memory_grows_no_faster_than_the_file(tmp_path):
+    # Every cell held as a string, plus a copy of the text at 4 bytes per
+    # character, peaked near 12 times the file; the text alone is 1 to 2 times.
+    rng = np.random.default_rng(3)
+
+    def peak(rows):
+        path = tmp_path / f"f{rows}.csv"
+        with path.open("w") as handle:
+            handle.write("point_0,tuple_0,tuple_1,tuple_2,tuple_3,tuple_4,tuple_5\n")
+            handle.writelines(",".join(map(repr, r)) + "\n"
+                              for r in rng.uniform(-10.0, 10.0, (rows, 7)).tolist())
+        tracemalloc.start()
+        try:
+            doc = read_csv_field(path)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert doc.tuples.shape == (rows, 6)
+        return peak_bytes, path.stat().st_size
+
+    peak(100)  # first-call set-up is not part of either measurement
+    (few, few_size), (many, many_size) = peak(2_000), peak(20_000)
+    assert many <= 1.25 * few * many_size / few_size
+    assert many <= 3 * many_size
 
 
 def test_csv_and_jsonl_agree(tmp_path):

@@ -259,10 +259,11 @@ def test_suite_calls_the_classifier_once_per_batch(monkeypatch):
 
     few, many = counts(40), counts(160)
     assert few["boundary_class"] == many["boundary_class"] == 2 * 2  # two checks, two sizes
-    # one distance call per distinct partition and epsilon (or grid batch): n = 2 has one
-    # possible partition, n = 3 has four, and four batches per n use them
-    assert few["dist_to_diagonal"] <= 4 * (1 + 4)
-    assert many["dist_to_diagonal"] <= 4 * (1 + 4)
+    # one distance call per distinct partition of a batch: n = 2 has one possible
+    # partition, n = 3 has four, and two batches per n use them (displacement-bound
+    # with all three epsilons in one batch, and the grid oracle)
+    assert few["dist_to_diagonal"] <= 2 * (1 + 4)
+    assert many["dist_to_diagonal"] <= 2 * (1 + 4)
     # boundary-has-ties and stabilizer-minimality each label their whole batch
     # in one call per size
     assert few["equality_partition"] == 2 * (1 + 1)

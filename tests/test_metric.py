@@ -39,6 +39,15 @@ def test_l1_norm_examples():
     assert l1_norm([1.0, -np.inf]) == np.inf
 
 
+def test_l1_norm_of_integers_does_not_wrap_around():
+    # Summed in their own dtype, these came back as -2**63 and -128.
+    assert l1_norm(np.array([2**62, 2**62])) == 9.223372036854776e18
+    assert l1_norm([-2**63]) == 9.223372036854776e18
+    assert l1_norm(np.array([-128], dtype=np.int8)) == 128.0
+    assert l1_norm(np.array([2**64 - 1, 1], dtype=np.uint64)) == 2.0**64
+    assert l1_norm(np.array([True, False, True])) == 2.0
+
+
 @pytest.mark.parametrize(
     "bad",
     ["ab", ["a", 1], np.array(["a", "b"], dtype=object), [[1.0], [1.0, 2.0]]],

@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import min_matching, reference_match
+from oracles import min_matching, reference_match, triu_gap
 from symprod import core, monodromy
 from symprod.core import apply_perm, compose, identity_perm, is_perm
 from symprod.errors import InputError, UndersampledLoopError
@@ -63,15 +65,6 @@ def test_min_intra_gap():
     assert min_intra_gap(samples) == pytest.approx(1.0)  # |1+2j - (1+1j)|
 
 
-def triu_gap(samples) -> float:
-    """All component pairs of all samples in one array, then the minimum."""
-    n = samples.shape[1]
-    if n < 2:
-        return math.inf
-    j, k = np.triu_indices(n, k=1)
-    return float(np.abs(samples[:, j] - samples[:, k]).min())
-
-
 def test_min_intra_gap_matches_all_pairs_formula(monkeypatch):
     rng = np.random.default_rng(47)
     cases = []
@@ -85,6 +78,41 @@ def test_min_intra_gap_matches_all_pairs_formula(monkeypatch):
     monkeypatch.setattr(core, "CHUNK_ELEMENTS", 7)
     for samples in cases[:20]:
         assert min_intra_gap(samples) == triu_gap(samples)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    steps=st.integers(1, 8),
+    line=st.sampled_from(["plane", "vertical", "horizontal"]),
+    ties=st.booleans(),
+    repeat=st.booleans(),
+    huge=st.booleans(),
+    chunk=st.sampled_from([1, 7, core.CHUNK_ELEMENTS]),
+)
+def test_min_intra_gap_sweep_equals_all_pairs_oracle(seed, n, steps, line, ties, repeat, huge,
+                                                     chunk):
+    rng = np.random.default_rng(seed)
+    re, im = rng.normal(size=(2, steps, n))
+    if ties:  # one decimal: many equal coordinates and equal distances
+        re, im = re.round(1), im.round(1)
+    if line == "vertical":  # every component of a sample shares its real part
+        re[:] = re[:, :1]
+    elif line == "horizontal":
+        im[:] = im[:, :1]
+    if huge:  # entries whose differences overflow
+        re[rng.random(re.shape) < 0.2] = 1e308 * rng.choice([-1.0, 1.0])
+    samples = re + 1j * im
+    if repeat and n >= 2:  # a repeated component: the gap is 0
+        samples[:, -1] = samples[:, 0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "CHUNK_ELEMENTS", chunk)
+        assert min_intra_gap(samples) == triu_gap(samples)  # exact, inf included
+
+
+def test_min_intra_gap_past_float_range_is_inf_without_a_warning():
+    samples = np.array([[1e308, -1e308], [-1e308j, 1e308j], [1e308 + 1e308j, -1e308 - 1e308j]])
+    assert min_intra_gap(samples) == triu_gap(samples) == math.inf
 
 
 def test_constant_loop_identity_holonomy():
