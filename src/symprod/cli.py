@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UndersampledLoopError as exc:
@@ -298,9 +298,6 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:  # input too large to hold: exit 1 stays for violations
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2

@@ -134,28 +134,23 @@ def equality_partition(x, tol: float = 0.0) -> BlockPartition | np.ndarray:
     x = as_array(x, ranks=(1, 2))
     if not (isinstance(tol, numbers.Real) and tol >= 0):  # NaN and non-numbers fail too
         raise InputError(f"tolerance must be a nonnegative number, got {tol!r}")
-    order = np.argsort(x, axis=-1, kind="stable")
-    ascending = np.sort(x, axis=-1)
-    starts = np.ones(x.shape, dtype=bool)  # where a run of a sorted row begins
-    starts[..., 1:] = ascending[..., 1:] - ascending[..., :-1] > tol
-    if x.ndim == 1:
-        bounds = [*np.flatnonzero(starts).tolist(), x.size]
-        order = order.tolist()
-        blocks = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
-        return BlockPartition(blocks=blocks, n=x.size)
+    rows = np.atleast_2d(x)  # a vector is the batch of one
+    order = np.argsort(rows, axis=1, kind="stable")
+    ascending = np.sort(rows, axis=1)
+    starts = np.ones(rows.shape, dtype=bool)  # where a run of a sorted row begins
+    starts[:, 1:] = ascending[:, 1:] - ascending[:, :-1] > tol
     smallest = np.minimum.reduceat(order.ravel(), np.flatnonzero(starts))  # per run
     labels = np.empty_like(order)
-    np.put_along_axis(labels, order, smallest[np.cumsum(starts).reshape(x.shape) - 1], axis=1)
-    return labels
+    np.put_along_axis(labels, order, smallest[np.cumsum(starts).reshape(rows.shape) - 1], axis=1)
+    return labels if x.ndim == 2 else _partition_of_labels(labels[0])
 
 
 def _partition_of_labels(labels) -> BlockPartition:
-    """The partition whose ``Stabilizer.labels`` are ``labels``: equal labels make a block.
-
-    A name of its own, so that converting sampled labels is not counted or
-    patched as a call of ``equality_partition`` on the data under test.
-    """
-    return equality_partition(labels, 0.0)
+    """The partition whose ``Stabilizer.labels`` are ``labels``: equal labels make a block."""
+    blocks: dict = {}
+    for i, label in enumerate(np.asarray(labels).tolist()):
+        blocks.setdefault(label, []).append(i)
+    return BlockPartition(tuple(b for b in blocks.values() if len(b) >= 2), len(labels))
 
 
 def stabilizer_of(partition: BlockPartition) -> Stabilizer:

@@ -51,7 +51,11 @@ class FieldDocument:
     points: np.ndarray
     tuples: np.ndarray  # (N, n); complex dtype in complex mode
     adjacency: np.ndarray  # the checked read-only (E, 2) intp edges; "path" becomes its edges
-    complex_mode: bool
+
+    @property
+    def complex_mode(self) -> bool:
+        """Whether the tuples are complex: a complex-mode file, to be tracked as a loop."""
+        return self.tuples.dtype.kind == "c"
 
     def to_sampled_field(self) -> SampledField:
         if self.complex_mode:
@@ -163,7 +167,7 @@ def _read_real_lines(lines: list[str]):
         return None
 
 
-def _read_lines(lines: list[str], path: Path) -> tuple[dict, np.ndarray, np.ndarray, bool]:
+def _read_lines(lines: list[str], path: Path) -> tuple[dict, np.ndarray, np.ndarray]:
     """Parse field-file lines one at a time; every read error is raised here."""
     meta: dict = {}
     points: list[list[float]] = []
@@ -221,7 +225,7 @@ def _read_lines(lines: list[str], path: Path) -> tuple[dict, np.ndarray, np.ndar
     if not rows:
         raise InputError(f"{path}: no samples found")
     dtype = complex if complex_mode else float
-    return meta, np.asarray(points, dtype=float), np.asarray(rows, dtype=dtype), bool(complex_mode)
+    return meta, np.asarray(points, dtype=float), np.asarray(rows, dtype=dtype)
 
 
 def read_field_file(path) -> FieldDocument:
@@ -233,10 +237,8 @@ def read_field_file(path) -> FieldDocument:
     """
     path = Path(path)
     lines = read_text(path).split("\n")
-    if fast := _read_real_lines([s for s in map(str.strip, lines) if s]):
-        (meta, points, tuples), complex_mode = fast, False
-    else:
-        meta, points, tuples, complex_mode = _read_lines(lines, path)
+    stripped = [s for s in map(str.strip, lines) if s]
+    meta, points, tuples = _read_real_lines(stripped) or _read_lines(lines, path)
     m, n = points.shape[1], tuples.shape[1]
     for key, actual in (("m", m), ("n", n)):
         if key not in meta:
@@ -246,9 +248,7 @@ def read_field_file(path) -> FieldDocument:
         if meta[key] != actual:
             raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
     adjacency = _parse_adjacency(meta.get("adjacency", "path"), points.shape[0])
-    return FieldDocument(
-        points=points, tuples=tuples, adjacency=adjacency, complex_mode=complex_mode
-    )
+    return FieldDocument(points=points, tuples=tuples, adjacency=adjacency)
 
 
 # A line with its ending, cut where a handle opened with newline="" cuts: at
@@ -304,7 +304,6 @@ def read_csv_field(path) -> FieldDocument:
         points=np.array(table[:, :m]),
         tuples=np.array(table[:, m:]),
         adjacency=path_adjacency(len(table)),
-        complex_mode=False,
     )
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BRUTE_FORCE_CAP, Perm, as_array, perm_matrix
-from .errors import CapExceededError, InputError
+from .core import Perm, as_array, perm_matrix
+from .errors import InputError
 
 
 def l1_norm(x) -> float:
@@ -132,12 +132,7 @@ def dist_bruteforce(y, z) -> Distance:
     real or complex tuples; costs use the absolute value / modulus.
     """
     y, z = _coerce_pair(y, z, allow_complex=True)
-    n = y.size
-    if n > BRUTE_FORCE_CAP:
-        raise CapExceededError(
-            f"brute force too large: n = {n} exceeds cap {BRUTE_FORCE_CAP}"
-        )
-    perms = perm_matrix(n)
+    perms = perm_matrix(y.size)  # refuses n past the brute-force cap
     with np.errstate(over="ignore"):  # an overflowed cost is inf, refused below if minimal
         costs = np.abs(y[np.newaxis, :] - z[perms]).sum(axis=1)
     best = int(np.argmin(costs))  # first minimum = lexicographically smallest

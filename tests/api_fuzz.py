@@ -132,7 +132,7 @@ CALLS = {
     "UndersampledLoopError": ((SCALARS,), {"suggested_steps": COUNTS}),
     # fieldfile: the readers and writers take paths, fuzzed through file bytes in
     # tests/test_fieldfile.py
-    "FieldDocument": ((SEQUENCES, SEQUENCES, SEQUENCES, SCALARS), {}),
+    "FieldDocument": ((SEQUENCES, SEQUENCES, SEQUENCES), {}),
     # lemmas
     "LemmaCheck": ((SCALARS, COUNTS, COUNTS, COUNTS), {}),
     "run_lemma_suite": (

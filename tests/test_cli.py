@@ -56,6 +56,14 @@ def test_dist_engine_choices_come_from_the_engine_table(capsys):
     assert "(choose from 'auto', 'assignment', 'brute', 'sorted')" in capsys.readouterr().err
 
 
+def test_dist_brute_past_the_cap_is_refused_with_one_message(capsys):
+    nine = ",".join(map(str, range(9)))
+    assert cli.main(["dist", "--a", nine, "--b", nine, "--engine", "brute"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: brute force too large: n = 9 exceeds cap 8 (9! permutations)\n"
+
+
 DIST_HELP = """\
 usage: symprod dist [-h] [--a A] [--b B] [--file FILE]
                     [--engine {auto,assignment,brute,sorted}]

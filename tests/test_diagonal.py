@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import blocks_of_labels, equality_blocks_by_closure, grid_min_block_cost
+from symprod import diagonal
 from symprod.core import apply_perm, compose, enumerate_perms, invert, perm_matrix
 from symprod.diagonal import (
     BlockPartition,
     Stabilizer,
+    _partition_of_labels,
     boundary_class,
     dist_to_diagonal,
     equality_partition,
@@ -66,6 +68,35 @@ def test_equality_partition_rejects_negative_tol():
 def test_equality_partition_rejects_nan_tol(x):
     with pytest.raises(InputError):
         equality_partition(x, tol=float("nan"))
+
+
+@st.composite
+def label_rows(draw):
+    """A labels row in the ``Stabilizer.labels`` convention: each index names
+    its block's smallest index, or itself."""
+    row = []
+    for i in range(draw(st.integers(1, 12))):
+        heads = [j for j in range(i) if row[j] == j]
+        row.append(draw(st.sampled_from([i, *heads])))
+    return row
+
+
+@given(label_rows())
+def test_partition_of_labels_round_trips_through_stabilizer_labels(row):
+    partition = _partition_of_labels(np.array(row))
+    assert partition.n == len(row)
+    assert partition.blocks == blocks_of_labels(row)
+    assert Stabilizer(partition).labels.tolist() == row
+    assert _partition_of_labels(row) == partition  # a plain list groups the same
+
+
+def test_partition_of_labels_groups_without_equality_partition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("labels are grouped directly, not cut into runs again")
+
+    monkeypatch.setattr(diagonal, "equality_partition", refuse)
+    partition = _partition_of_labels(np.array([0, 1, 0, 3, 1, 5]))
+    assert partition == BlockPartition(((0, 2), (1, 4)), 6)
 
 
 def test_partition_validation():

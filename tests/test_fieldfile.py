@@ -67,6 +67,23 @@ def test_explicit_edge_list(tmp_path):
     assert edges.dtype == np.intp and not edges.flags.writeable
 
 
+def test_complex_mode_is_read_from_the_tuples_dtype(tmp_path):
+    real, complex_, table = tmp_path / "r.jsonl", tmp_path / "c.jsonl", tmp_path / "t.csv"
+    write_lines(real, [{"point": [0.0], "tuple": [1.0, 2.0]}])
+    write_lines(complex_, [{"point": [0.0], "tuple": [[1.0, 0.5], [2.0, 0.0]]}])
+    table.write_text("point_0,tuple_0,tuple_1\n0.0,1.0,2.0\n")
+    for doc, kind in (
+        (read_field_file(real), "f"),
+        (read_field_file(complex_), "c"),
+        (read_csv_field(table), "f"),
+    ):
+        assert doc.tuples.dtype.kind == kind
+        assert doc.complex_mode == (kind == "c")
+    points, edges = np.zeros((2, 1)), np.array([[0, 1]])
+    assert not FieldDocument(points, np.zeros((2, 3)), edges).complex_mode
+    assert FieldDocument(points, np.zeros((2, 3), dtype=complex), edges).complex_mode
+
+
 def test_complex_mode_parses_and_refuses_sorting(tmp_path):
     path = tmp_path / "f.jsonl"
     write_lines(

@@ -241,6 +241,12 @@ def test_bruteforce_cap():
         dist_bruteforce(rng.normal(size=9), rng.normal(size=9))
 
 
+def test_bruteforce_cap_has_one_message():
+    with pytest.raises(CapExceededError) as excinfo:
+        dist_bruteforce(np.arange(9.0), np.arange(9.0))
+    assert str(excinfo.value) == "brute force too large: n = 9 exceeds cap 8 (9! permutations)"
+
+
 # Finite components whose distance overflows float64: every pairing's cost
 # overflows, or only some pairings' costs do and the rest overflow their sum.
 OVERFLOWING_PAIRS = {
