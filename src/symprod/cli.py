@@ -14,6 +14,8 @@ import os
 import sys
 import time
 
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # symprod calls no BLAS: skip the pool's start-up
+
 import numpy as np
 
 from .errors import InputError, InvariantViolation, UndersampledLoopError

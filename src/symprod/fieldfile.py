@@ -29,6 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,8 +37,10 @@ from .core import read_text
 from .errors import InputError
 # perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
 from .metric import UnorderedTuple  # noqa: F401
-from .monodromy import ComplexLoop
 from .selection import LiftedField, SampledField, _check_adjacency, path_adjacency
+
+if TYPE_CHECKING:  # to_loop imports it when called, so that `lift` does not load monodromy
+    from .monodromy import ComplexLoop
 
 # Lines per json.loads call in the real-mode reader; the joined text of one
 # block is all the extra copy of the input it holds.
@@ -66,6 +69,8 @@ class FieldDocument:
         return SampledField(self.points, self.tuples, self.adjacency)
 
     def to_loop(self) -> ComplexLoop:
+        from .monodromy import ComplexLoop
+
         return ComplexLoop(samples=self.tuples)
 
 
@@ -313,6 +318,7 @@ def _replacing(path):
 
     Readers see the old file or the whole new one, never a partial write.  If
     writing fails, the temporary file is removed and ``path`` is left as it was.
+    An error on the temporary file is reported as one on ``path``.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -320,8 +326,10 @@ def _replacing(path):
         with tmp.open("w", encoding="utf-8") as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -623,7 +623,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("symprod."
         (["dist", "--a", "1,5", "--b", "2,3"], ["cli", "core", "errors", "metric"]),
         (["dist", "--file"], ["cli", "core", "errors", "metric"]),
         (["bench", "--n", "2", "--reps", "1"], ["cli", "core", "errors", "metric"]),
-        (["lift"], ["cli", "core", "errors", "fieldfile", "metric", "monodromy", "selection"]),
+        (["lift"], ["cli", "core", "errors", "fieldfile", "metric", "selection"]),
     ],
     ids=["import-symprod", "build-parser", "holonomy", "lemmas", "canon", "dist", "dist-file",
          "bench", "lift"],
@@ -677,6 +677,27 @@ def test_lift_overflow_prints_no_numpy_warning(tmp_path):
         "invariant violation: sorted lift must be an isometry; max_ratio = nan",
     ]
     assert not out.exists()
+
+
+def test_a_failed_output_open_names_the_requested_path(tmp_path):
+    # Two fresh interpreters, so two process ids: the temporary file's name would differ.
+    path = tmp_path / "f.jsonl"
+    write_lines(path, [{"point": [0.0], "tuple": [2.0, 1.0]}, {"point": [1.0], "tuple": [1.0, 3.0]}])
+    out = tmp_path / "missing-dir" / "x.jsonl"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [subprocess.run(
+        [sys.executable, "-m", "symprod.cli", "lift", "--input", str(path), "--output", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    ) for _ in range(2)]
+    assert [r.returncode for r in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr
+    error = runs[0].stderr.splitlines()[-1]
+    assert error == f"error: [Errno 2] No such file or directory: '{out}'"
+    assert ".tmp" not in runs[0].stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.jsonl"]
 
 
 LEMMA_TABLE_SEED_3 = "".join(

@@ -485,6 +485,15 @@ def test_failed_loop_write_leaves_the_target_alone(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["loop.jsonl"]
 
 
+def test_a_failed_rename_names_the_requested_path(tmp_path):
+    out = tmp_path / "lifted.jsonl"
+    out.mkdir()  # the rename over it fails, after the temporary file was written
+    with pytest.raises(IsADirectoryError) as caught:
+        write_lifted_file(out, small_lifted())
+    assert caught.value.filename == str(out) and caught.value.filename2 is None
+    assert [p.name for p in tmp_path.iterdir()] == ["lifted.jsonl"]
+
+
 def test_lift_cli_write_failure_keeps_the_old_output(tmp_path, monkeypatch, capsys):
     src = tmp_path / "field.jsonl"
     write_lines(src, [{"point": [0.0], "tuple": [2.0, 1.0]}, {"point": [1.0], "tuple": [0.5, 3.0]}])
