@@ -163,7 +163,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_holonomy(args) -> int:
     if args.input is not None:
-        if args.k is not None:
+        if (args.k, args.steps, args.radius) != (None, None, None):
             raise InputError("give either --input or --k/--steps, not both")
         from . import fieldfile
 
@@ -172,7 +172,8 @@ def _cmd_holonomy(args) -> int:
     else:
         if args.k is None or args.steps is None:
             raise InputError("need --k and --steps (or --input)")
-        loop = roots_loop_generator(args.k, args.steps, radius=args.radius)
+        radius = 1.0 if args.radius is None else args.radius
+        loop = roots_loop_generator(args.k, args.steps, radius=radius)
     holonomy = track_loop(loop)
     print(f"cycle type = {describe_cycles(holonomy.permutation)}")
     print(f"total cost = {_fmt(holonomy.total_path_cost)}")
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("holonomy", help="track components of a complex loop")
     p.add_argument("--k", type=int, help="track the k-th roots of a circling point")
     p.add_argument("--steps", type=int, help="number of loop samples")
-    p.add_argument("--radius", type=float, default=1.0, help="radius of the base circle")
+    p.add_argument("--radius", type=float, help="radius of the base circle (default 1)")
     p.add_argument("--input", help="complex-mode JSON-lines loop file instead of --k/--steps")
     p.set_defaults(func=_cmd_holonomy)
 

@@ -344,6 +344,23 @@ def test_holonomy_file_with_a_bad_edge_is_input_error(tmp_path, capsys, adjacenc
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("extra", [["--steps", "5"], ["--radius", "3"], ["--steps", "5", "--radius", "3"]])
+def test_holonomy_input_refuses_generator_options(tmp_path, capsys, extra):
+    from symprod.fieldfile import write_loop_file
+
+    path = tmp_path / "loop.jsonl"
+    write_loop_file(path, roots_loop_generator(2, 64))
+    assert cli.main(["holonomy", "--input", str(path), *extra]) == 2
+    assert "give either --input or --k/--steps" in capsys.readouterr().err
+    # without --input, --radius still sizes the generated loop, and 1 is its default
+    outputs = []
+    for radius in ([], ["--radius", "1"], ["--radius", "3"]):
+        assert cli.main(["holonomy", "--k", "2", "--steps", "64", *radius]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+    assert "2-cycle" in outputs[2]
+
+
 def test_holonomy_undersampled_exit_code(capsys):
     assert cli.main(["holonomy", "--k", "2", "--steps", "8"]) == 3
     assert "need at least 16" in capsys.readouterr().err

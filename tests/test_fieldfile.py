@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,11 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         ),
         (
             '{"point": [0.0], "tuple": [1.0]}\n{"meta": {"m": 1}}',
+            "line 2: meta line must come first",
+        ),
+        (
+            '{"meta": {"n": 5, "m": 7}}\n{"meta": {}}\n{"point": [0.0], "tuple": [1.0, 2.0]}\n'
+            '{"point": [1.0], "tuple": [3.0, 4.0]}',
             "line 2: meta line must come first",
         ),
     ]
@@ -506,7 +512,7 @@ def test_lift_cli_write_failure_keeps_the_old_output(tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["field.jsonl", "lifted.jsonl"]
 
 
-# The real-mode fast reader against the per-line parser it stands in for.
+# The block reader against the per-line parser it stands in for.
 
 EDGE_NUMBERS = st.sampled_from(
     [2**53 - 1, 2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1,
@@ -518,9 +524,9 @@ FIELD_NUMBERS = st.integers(-3, 3) | st.floats(width=64) | EDGE_NUMBERS
 
 @contextlib.contextmanager
 def per_line_only():
-    """Make the fast reader decline, so only the per-line parser runs."""
+    """Make the block reader decline, so only the per-line parser runs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fieldfile, "_read_real_lines", lambda lines: None)
+        mp.setattr(fieldfile, "_read_valid_lines", lambda lines: None)
         yield
 
 
@@ -546,69 +552,143 @@ def assert_same_as_per_line(path):
     return fast
 
 
+def assert_routes_agree(text):
+    """The block reader declines exactly what the per-line parser refuses, else gives its arrays."""
+    lines = text.split("\n")
+    taken = fieldfile._read_valid_lines([s for s in map(str.strip, lines) if s])
+    try:
+        expected = fieldfile._read_lines(lines, Path("f.jsonl"))
+    except InputError:
+        assert taken is None
+        return
+    assert taken is not None
+    (meta, *arrays), (expected_meta, *expected_arrays) = taken, expected
+    assert meta == expected_meta
+    for got, want in zip(arrays, expected_arrays):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def sample_line(point, value, layout="plain"):
+    """One sample line, its keys in the usual order, swapped, or with an extra key."""
+    if layout == "swapped":
+        return json.dumps({"tuple": value, "point": point})
+    extra = {"note": "}, {"} if layout == "note" else {}
+    return json.dumps({"point": point, "tuple": value, **extra})
+
+
 @st.composite
 def field_file_lines(draw):
-    """Mostly well-formed real field files of one shape, with a few damaged lines."""
+    """Mostly well-formed field files of one shape and mode, with a few damaged lines."""
     m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     numbers = st.integers(-3, 3) | st.floats(-5.0, 5.0) if draw(st.booleans()) else FIELD_NUMBERS
+    pairs = draw(st.booleans())  # complex mode: n [re, im] pairs per tuple
+    entries = st.lists(numbers, min_size=2, max_size=2) if pairs else numbers
+    layouts = st.sampled_from(["plain", "plain", "swapped", "note"])
     samples = draw(st.lists(
-        st.fixed_dictionaries({
-            "point": st.lists(numbers, min_size=m, max_size=m),
-            "tuple": st.lists(numbers, min_size=n, max_size=n),
-        }),
-        min_size=1, max_size=5,
+        st.tuples(st.lists(numbers, min_size=m, max_size=m),
+                  st.lists(entries, min_size=n, max_size=n), layouts),
+        min_size=1, max_size=8,
     ))
-    lines = [json.dumps(s) for s in samples]
+    lines = [sample_line(*s) for s in samples]
+
+    def row(dim=m, size=n, complex_=pairs):
+        return sample_line([0.0] * dim, [[1.0, -0.0]] * size if complex_ else [1.0] * size)
+
     if draw(st.booleans()):
         meta = draw(st.sampled_from([{"m": m, "n": n, "adjacency": "path"}, {"n": n + 1},
-                                     {"adjacency": [[0, 0]]}, {"m": True}, "path"]))
+                                     {"adjacency": [[0, 0]]}, {"m": True}, "path", {}]))
         lines.insert(0, json.dumps({"meta": meta}))
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines)))
-        damage = draw(st.sampled_from(["blank", "meta", "pair", "split", "mixed", "swap", "pad"]))
+        damage = draw(st.sampled_from(
+            ["blank", "meta", "pair", "split", "size", "dim", "mode", "entry", "swap", "pad"]
+        ))
         if damage == "blank":
             lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
-        elif damage == "meta":
-            lines.insert(at, json.dumps({"meta": {"n": n}}))
+        elif damage == "meta":  # a meta line after the first line, or a repeated one
+            meta_line = {"meta": draw(st.sampled_from([{"n": n}, {}]))}
+            if draw(st.booleans()):  # a meta line with sample keys is still a meta line
+                meta_line.update(json.loads(row()))
+            lines.insert(at, json.dumps(meta_line))
         elif damage == "pair" and at < len(lines) - 1:  # two objects on one line
             lines[at: at + 2] = [lines[at] + draw(st.sampled_from([", ", " ", ""])) + lines[at + 1]]
         elif damage == "split" and at < len(lines):  # one object over two lines
             cut = draw(st.integers(1, max(1, len(lines[at]) - 1)))
             lines[at: at + 1] = [lines[at][:cut], lines[at][cut:]]
-        elif damage == "mixed":
-            lines.insert(at, json.dumps({"point": [0.0] * m, "tuple": [1.0] * (n + 1)}))
+        elif damage == "size":
+            lines.insert(at, row(size=n + 1))
+        elif damage == "dim":
+            lines.insert(at, row(dim=m + 1))
+        elif damage == "mode":
+            lines.insert(at, row(complex_=not pairs))
+        elif damage == "entry":  # a complex entry that is not a pair
+            lines.insert(at, sample_line([0.0] * m, [[1.0] * draw(st.sampled_from([1, 3]))] * n))
         elif damage == "swap":
-            lines.insert(at, json.dumps({"tuple": [1.0] * n, "point": [0.0] * m}))
+            lines.insert(at, json.dumps({"tuple": json.loads(row())["tuple"], "point": [0.0] * m}))
         elif damage == "pad":
-            lines.insert(at, "  " + json.dumps({"point": [0.0] * m, "tuple": [2.0] * n}) + " ")
+            lines.insert(at, "  " + row() + " ")
     return lines
 
 
-@given(lines=field_file_lines())
-def test_fast_reader_agrees_with_the_per_line_parser(tmp_path_factory, lines):
+# Small blocks put a change of size, dimension or mode in a later block.
+@given(lines=field_file_lines(), block=st.integers(1, 4) | st.just(fieldfile._DECODE_LINES))
+def test_fast_reader_agrees_with_the_per_line_parser(tmp_path_factory, lines, block):
     path = tmp_path_factory.mktemp("agree") / "f.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert_same_as_per_line(path)
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldfile, "_DECODE_LINES", block)
+        assert_same_as_per_line(path)
+        assert_routes_agree(text)
+
+
+@pytest.mark.parametrize("change", ["size", "dim", "mode", "meta"])
+def test_a_change_in_a_later_block_is_the_per_line_parsers_error(tmp_path, change):
+    rows = [[[1.0, 0.5], [-0.0, 2.0]], [0.25, 1.0]] if change == "mode" else [[0.25, 1.0]] * 2
+    first, later = rows
+    lines = ['{"meta": {"m": 1, "n": 2}}'] + [sample_line([0.0], first)] * fieldfile._DECODE_LINES
+    lines.append({
+        "size": sample_line([1.0], [0.25, 1.0, 2.0]),
+        "dim": sample_line([1.0, 2.0], later),
+        "mode": sample_line([1.0], later),
+        "meta": json.dumps({"meta": {}}),
+    }[change])
+    text = "\n".join(lines) + "\n"
+    assert_routes_agree(text)
+    path = tmp_path / "f.jsonl"
+    path.write_text(text, encoding="utf-8")
+    outcome = assert_same_as_per_line(path)
+    assert outcome[0] == "error" and outcome[1].startswith(f"line {len(lines)}: ")
 
 
 def fast_result(tmp_path, text):
     path = tmp_path / "f.jsonl"
     path.write_text(text, encoding="utf-8")
     assert_same_as_per_line(path)
-    return fieldfile._read_real_lines([s for s in map(str.strip, text.split("\n")) if s])
+    assert_routes_agree(text)
+    return fieldfile._read_valid_lines([s for s in map(str.strip, text.split("\n")) if s])
 
 
-def test_fast_reader_takes_plain_real_files(tmp_path):
+def test_fast_reader_takes_well_formed_files(tmp_path):
     out = tmp_path / "lifted.jsonl"
     write_lifted_file(out, small_lifted())
     assert fast_result(tmp_path, out.read_text(encoding="utf-8")) is not None
-    assert fast_result(tmp_path, '\n{"point": [0], "tuple": [2, 1.5]}\n\n') is not None
+    for text in [
+        '\n{"point": [0], "tuple": [2, 1.5]}\n\n',
+        '{"point": [0.0], "tuple": [[1.0, 0.0], [0.0, 1.0]]}\n',  # complex mode
+        '{"tuple": [1], "point": [0]}\n',
+        '{"point": [0], "tuple": [1], "note": 0}\n',
+    ]:
+        assert fast_result(tmp_path, text) is not None
+    tuples = fast_result(
+        tmp_path, '{"meta": {}}\n{"point": [-0.0], "tuple": [[-0.0, -0.0], [0, 1e308]]}\n'
+    )[2]
+    assert np.signbit(tuples.real[0, 0]) and np.signbit(tuples.imag[0, 0])  # -0.0 survives
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        '{"point": [0.0], "tuple": [[1.0, 0.0], [0.0, 1.0]]}\n',  # complex mode
         '{"point": [0], "tuple": [1, 2]}, {"point": [1], "tuple": [3, 4]}\n',
         # one object over two lines, balanced by two objects on one line
         '{"point": [0], "tuple": [1\n2]}\n'
@@ -619,12 +699,57 @@ def test_fast_reader_takes_plain_real_files(tmp_path):
         '{"point": [0], "tuple": [true]}\n',
         '{"point": [0], "tuple": [1e999999]}\n{"point": [1], "tuple": [' + "9" * 400 + ']}\n',
         '{"point": [0], "tuple": [1]}\n{"meta": {"m": 1}}\n',
-        '{"tuple": [1], "point": [0]}\n',
-        '{"point": [0], "tuple": [1], "note": 0}\n',
+        '{"meta": {}}\n{"meta": {}, "point": [0], "tuple": [1]}\n',
+        '{"point": [0], "tuple": [[1.0, 2.0, 3.0]]}\n',
+        '{"point": [0], "tuple": [[1.0]]}\n',
     ],
 )
 def test_fast_reader_declines_what_it_cannot_vouch_for(tmp_path, text):
     assert fast_result(tmp_path, text) is None
+
+
+def test_written_files_take_the_block_route(tmp_path, monkeypatch):
+    # A silent fall-back to the per-line parser would keep every result and
+    # lose the speed; the writers' own output must never need it.
+    def refuse(lines, path):
+        raise AssertionError(f"{path} fell back to the per-line parser")
+
+    monkeypatch.setattr(fieldfile, "_read_lines", refuse)
+    rows = np.random.default_rng(5).uniform(-5.0, 5.0, (fieldfile._DECODE_LINES + 7, 3))
+    lifted = lift_field(SampledField.path(np.arange(len(rows), dtype=float), rows))
+    loops = [roots_loop_generator(3, fieldfile._DECODE_LINES + 5),
+             ComplexLoop([[complex(-0.0, 5e-324), complex(1.79e308, -0.0)]] * 2)]
+    out = tmp_path / "out.jsonl"
+    write_lifted_file(out, lifted)
+    assert np.array_equal(read_field_file(out).tuples, lifted.values)
+    for loop in loops:
+        write_loop_file(out, loop)
+        assert read_field_file(out).tuples.tobytes() == loop.samples.tobytes()
+
+
+def test_field_file_reader_memory_grows_no_faster_than_the_file(tmp_path):
+    # Every number held as a Python object, plus the text of each block joined
+    # into one string, peaked near 5 times the file; the text and its lines
+    # are about 2.4 times, and one block's objects a fixed amount on top.
+    rng = np.random.default_rng(11)
+
+    def peak(blocks):
+        rows = np.cumsum(rng.normal(0.0, 0.1, (blocks * fieldfile._DECODE_LINES, 6)), axis=0)
+        path = tmp_path / f"f{blocks}.jsonl"
+        write_lifted_file(path, lift_field(SampledField.path(np.arange(len(rows)) / len(rows), rows)))
+        tracemalloc.start()
+        try:
+            doc = read_field_file(path)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert doc.tuples.shape == rows.shape
+        return peak_bytes, path.stat().st_size
+
+    peak(1)  # first-call set-up is not part of either measurement
+    (few, few_size), (many, many_size) = peak(4), peak(16)
+    assert many <= 1.25 * few * many_size / few_size
+    assert many <= 3.0 * many_size
 
 
 @given(rows=st.lists(
