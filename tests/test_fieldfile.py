@@ -669,12 +669,15 @@ def fast_result(tmp_path, text):
     return fieldfile._read_valid_lines([s for s in map(str.strip, text.split("\n")) if s])
 
 
-def test_fast_reader_takes_well_formed_files(tmp_path):
+def test_fast_reader_takes_plain_real_files(tmp_path):
     out = tmp_path / "lifted.jsonl"
     write_lifted_file(out, small_lifted())
     assert fast_result(tmp_path, out.read_text(encoding="utf-8")) is not None
+    assert fast_result(tmp_path, '\n{"point": [0], "tuple": [2, 1.5]}\n\n') is not None
+
+
+def test_fast_reader_takes_well_formed_files(tmp_path):
     for text in [
-        '\n{"point": [0], "tuple": [2, 1.5]}\n\n',
         '{"point": [0.0], "tuple": [[1.0, 0.0], [0.0, 1.0]]}\n',  # complex mode
         '{"tuple": [1], "point": [0]}\n',
         '{"point": [0], "tuple": [1], "note": 0}\n',
@@ -689,6 +692,9 @@ def test_fast_reader_takes_well_formed_files(tmp_path):
 @pytest.mark.parametrize(
     "text",
     [
+        # a complex-mode file that turns real, and swapped keys before a late meta line
+        '{"point": [0.0], "tuple": [[1.0, 0.0], [0.0, 1.0]]}\n{"point": [1.0], "tuple": [1.0, 2.0]}\n',
+        '{"tuple": [1], "point": [0]}\n{"meta": {}}\n',
         '{"point": [0], "tuple": [1, 2]}, {"point": [1], "tuple": [3, 4]}\n',
         # one object over two lines, balanced by two objects on one line
         '{"point": [0], "tuple": [1\n2]}\n'
