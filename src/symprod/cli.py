@@ -9,6 +9,7 @@ take --seed, falling back to the SYMPROD_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib
 import os
 import sys
@@ -140,6 +141,9 @@ def _cmd_canon(args) -> int:
 def _cmd_lift(args) -> int:
     from . import fieldfile
 
+    out_dir = os.path.dirname(args.output) or "."
+    if not os.path.exists(out_dir):  # fail before the read and the lift, not after them
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
     in_path = args.input
     if args.csv or str(in_path).endswith(".csv"):
         doc = fieldfile.read_csv_field(in_path)

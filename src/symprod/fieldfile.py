@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import read_text
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 # perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
 from .metric import UnorderedTuple  # noqa: F401
 from .selection import LiftedField, SampledField, _check_adjacency, path_adjacency
@@ -46,6 +46,8 @@ if TYPE_CHECKING:  # to_loop imports it when called, so that `lift` does not loa
 # the Python copy of the numbers it holds.  With 2048, reading a k=64 loop
 # file peaked at 4.6 times the file; with 512, at 2.2 times.
 _DECODE_LINES = 512
+# A JSON number, by exact type: a bool is not one.
+_NUMBER_TYPES = {float, int}
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,31 +77,6 @@ class FieldDocument:
         return ComplexLoop(samples=self.tuples)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _to_float(value, line_no: int) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise InputError(f"line {line_no}: integer too large for a float") from None
-
-
-def _parse_tuple_entry(entry, line_no: int):
-    if _is_number(entry):
-        return _to_float(entry, line_no), False
-    if isinstance(entry, list) and len(entry) == 2 and all(_is_number(v) for v in entry):
-        return complex(_to_float(entry[0], line_no), _to_float(entry[1], line_no)), True
-    raise InputError(
-        f"line {line_no}: tuple entries must be numbers or [re, im] pairs, got {entry!r}"
-    )
-
-
 def _parse_adjacency(spec, count: int) -> np.ndarray:
     """The meta adjacency, "path" or an edge list, as edges checked as ``SampledField`` does.
 
@@ -118,8 +95,7 @@ def _parse_adjacency(spec, count: int) -> np.ndarray:
 def _plain_numbers(lists, pairs: bool = False) -> bool:
     """Whether ``lists`` are nonempty lists of one length holding only JSON numbers.
 
-    With ``pairs`` they hold only [re, im] pairs of numbers instead.  Exact
-    types: a bool is not a number here, as ``_is_number`` says.
+    With ``pairs`` they hold only [re, im] pairs of numbers instead.
     """
     if set(map(type, lists)) != {list} or len(set(map(len, lists))) != 1 or not lists[0]:
         return False
@@ -127,16 +103,15 @@ def _plain_numbers(lists, pairs: bool = False) -> bool:
         lists = list(chain.from_iterable(lists))
         if set(map(type, lists)) != {list} or set(map(len, lists)) != {2}:
             return False
-    return set(map(type, chain.from_iterable(lists))) <= {float, int}
+    return set(map(type, chain.from_iterable(lists))) <= _NUMBER_TYPES
 
 
 def _read_valid_lines(lines: list[str]):
     """(meta, points, tuples) of a well-formed file in either mode, a block at a time, or None.
 
-    None means the per-line parser must decide: it alone raises errors, so
-    this returns a result only for input that parser accepts with the same
-    arrays.  Each line is decoded whole, and "point" and "tuple" may come in
-    any order among other keys, as that parser allows.
+    None means the file has a read error, for ``_raise_read_error`` to name.
+    Each line is decoded whole, and "point" and "tuple" may come in any
+    order among other keys.
     """
     decode = json.JSONDecoder().raw_decode
     meta, point_blocks, row_blocks = {}, [], []
@@ -167,12 +142,23 @@ def _read_valid_lines(lines: list[str]):
     return meta, points, tuples
 
 
-def _read_lines(lines: list[str], path: Path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Parse field-file lines one at a time; every read error is raised here."""
-    meta: dict | None = None
-    points: list[list[float]] = []
-    rows: list[list] = []
-    complex_mode: bool | None = None
+def _check_floats(values, line_no: int):
+    """Refuse a JSON integer too large for a float, as reading it into an array would."""
+    try:
+        for value in values:
+            float(value)
+    except OverflowError:
+        raise InputError(f"line {line_no}: integer too large for a float") from None
+
+
+def _raise_read_error(lines: list[str], path: Path):
+    """Raise the first read error in field-file lines, naming its 1-based line; build nothing.
+
+    Only a file that ``_read_valid_lines`` declines comes here, and that
+    route declines exactly the files with a read error.  So a file with
+    none is an ``InvariantViolation``: the two disagree.
+    """
+    meta_seen, first, complex_mode = False, None, None  # first: the first sample's sizes
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -188,62 +174,58 @@ def _read_lines(lines: list[str], path: Path) -> tuple[dict, np.ndarray, np.ndar
         if not isinstance(obj, dict):
             raise InputError(f"line {line_no}: expected a JSON object")
         if "meta" in obj:
-            if meta is not None or points:
+            if meta_seen or first:
                 raise InputError(f"line {line_no}: meta line must come first")
             if not isinstance(obj["meta"], dict):
                 raise InputError(f"line {line_no}: meta must be an object")
-            meta = obj["meta"]
+            meta_seen = True
             continue
         if "point" not in obj or "tuple" not in obj:
             raise InputError(f'line {line_no}: need both "point" and "tuple"')
-        point = obj["point"]
-        if not (isinstance(point, list) and point and all(map(_is_number, point))):
+        point, value = obj["point"], obj["tuple"]
+        if not _plain_numbers([point]):
             raise InputError(f"line {line_no}: point must be a list of numbers")
-        value = obj["tuple"]
         if not (isinstance(value, list) and value):
             raise InputError(f"line {line_no}: tuple must be a nonempty list")
-        parsed = []
         for entry in value:
-            num, is_complex = _parse_tuple_entry(entry, line_no)
-            if complex_mode is None:
-                complex_mode = is_complex
-            elif complex_mode != is_complex:
+            pair = _plain_numbers([entry]) and len(entry) == 2
+            if not (pair or type(entry) in _NUMBER_TYPES):
+                raise InputError(
+                    f"line {line_no}: tuple entries must be numbers or [re, im] pairs, got {entry!r}"
+                )
+            _check_floats(entry if pair else [entry], line_no)
+            if complex_mode not in (None, pair):
                 raise InputError(
                     f"line {line_no}: mixed real and complex tuple entries in one file"
                 )
-            parsed.append(num)
-        if points and len(point) != len(points[0]):
-            raise InputError(
-                f"line {line_no}: point dimension {len(point)} != {len(points[0])}"
-            )
-        if rows and len(parsed) != len(rows[0]):
-            raise InputError(
-                f"line {line_no}: tuple size {len(parsed)} != {len(rows[0])}"
-            )
-        points.append([_to_float(v, line_no) for v in point])
-        rows.append(parsed)
-    if not rows:
+            complex_mode = pair
+        if first and len(point) != first[0]:
+            raise InputError(f"line {line_no}: point dimension {len(point)} != {first[0]}")
+        if first and len(value) != first[1]:
+            raise InputError(f"line {line_no}: tuple size {len(value)} != {first[1]}")
+        _check_floats(point, line_no)
+        first = first or (len(point), len(value))
+    if not first:
         raise InputError(f"{path}: no samples found")
-    dtype = complex if complex_mode else float
-    return meta or {}, np.asarray(points, dtype=float), np.asarray(rows, dtype=dtype)
+    raise InvariantViolation(f"{path}: the block reader declined a file with no read error")
 
 
 def read_field_file(path) -> FieldDocument:
     """Parse a JSON-lines field file; errors carry 1-based line numbers.
 
-    A well-formed file is decoded a block of lines at a time (``_read_valid_lines``);
-    any file that route declines goes through the per-line parser, so both
-    routes give the same arrays and the same errors.
+    A well-formed file is decoded a block of lines at a time (``_read_valid_lines``),
+    the one route that builds its arrays.  A file that route declines has a
+    read error, and a per-line pass names its first bad line.
     """
     path = Path(path)
     lines = read_text(path).split("\n")
     stripped = [s for s in map(str.strip, lines) if s]
-    meta, points, tuples = _read_valid_lines(stripped) or _read_lines(lines, path)
+    meta, points, tuples = _read_valid_lines(stripped) or _raise_read_error(lines, path)
     m, n = points.shape[1], tuples.shape[1]
     for key, actual in (("m", m), ("n", n)):
         if key not in meta:
             continue
-        if not _is_int(meta[key]):
+        if type(meta[key]) is not int:
             raise InputError(f"meta {key} must be an integer, got {meta[key]!r}")
         if meta[key] != actual:
             raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")

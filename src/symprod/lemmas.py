@@ -329,6 +329,7 @@ def run_lemma_suite(
     grid_trials = as_count(min(trials, 50) if grid_trials is None else grid_trials,
                            "grid_trials", 1)
     rng = np.random.default_rng(None if seed is None else as_count(seed, "seed", 0))
+    perm_matrix(n_values[-1])  # refuses a size past the brute-force cap before any check runs
     results: list[LemmaCheck] = []
     for n in n_values:
         g = rng.spawn(7)

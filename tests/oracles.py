@@ -6,6 +6,7 @@ formula) so the library under test is never its own oracle.
 """
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
@@ -167,3 +168,21 @@ def random_partition_law(n: int) -> dict[tuple[int, ...], float]:
             key = tuple(labels)
             law[key] = law.get(key, 0.0) + prob / len(perms)
     return law
+
+
+def field_file_arrays(text: str):
+    """(meta, points, tuples) of a field file with no read error, by the layout's definition.
+
+    Each non-blank line is one ``json.loads`` object; a leading meta line is
+    dropped; numbers become floats one at a time, and [re, im] pairs become
+    ``complex(re, im)``, which keeps a -0.0 real part.
+    """
+    objs = [json.loads(line) for line in text.split("\n") if line.strip()]
+    meta = objs.pop(0)["meta"] if "meta" in objs[0] else {}
+    points = np.array([[float(v) for v in obj["point"]] for obj in objs])
+    rows = [obj["tuple"] for obj in objs]
+    if isinstance(rows[0][0], list):
+        tuples = np.array([[complex(re, im) for re, im in row] for row in rows])
+    else:
+        tuples = np.array([[float(v) for v in row] for row in rows])
+    return meta, points, tuples

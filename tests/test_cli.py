@@ -711,8 +711,7 @@ def test_a_failed_output_open_names_the_requested_path(tmp_path):
     ) for _ in range(2)]
     assert [r.returncode for r in runs] == [2, 2]
     assert runs[0].stderr == runs[1].stderr
-    error = runs[0].stderr.splitlines()[-1]
-    assert error == f"error: [Errno 2] No such file or directory: '{out}'"
+    assert runs[0].stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
     assert ".tmp" not in runs[0].stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.jsonl"]
 

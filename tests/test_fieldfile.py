@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import field_file_arrays
 from symprod import cli, fieldfile
-from symprod.errors import InputError
+from symprod.errors import InputError, InvariantViolation
 from symprod.fieldfile import (
     FieldDocument,
     read_csv_field,
@@ -127,6 +128,14 @@ def test_parse_errors_carry_line_numbers(tmp_path):
             '{"point": [1.0], "tuple": [3.0, 4.0]}',
             "line 2: meta line must come first",
         ),
+        (
+            '{"point": [0.0], "tuple": [1.0]}\n{"point": [' + "9" * 400 + '], "tuple": [2.0]}',
+            "line 2: integer too large for a float",
+        ),
+        (
+            '{"point": [0.0], "tuple": [[1.0, ' + str(2**1024) + ']]}',
+            "line 1: integer too large for a float",
+        ),
     ]
     for text, fragment in cases:
         path = tmp_path / "bad.jsonl"
@@ -165,6 +174,15 @@ def test_meta_shape_mismatch(tmp_path):
         [{"meta": {"m": 2, "n": 2}}, {"point": [0.0], "tuple": [1.0, 2.0]}],
     )
     with pytest.raises(InputError, match="meta declares m = 2"):
+        read_field_file(path)
+
+
+@pytest.mark.parametrize("meta, shown", [({"m": True}, "m must be an integer, got True"),
+                                         ({"n": 2.0}, "n must be an integer, got 2.0")])
+def test_meta_sizes_must_be_json_integers(tmp_path, meta, shown):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [{"meta": meta}, {"point": [0.0], "tuple": [1.0, 2.0]}])
+    with pytest.raises(InputError, match=f"meta {shown}$"):
         read_field_file(path)
 
 
@@ -512,7 +530,7 @@ def test_lift_cli_write_failure_keeps_the_old_output(tmp_path, monkeypatch, caps
     assert sorted(p.name for p in tmp_path.iterdir()) == ["field.jsonl", "lifted.jsonl"]
 
 
-# The block reader against the per-line parser it stands in for.
+# The block reader against the per-line pass, which names a read error, and the oracle.
 
 EDGE_NUMBERS = st.sampled_from(
     [2**53 - 1, 2**53 + 1, 2**53 + 3, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1,
@@ -522,11 +540,21 @@ EDGE_NUMBERS = st.sampled_from(
 FIELD_NUMBERS = st.integers(-3, 3) | st.floats(width=64) | EDGE_NUMBERS
 
 
+def per_line_verdict(lines):
+    """The per-line pass's verdict on ``lines``: True if it finds a read error, False if none."""
+    with pytest.raises((InputError, InvariantViolation)) as caught:
+        fieldfile._raise_read_error(lines, Path("f.jsonl"))
+    return caught.errisinstance(InputError)
+
+
 @contextlib.contextmanager
 def per_line_only():
-    """Make the block reader decline, so only the per-line parser runs."""
+    """Read without the block reader: the per-line pass's error, else the oracle's arrays."""
+    def read(lines):
+        return None if per_line_verdict(lines) else field_file_arrays("\n".join(lines))
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fieldfile, "_read_valid_lines", lambda lines: None)
+        mp.setattr(fieldfile, "_read_valid_lines", read)
         yield
 
 
@@ -553,16 +581,14 @@ def assert_same_as_per_line(path):
 
 
 def assert_routes_agree(text):
-    """The block reader declines exactly what the per-line parser refuses, else gives its arrays."""
+    """The block reader declines exactly the files with a read error, else gives the oracle's arrays."""
     lines = text.split("\n")
     taken = fieldfile._read_valid_lines([s for s in map(str.strip, lines) if s])
-    try:
-        expected = fieldfile._read_lines(lines, Path("f.jsonl"))
-    except InputError:
+    if per_line_verdict(lines):
         assert taken is None
         return
     assert taken is not None
-    (meta, *arrays), (expected_meta, *expected_arrays) = taken, expected
+    (meta, *arrays), (expected_meta, *expected_arrays) = taken, field_file_arrays(text)
     assert meta == expected_meta
     for got, want in zip(arrays, expected_arrays):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -715,12 +741,11 @@ def test_fast_reader_declines_what_it_cannot_vouch_for(tmp_path, text):
 
 
 def test_written_files_take_the_block_route(tmp_path, monkeypatch):
-    # A silent fall-back to the per-line parser would keep every result and
-    # lose the speed; the writers' own output must never need it.
+    # The writers' own output must never reach the per-line pass.
     def refuse(lines, path):
-        raise AssertionError(f"{path} fell back to the per-line parser")
+        raise AssertionError(f"{path} reached the per-line pass")
 
-    monkeypatch.setattr(fieldfile, "_read_lines", refuse)
+    monkeypatch.setattr(fieldfile, "_raise_read_error", refuse)
     rows = np.random.default_rng(5).uniform(-5.0, 5.0, (fieldfile._DECODE_LINES + 7, 3))
     lifted = lift_field(SampledField.path(np.arange(len(rows), dtype=float), rows))
     loops = [roots_loop_generator(3, fieldfile._DECODE_LINES + 5),
@@ -731,6 +756,20 @@ def test_written_files_take_the_block_route(tmp_path, monkeypatch):
     for loop in loops:
         write_loop_file(out, loop)
         assert read_field_file(out).tuples.tobytes() == loop.samples.tobytes()
+
+
+def test_a_valid_file_the_block_route_declines_is_an_invariant_violation(
+    tmp_path, monkeypatch, capsys
+):
+    # No silent fall-back: the per-line pass finds no read error and says so.
+    source, out = tmp_path / "field.jsonl", tmp_path / "lifted.jsonl"
+    write_lines(source, [{"point": [0.0], "tuple": [2.0, 1.0]}, {"point": [1.0], "tuple": [0.5, 3.0]}])
+    monkeypatch.setattr(fieldfile, "_read_valid_lines", lambda lines: None)
+    with pytest.raises(InvariantViolation, match="declined a file with no read error"):
+        read_field_file(source)
+    assert cli.main(["lift", "--input", str(source), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("invariant violation: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["field.jsonl"]
 
 
 def test_field_file_reader_memory_grows_no_faster_than_the_file(tmp_path):

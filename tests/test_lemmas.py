@@ -8,7 +8,7 @@ import pytest
 from oracles import random_partition_law
 from symprod import core, lemmas
 from symprod.diagonal import BlockPartition, Stabilizer, _partition_of_labels
-from symprod.errors import InputError
+from symprod.errors import CapExceededError, InputError
 from symprod.lemmas import (
     DISPLACEMENT_EPSILONS,
     all_passed,
@@ -87,6 +87,15 @@ def test_n_values_validated_and_deduplicated():
         run_lemma_suite(n_values=(1,), trials=10, seed=0)
     with pytest.raises(InputError):
         run_lemma_suite(n_values=(), trials=10, seed=0)
+
+
+def test_a_size_past_the_cap_is_refused_before_any_check_runs(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a check ran before the cap was checked")
+
+    monkeypatch.setattr(lemmas, "check_displacement_bound", fail)
+    with pytest.raises(CapExceededError, match="n = 9 exceeds cap 8"):
+        run_lemma_suite(n_values=(2, 9), trials=10, seed=0)
 
 
 def test_exterior_openness_standalone():
