@@ -63,11 +63,6 @@ class BlockPartition:
             seen.update(ids)
         object.__setattr__(self, "blocks", tuple(sorted(blocks)))
 
-    @property
-    def constrained(self) -> frozenset[int]:
-        """Indices that belong to some block."""
-        return frozenset(i for block in self.blocks for i in block)
-
 
 @dataclass(frozen=True)
 class Stabilizer:

@@ -27,7 +27,7 @@ import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -42,8 +42,8 @@ from .selection import LiftedField, SampledField, _check_adjacency, path_adjacen
 if TYPE_CHECKING:  # to_loop imports it when called, so that `lift` does not load monodromy
     from .monodromy import ComplexLoop
 
-# Lines per block in the block reader: one block's decoded objects are all
-# the Python copy of the numbers it holds.  With 2048, reading a k=64 loop
+# Lines per block in the block reader and the writer: one block's objects are
+# all the Python copy of the numbers it holds.  With 2048, reading a k=64 loop
 # file peaked at 4.6 times the file; with 512, at 2.2 times.
 _DECODE_LINES = 512
 # A JSON number, by exact type: a bool is not one.
@@ -77,7 +77,7 @@ class FieldDocument:
         return ComplexLoop(samples=self.tuples)
 
 
-def _parse_adjacency(spec, count: int) -> np.ndarray:
+def _parse_adjacency(spec, count: int, line_no: int) -> np.ndarray:
     """The meta adjacency, "path" or an edge list, as edges checked as ``SampledField`` does.
 
     Only what the array pass cannot see is checked here: JSON true/false
@@ -86,9 +86,9 @@ def _parse_adjacency(spec, count: int) -> np.ndarray:
     if spec == "path":
         return path_adjacency(count)
     if not isinstance(spec, list):
-        raise InputError('line 1: adjacency must be "path" or an edge list')
+        raise InputError(f'line {line_no}: adjacency must be "path" or an edge list')
     if any(type(i) is bool for edge in spec if isinstance(edge, list) for i in edge):
-        raise InputError("line 1: adjacency indices must be integers, not true or false")
+        raise InputError(f"line {line_no}: adjacency indices must be integers, not true or false")
     return _check_adjacency(spec, count)
 
 
@@ -106,24 +106,25 @@ def _plain_numbers(lists, pairs: bool = False) -> bool:
     return set(map(type, chain.from_iterable(lists))) <= _NUMBER_TYPES
 
 
-def _read_valid_lines(lines: list[str]):
+def _read_valid_lines(lines):
     """(meta, points, tuples) of a well-formed file in either mode, a block at a time, or None.
 
     None means the file has a read error, for ``_raise_read_error`` to name.
-    Each line is decoded whole, and "point" and "tuple" may come in any
-    order among other keys.
+    ``lines`` are its stripped non-blank lines.  Each line is decoded whole,
+    and "point" and "tuple" may come in any order among other keys.
     """
     decode = json.JSONDecoder().raw_decode
     meta, point_blocks, row_blocks = {}, [], []
+    lines = iter(lines)
     try:
-        for start in range(0, len(lines), _DECODE_LINES):
+        for block_no, block in enumerate(iter(lambda: list(islice(lines, _DECODE_LINES)), [])):
             objs = []
-            for line in lines[start : start + _DECODE_LINES]:
+            for line in block:
                 obj, end = decode(line)
                 if end != len(line) or not isinstance(obj, dict):
                     return None
                 objs.append(obj)
-            if start == 0 and "meta" in objs[0]:  # the optional meta line
+            if block_no == 0 and "meta" in objs[0]:  # the optional meta line
                 meta = objs.pop(0)["meta"]
             if not objs:  # the meta line was the whole block
                 continue
@@ -218,9 +219,10 @@ def read_field_file(path) -> FieldDocument:
     read error, and a per-line pass names its first bad line.
     """
     path = Path(path)
-    lines = read_text(path).split("\n")
-    stripped = [s for s in map(str.strip, lines) if s]
-    meta, points, tuples = _read_valid_lines(stripped) or _raise_read_error(lines, path)
+    text = read_text(path)
+    pieces = re.finditer(r".{1,65536}[^\n]*", text, re.S)  # about 64k characters, to a line's end
+    lines = (s for piece in pieces for s in map(str.strip, piece.group().split("\n")) if s)
+    meta, points, tuples = _read_valid_lines(lines) or _raise_read_error(text.split("\n"), path)
     m, n = points.shape[1], tuples.shape[1]
     for key, actual in (("m", m), ("n", n)):
         if key not in meta:
@@ -229,7 +231,8 @@ def read_field_file(path) -> FieldDocument:
             raise InputError(f"meta {key} must be an integer, got {meta[key]!r}")
         if meta[key] != actual:
             raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
-    adjacency = _parse_adjacency(meta.get("adjacency", "path"), points.shape[0])
+    meta_line = text.count("\n", 0, re.match(r"\s*", text).end()) + 1  # the first non-blank line
+    adjacency = _parse_adjacency(meta.get("adjacency", "path"), points.shape[0], meta_line)
     return FieldDocument(points=points, tuples=tuples, adjacency=adjacency)
 
 
@@ -318,8 +321,10 @@ def _write_rows(path, meta: dict, points: np.ndarray, rows: np.ndarray):
     """
     with _replacing(path) as handle:
         handle.write(json.dumps({"meta": meta}) + "\n")
-        for point, row in zip(points.tolist(), rows.tolist()):
-            handle.write(f'{{"point": {point}, "tuple": {row}}}\n')
+        for start in range(0, len(points), _DECODE_LINES):  # one block of Python floats at a time
+            block = slice(start, start + _DECODE_LINES)
+            for point, row in zip(points[block].tolist(), rows[block].tolist()):
+                handle.write(f'{{"point": {point}, "tuple": {row}}}\n')
 
 
 def write_lifted_file(path, lifted: LiftedField):

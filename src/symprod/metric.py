@@ -62,10 +62,6 @@ class UnorderedTuple:
         """The non-descendingly sorted representative (read-only array)."""
         return self._canonical
 
-    @property
-    def n(self) -> int:
-        return self._canonical.size
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnorderedTuple):
             return NotImplemented
@@ -96,8 +92,6 @@ class Distance:
 
 def _is_complex(values) -> bool:
     """Whether ``values`` holds complex components; unreadable input is left to as_array."""
-    if isinstance(values, UnorderedTuple):
-        return False
     try:
         return np.iscomplexobj(values)
     except (TypeError, ValueError):  # ragged

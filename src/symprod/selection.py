@@ -113,14 +113,6 @@ class SampledField:
         points = _as_points(points)
         return cls(points=points, values=values, adjacency=path_adjacency(points.shape[0]))
 
-    @property
-    def dim_m(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def tuple_n(self) -> int:
-        return self.values.shape[1]
-
 
 class LiftedField(SampledField):
     """An ordered-representative field: a sampled field whose rows are sorted."""
@@ -167,8 +159,6 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     """
     if not np.array_equal(lifted.adjacency, field.adjacency):
         raise InputError("mismatched fields: adjacency differs")
-    if lifted.values.shape[0] != field.values.shape[0]:
-        raise InputError("mismatched fields: sample counts differ")
     if not np.array_equal(lifted.points, field.points):
         raise InputError("mismatched fields: sample points differ")
 

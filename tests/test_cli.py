@@ -111,6 +111,9 @@ def test_dist_input_errors(tmp_path, capsys):
     path.write_text("1,2\n")
     assert cli.main(["dist", "--file", str(path)]) == 2
     assert cli.main(["dist", "--file", str(tmp_path / "missing.txt")]) == 2
+    capsys.readouterr()
+    assert cli.main(["dist", "--file", str(path), "--a", "1,2"]) == 2
+    assert capsys.readouterr().err == "error: give either --file or --a/--b, not both\n"
 
 
 @pytest.mark.parametrize("engine", ["auto", "sorted", "brute", "assignment"])
@@ -432,6 +435,9 @@ def test_lemmas_seed_sources(capsys, monkeypatch):
 def test_lemmas_bad_n_range(capsys):
     assert cli.main(["lemmas", "--n", "abc"]) == 2
     assert cli.main(["lemmas", "--n", "1"]) == 2
+    capsys.readouterr()
+    assert cli.main(["lemmas", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: invalid n range '0'\n"
 
 
 def test_lemmas_without_trials_is_input_error(capsys):
@@ -641,9 +647,11 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("symprod."
         (["dist", "--file"], ["cli", "core", "errors", "metric"]),
         (["bench", "--n", "2", "--reps", "1"], ["cli", "core", "errors", "metric"]),
         (["lift"], ["cli", "core", "errors", "fieldfile", "metric", "selection"]),
+        (["holonomy", "--input"],
+         ["cli", "core", "errors", "fieldfile", "metric", "monodromy", "selection"]),
     ],
     ids=["import-symprod", "build-parser", "holonomy", "lemmas", "canon", "dist", "dist-file",
-         "bench", "lift"],
+         "bench", "lift", "holonomy-input"],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
     # A fresh interpreter: `import symprod` loads no submodule, and a subcommand
@@ -653,6 +661,10 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
         write_lines(field, [{"point": [0.0], "tuple": [2.0, 1.0]},
                             {"point": [1.0], "tuple": [1.0, 3.0]}])
         argv = argv + ["--input", str(field), "--output", str(tmp_path / "out.jsonl")]
+    if argv == ["holonomy", "--input"]:
+        loop = tmp_path / "loop.jsonl"
+        write_lines(loop, [{"point": [0.0], "tuple": [[1.0, 0.0], [2.0, 0.0]]}] * 4)
+        argv = argv + [str(loop)]
     if argv == ["dist", "--file"]:
         pair = tmp_path / "pair.txt"
         pair.write_text("1,5\n2,3\n")

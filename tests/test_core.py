@@ -57,6 +57,8 @@ def test_apply_perm_picks_source_components():
 def test_apply_perm_dimension_mismatch():
     with pytest.raises(InputError):
         apply_perm((0, 1), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(InputError, match=r"^a permutation applies to a 1-D tuple, got shape \(1, 1\)$"):
+        apply_perm((0,), np.zeros((1, 1)))
 
 
 def test_apply_perm_rejects_non_permutation():
@@ -202,6 +204,7 @@ NOT_PERMUTATIONS = {
     "none": None,
     "empty": (),
     "2-D": [[0, 1], [1, 0]],
+    "ragged": [[0, 1], [0]],
 }
 
 

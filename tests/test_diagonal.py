@@ -110,7 +110,6 @@ def test_partition_validation():
         BlockPartition(blocks=((0, 0),), n=3)
     part = BlockPartition(blocks=((2, 0),), n=3)
     assert part.blocks == ((0, 2),)  # normalized to sorted form
-    assert part.constrained == frozenset({0, 2})
 
 
 def test_stabilizer_trivial():

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -107,6 +108,7 @@ def test_complex_mode_parses_and_refuses_sorting(tmp_path):
 def test_parse_errors_carry_line_numbers(tmp_path):
     cases = [
         ("not json {", "line 1"),
+        ('{"point": [0.0], "tuple": [1.0]}\n[1, 2]', "^line 2: expected a JSON object$"),
         ('{"point": [0.0]}', "line 1"),
         ('{"point": [0.0], "tuple": []}', "line 1"),
         ('{"point": [], "tuple": [1.0]}', "line 1"),
@@ -284,6 +286,22 @@ def test_empty_file_rejected(tmp_path):
         read_field_file(path)
 
 
+@pytest.mark.parametrize("lead", ["", "\n\n", " \n\t\n  "], ids=["none", "blank", "spaces"])
+@pytest.mark.parametrize("adjacency, shown", [
+    (5, 'adjacency must be "path" or an edge list'),
+    ([[0, True]], "adjacency indices must be integers, not true or false"),
+], ids=["not-a-list", "bool-index"])
+def test_adjacency_errors_name_the_meta_line(tmp_path, capsys, lead, adjacency, shown):
+    path = tmp_path / "f.jsonl"
+    path.write_text(lead + json.dumps({"meta": {"adjacency": adjacency}}) + "\n"
+                    + '{"point": [0.0], "tuple": [1.0]}\n{"point": [1.0], "tuple": [2.0]}\n')
+    message = f"line {lead.count(chr(10)) + 1}: {shown}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        read_field_file(path)
+    assert cli.main(["lift", "--input", str(path), "--output", str(tmp_path / "out.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_lift_write_read_round_trip(tmp_path):
     src = tmp_path / "field.jsonl"
     write_lines(
@@ -381,6 +399,13 @@ def test_csv_header_order_enforced(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("tuple_0,point_0\n1.0,0.0\n")
     with pytest.raises(InputError, match="ordered"):
+        read_csv_field(path)
+
+
+def test_csv_header_without_rows_has_no_samples(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_text("point_0,tuple_0\n")
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: no samples found$"):
         read_csv_field(path)
 
 
@@ -551,6 +576,7 @@ def per_line_verdict(lines):
 def per_line_only():
     """Read without the block reader: the per-line pass's error, else the oracle's arrays."""
     def read(lines):
+        lines = list(lines)  # the reader passes its lines as a one-pass iterator
         return None if per_line_verdict(lines) else field_file_arrays("\n".join(lines))
 
     with pytest.MonkeyPatch.context() as mp:
@@ -773,9 +799,9 @@ def test_a_valid_file_the_block_route_declines_is_an_invariant_violation(
 
 
 def test_field_file_reader_memory_grows_no_faster_than_the_file(tmp_path):
-    # Every number held as a Python object, plus the text of each block joined
-    # into one string, peaked near 5 times the file; the text and its lines
-    # are about 2.4 times, and one block's objects a fixed amount on top.
+    # Every number held as a Python object peaked near 5 times the file, and the
+    # text with a list of its lines at 2.4 times.  The peak is now read_text's
+    # own: the file's bytes and its text, both held while it decodes (2.0 times).
     rng = np.random.default_rng(11)
 
     def peak(blocks):
@@ -794,7 +820,32 @@ def test_field_file_reader_memory_grows_no_faster_than_the_file(tmp_path):
     peak(1)  # first-call set-up is not part of either measurement
     (few, few_size), (many, many_size) = peak(4), peak(16)
     assert many <= 1.25 * few * many_size / few_size
-    assert many <= 3.0 * many_size
+    assert many <= 2.1 * many_size
+
+
+def test_field_file_writer_memory_grows_no_faster_than_the_file(tmp_path):
+    # The whole field as Python floats peaked near 2.2 times the file.  With one
+    # block of rows at a time, what grows is the path edges that the field's
+    # edges are compared with (0.16 times).
+    rng = np.random.default_rng(11)
+
+    def peak(blocks):
+        rows = np.cumsum(rng.normal(0.0, 0.1, (blocks * fieldfile._DECODE_LINES, 6)), axis=0)
+        lifted = lift_field(SampledField.path(np.arange(len(rows)) / len(rows), rows))
+        path = tmp_path / f"f{blocks}.jsonl"
+        tracemalloc.start()
+        try:
+            write_lifted_file(path, lifted)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(read_field_file(path).tuples, lifted.values)
+        return peak_bytes, path.stat().st_size
+
+    peak(1)  # first-call set-up is not part of either measurement
+    (few, few_size), (many, many_size) = peak(4), peak(16)
+    assert many <= 1.25 * few * many_size / few_size
+    assert many <= 0.2 * many_size
 
 
 @given(rows=st.lists(

@@ -213,7 +213,7 @@ def test_unordered_tuple_canonical_and_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a != UnorderedTuple([1.0, 2.0, 4.0])
-    assert a.n == 3
+    assert a.canonical.shape == (3,)
     with pytest.raises(ValueError):
         a.canonical[0] = 99.0  # canonical representative is frozen
 
@@ -227,6 +227,11 @@ def test_unordered_tuple_rejects_bad_input():
 
 def test_dist_accepts_unordered_tuples():
     assert dist(UnorderedTuple([1.0, 5.0]), UnorderedTuple([2.0, 3.0])).value == 3.0
+    # An UnorderedTuple is real: "auto" picks the sorted engine, and each engine keeps its value.
+    a, b = UnorderedTuple([3.0, 1.0, 2.0]), UnorderedTuple([0.5, 2.5, 4.0])
+    results = [call(a, b) for call in (dist, dist_bruteforce, dist_assignment)]
+    assert [(r.value, r.engine) for r in results] == [(2.0, "sorted"), (2.0, "brute"),
+                                                       (2.0, "assignment")]
 
 
 def test_dimension_mismatch():

@@ -150,7 +150,7 @@ def test_sampled_field_values_are_one_read_only_array():
     assert field.values[0, 0] == 3.0  # the field keeps its own copy
     assert field.adjacency.tolist() == [[0, 2], [2, 1]]
     assert field.adjacency.dtype == np.intp and not field.adjacency.flags.writeable
-    assert field.tuple_n == 2 and field.dim_m == 1
+    assert field.points.shape == (3, 1)
 
 
 @pytest.mark.parametrize("shape", [(3, 2), (3,)], ids=["2-d", "1-d"])
@@ -171,7 +171,7 @@ def test_lifted_field_is_a_sampled_field():
     lifted = lift_field(field)
     assert isinstance(lifted, SampledField)
     assert lifted.adjacency.tolist() == field.adjacency.tolist() == [[0, 1]]
-    assert lifted.tuple_n == 2 and lifted.dim_m == 1
+    assert lifted.points.shape == (2, 1) and lifted.values.shape == (2, 2)
     with pytest.raises(InputError):
         LiftedField(points=[0.0, 1.0], values=[[1.0, 2.0], [np.nan, 3.0]], adjacency=[[0, 1]])
     with pytest.raises(InputError):
@@ -288,6 +288,12 @@ def test_continuity_report_rejects_mismatched_fields():
     other = SampledField.path([[0.0], [1.0], [2.0]], [[0.0, 1.0]] * 3)
     with pytest.raises(InputError):
         continuity_report(lift_field(other), field)
+    # Equal edges: value rows are tied to point rows, so a field with more
+    # samples fails the points comparison too.
+    for points in ([[0.0], [2.0]], [[0.0], [1.0], [2.0]]):
+        other = SampledField(points, [[0.0, 1.0]] * len(points), adjacency=[[0, 1]])
+        with pytest.raises(InputError, match="^mismatched fields: sample points differ$"):
+            continuity_report(lift_field(other), field)
 
 
 def test_continuity_report_flags_broken_lift():
