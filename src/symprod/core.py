@@ -173,10 +173,7 @@ def invert(p: Sequence[int]) -> Perm:
     >>> invert((1, 2, 0))
     (2, 0, 1)
     """
-    p = as_perm(p)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(p.size)
-    return tuple(inv.tolist())
+    return tuple(np.argsort(as_perm(p)).tolist())  # the argsort of a permutation is its inverse
 
 
 def enumerate_perms(n: int) -> tuple[Perm, ...]:

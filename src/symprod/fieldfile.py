@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 from array import array
@@ -138,18 +139,21 @@ def _read_valid_lines(lines):
         points, tuples = np.concatenate(point_blocks), np.concatenate(row_blocks)
     except (ValueError, RecursionError, OverflowError):
         return None  # not JSON, an integer too large for a float, or a later block's other shape
+    if not (np.isfinite(points).all() and np.isfinite(tuples).all()):
+        return None  # NaN, Infinity or a float literal past the float range
     if tuples.ndim == 3:  # [re, im] pairs; re + 1j * im would lose a -0.0 real part
         tuples = tuples.view(complex)[..., 0]
     return meta, points, tuples
 
 
 def _check_floats(values, line_no: int):
-    """Refuse a JSON integer too large for a float, as reading it into an array would."""
+    """Refuse NaN, an infinity and a JSON integer too large for a float, as the block route does."""
     try:
-        for value in values:
-            float(value)
+        finite = all(map(math.isfinite, values))
     except OverflowError:
         raise InputError(f"line {line_no}: integer too large for a float") from None
+    if not finite:
+        raise InputError(f"line {line_no}: number is not finite")
 
 
 def _raise_read_error(lines: list[str], path: Path):
@@ -282,6 +286,8 @@ def read_csv_field(path) -> FieldDocument:
             values.extend(map(float, row))
         except ValueError as exc:
             raise InputError(f"line {line_no}: {exc}") from None
+        if not all(map(math.isfinite, values[-len(row):])):
+            raise InputError(f"line {line_no}: number is not finite")
     if not values:
         raise InputError(f"{path}: no samples found")
     table = np.frombuffer(values).reshape(-1, m + n)
@@ -334,8 +340,9 @@ def write_lifted_file(path, lifted: LiftedField):
     the path's, in order, else the edge list.
     """
     count, m = lifted.points.shape
-    edges = lifted.adjacency
-    adjacency = "path" if np.array_equal(edges, path_adjacency(count)) else edges.tolist()
+    first, second = lifted.adjacency.T  # compared in turn, so no temporary outlives its test
+    is_path = np.array_equal(first, np.arange(count - 1)) and np.array_equal(second, first + 1)
+    adjacency = "path" if is_path else lifted.adjacency.tolist()
     meta = {"m": m, "n": lifted.values.shape[1], "adjacency": adjacency}
     _write_rows(path, meta, lifted.points, lifted.values)
 

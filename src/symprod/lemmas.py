@@ -192,7 +192,6 @@ def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> Le
 def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Only the identity keeps a strictly ascending vector non-descending."""
     perms = perm_matrix(n)
-    identity_row = int(np.flatnonzero((perms == np.arange(n)).all(axis=1))[0])
     x = np.empty((trials, n))
     redraw = np.arange(trials)
     while redraw.size:  # ties have probability zero
@@ -201,7 +200,8 @@ def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generato
     violations = 0
     for rows in row_chunks(trials, perms.size):
         nondesc = nondescending(x[rows][:, perms])
-        violations += int(np.count_nonzero((nondesc.sum(axis=1) != 1) | ~nondesc[:, identity_row]))
+        # Row 0 is the identity, since perm_matrix lists its rows in lexicographic order.
+        violations += int(np.count_nonzero((nondesc.sum(axis=1) != 1) | ~nondesc[:, 0]))
     return LemmaCheck(
         name="interior-order-uniqueness",
         n=n,

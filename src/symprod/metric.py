@@ -65,9 +65,7 @@ class UnorderedTuple:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnorderedTuple):
             return NotImplemented
-        return self._canonical.shape == other._canonical.shape and bool(
-            np.all(self._canonical == other._canonical)
-        )
+        return np.array_equal(self._canonical, other._canonical)
 
     def __hash__(self) -> int:
         return hash(self._canonical.tobytes())

@@ -40,7 +40,7 @@ import numpy as np
 from .core import (BRUTE_FORCE_CAP, Perm, as_array, as_count, as_perm, compose, identity_perm,
                    row_chunks)
 from .errors import InputError, UndersampledLoopError
-from .metric import Distance, dist_assignment, dist_bruteforce
+from .metric import dist_assignment, dist_bruteforce
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +103,7 @@ def min_intra_gap(samples) -> float:
     at least the best; differences grow with d, so the first offset with no
     such pair ends the sweep.  The result is the all-pairs minimum, bit for bit.
     """
-    arr = as_array(samples, dtype=complex, ranks=(1, 2), name="samples")
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
+    arr = np.atleast_2d(as_array(samples, dtype=complex, ranks=(1, 2), name="samples"))
     n = arr.shape[1]
     best = math.inf
     # A thirty-second of a chunk of samples at a time, since the sweep makes about
@@ -123,12 +121,6 @@ def min_intra_gap(samples) -> float:
                 break
             best = min(best, float(np.abs(chunk[:, d:][near] - chunk[:, :-d][near]).min()))
     return best
-
-
-def _match(prev: np.ndarray, next_: np.ndarray) -> Distance:
-    if prev.size <= BRUTE_FORCE_CAP:
-        return dist_bruteforce(prev, next_)  # lexicographically smallest minimizer
-    return dist_assignment(prev, next_)
 
 
 @np.errstate(over="ignore")  # an overflowed cost is inf: searched, then refused
@@ -169,14 +161,14 @@ def track_loop(loop: ComplexLoop) -> Holonomy:
         steps = searched[rows]
         cost = np.abs(samples[steps, :, np.newaxis] - samples[(steps + 1) % m, np.newaxis, :])
         nearest = cost.argmin(axis=2)
-        nearest_cost = np.take_along_axis(cost, nearest[:, :, np.newaxis], axis=2)[:, :, 0]
-        step_costs[steps] = nearest_cost.sum(axis=1)
+        step_costs[steps] = np.take_along_axis(cost, nearest[..., np.newaxis], 2)[..., 0].sum(1)
         accepted = step_costs[steps] < 0.5 * gap
         if not accepted.all():
             # The first refused step costs at least gap/2, more than any step before
             # it; a certified step costs less than gap/4, so none is refused.
             i = int(steps[np.argmin(accepted)])
-            step = _match(samples[i], samples[(i + 1) % m])
+            match = dist_bruteforce if n <= BRUTE_FORCE_CAP else dist_assignment
+            step = match(samples[i], samples[(i + 1) % m])
             suggested = _suggest_steps(m, step.value, gap)
             raise UndersampledLoopError(
                 f"undersampled loop: consecutive matching distance {step.value:.6g} "

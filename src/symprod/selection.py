@@ -30,9 +30,7 @@ def canonicalize(values) -> np.ndarray:
     Accepts an UnorderedTuple or any ordering of the components; idempotent
     and multiset-preserving.
     """
-    if isinstance(values, UnorderedTuple):
-        return values.canonical.copy()
-    return UnorderedTuple(values).canonical.copy()
+    return np.sort(as_array(values.canonical if isinstance(values, UnorderedTuple) else values))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symprod import cli, lemmas
+from symprod import cli, lemmas, metric, selection
 from symprod.diagonal import BlockPartition
 from symprod.errors import InputError
+from symprod.metric import Distance
 from symprod.monodromy import roots_loop_generator
 from symprod.selection import LiftedField
 
@@ -158,7 +159,7 @@ def test_dist_file_output_is_the_joined_minimizer(tmp_path, capsys, n):
     path = tmp_path / "pair.txt"
     path.write_text(",".join(map(repr, a)) + "\n" + ",".join(map(repr, b)) + "\n")
     assert cli.main(["dist", "--file", str(path)]) == 0
-    result = cli.dist(np.array(a), np.array(b))
+    result = metric.dist(np.array(a), np.array(b))
     assert capsys.readouterr().out == (
         f"distance = {cli._fmt(result.value)}\nengine = sorted\n"
         f"minimizer = {','.join(map(str, result.attaining_perm))}\n"
@@ -233,13 +234,13 @@ def test_lift_malformed_field_file_is_input_error(tmp_path, capsys, text):
 
 
 def test_lift_writes_no_output_when_the_isometry_gate_fails(tmp_path, capsys, monkeypatch):
-    real_lift = cli.lift_field
+    real_lift = selection.lift_field
 
     def stretched_lift(field):
         lifted = real_lift(field)
         return LiftedField(lifted.points, 2.0 * lifted.values, lifted.adjacency)
 
-    monkeypatch.setattr(cli, "lift_field", stretched_lift)
+    monkeypatch.setattr(selection, "lift_field", stretched_lift)
     path = tmp_path / "f.jsonl"
     write_lines(path, TWO_SAMPLES)
     out = tmp_path / "out.jsonl"
@@ -454,6 +455,20 @@ def test_bench(capsys):
     assert "cross-check ok" in out
     for engine in ("sorted", "assignment", "brute"):
         assert engine in out
+
+
+def test_bench_exits_1_when_an_engine_disagrees(capsys, monkeypatch):
+    real = metric._ENGINES["assignment"]
+
+    def off_by_one(y, z):
+        result = real(y, z)
+        return Distance(result.value + 1.0, result.attaining_perm, result.engine)
+
+    monkeypatch.setitem(metric._ENGINES, "assignment", off_by_one)
+    assert cli.main(["bench", "--n", "3", "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("3 cross-check MISMATCH (max deviation 1.000e+00)\n")
+    assert captured.err == "invariant violation: engines disagree beyond 1e-9 on benchmark inputs\n"
 
 
 def test_bench_skips_brute_above_cap(capsys):

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import field_file_arrays
-from symprod import cli, fieldfile
+from symprod import cli, fieldfile, selection
 from symprod.errors import InputError, InvariantViolation
 from symprod.fieldfile import (
     FieldDocument,
@@ -144,6 +144,48 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         path.write_text(text + "\n")
         with pytest.raises(InputError, match=fragment):
             read_field_file(path)
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("where", ["point", "tuple"])
+@pytest.mark.parametrize("complex_mode", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("later_block", [False, True], ids=["first-block", "later-block"])
+def test_a_non_finite_number_names_its_line(tmp_path, capsys, spelling, where, complex_mode,
+                                            later_block):
+    # 12345.5 marks where the spelling goes: the point, or a tuple entry (an imaginary part).
+    value = [[0.5, 0.0], [1.5, -1.0]] if complex_mode else [0.5, 1.5]
+    bad_value = [[0.5, 12345.5], [1.5, -1.0]] if complex_mode else [0.5, 12345.5]
+    lines = [json.dumps({"meta": {"m": 1, "n": 2}})]
+    lines += [sample_line([float(i)], value)
+              for i in range(fieldfile._DECODE_LINES + 3 if later_block else 2)]
+    bad_line = len(lines) - 1  # the second last line, 1-based
+    lines[bad_line - 1] = (sample_line([12345.5], value) if where == "point"
+                           else sample_line([0.0], bad_value)).replace("12345.5", spelling)
+    text = "\n".join(lines) + "\n"
+    assert_routes_agree(text)
+    path, out = tmp_path / "f.jsonl", tmp_path / "out.jsonl"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["lift", "--input", str(path), "--output", str(out)],
+                 ["holonomy", "--input", str(path)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: line {bad_line}: number is not finite\n")
+    assert not out.exists()
+
+
+def test_a_meta_line_alone_in_the_first_block_is_skipped(tmp_path, monkeypatch):
+    def declined(lines, path):
+        raise AssertionError("the block route declined a well-formed file")
+
+    monkeypatch.setattr(fieldfile, "_DECODE_LINES", 1)
+    monkeypatch.setattr(fieldfile, "_raise_read_error", declined)
+    path = tmp_path / "f.jsonl"
+    write_lines(path, [{"meta": {"m": 1, "n": 2, "adjacency": [[1, 0]]}},
+                       {"point": [0.0], "tuple": [3.0, 1.0]},
+                       {"point": [1.0], "tuple": [1.5, 2.5]}])
+    doc = read_field_file(path)
+    assert doc.points.tolist() == [[0.0], [1.0]]
+    assert doc.tuples.tolist() == [[3.0, 1.0], [1.5, 2.5]]
+    assert doc.adjacency.tolist() == [[1, 0]]
 
 
 @pytest.mark.parametrize("rows", [10, 1000], ids=["in-first-8kb", "past-first-8kb"])
@@ -424,6 +466,18 @@ def test_csv_cell_errors_carry_line_numbers(tmp_path):
     path.write_text("point_0,tuple_0\n0.0\n")
     with pytest.raises(InputError, match="line 2: expected 2 cells"):
         read_csv_field(path)
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity", "1e999"])
+@pytest.mark.parametrize("column", [0, 2], ids=["point", "tuple"])
+def test_a_non_finite_csv_cell_names_its_line(tmp_path, capsys, cell, column):
+    rows = [["0.0", "1.0", "2.0"], [], ["1.0", "3.0", "4.0"], ["2.0", "5.0", "6.0"]]
+    rows[2][column] = cell
+    path, out = tmp_path / "f.csv", tmp_path / "out.jsonl"
+    path.write_text("point_0,tuple_0,tuple_1\n" + "".join(",".join(r) + "\n" for r in rows))
+    assert cli.main(["lift", "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: line 4: number is not finite\n")
+    assert not out.exists()
 
 
 def test_csv_reader_memory_grows_no_faster_than_the_file(tmp_path):
@@ -824,9 +878,10 @@ def test_field_file_reader_memory_grows_no_faster_than_the_file(tmp_path):
 
 
 def test_field_file_writer_memory_grows_no_faster_than_the_file(tmp_path):
-    # The whole field as Python floats peaked near 2.2 times the file.  With one
-    # block of rows at a time, what grows is the path edges that the field's
-    # edges are compared with (0.16 times).
+    # The whole field as Python floats peaked near 2.2 times the file, and the
+    # path's edges, built whole to compare the field's with, at 0.16 times.  One
+    # block of rows at a time is a fixed size, and the edge test holds about 9
+    # bytes a row, freed before the write: 0.06 times at 48 blocks.
     rng = np.random.default_rng(11)
 
     def peak(blocks):
@@ -843,9 +898,9 @@ def test_field_file_writer_memory_grows_no_faster_than_the_file(tmp_path):
         return peak_bytes, path.stat().st_size
 
     peak(1)  # first-call set-up is not part of either measurement
-    (few, few_size), (many, many_size) = peak(4), peak(16)
+    (few, few_size), (many, many_size) = peak(4), peak(48)
     assert many <= 1.25 * few * many_size / few_size
-    assert many <= 0.2 * many_size
+    assert many <= 0.07 * many_size
 
 
 @given(rows=st.lists(
@@ -924,7 +979,7 @@ def test_lift_checks_the_edges_once(tmp_path, monkeypatch, capsys, explicit):
     source, out = tmp_path / "field.jsonl", tmp_path / "lifted.jsonl"
     write_lines(source, [meta] + [{"point": [float(i)], "tuple": r} for i, r in enumerate(rows)])
     seen = {}
-    real_read, real_report = fieldfile.read_field_file, cli.continuity_report
+    real_read, real_report = fieldfile.read_field_file, selection.continuity_report
 
     def read(path):
         seen["doc"] = real_read(path)
@@ -935,7 +990,7 @@ def test_lift_checks_the_edges_once(tmp_path, monkeypatch, capsys, explicit):
         return real_report(lifted, field)
 
     monkeypatch.setattr(fieldfile, "read_field_file", read)
-    monkeypatch.setattr(cli, "continuity_report", report)
+    monkeypatch.setattr(selection, "continuity_report", report)
     assert cli.main(["lift", "--input", str(source), "--output", str(out)]) == 0
     doc, field, lifted = seen["doc"], seen["field"], seen["lifted"]
     assert lifted.adjacency is field.adjacency

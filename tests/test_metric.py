@@ -213,6 +213,10 @@ def test_unordered_tuple_canonical_and_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a != UnorderedTuple([1.0, 2.0, 4.0])
+    assert a != UnorderedTuple([1.0, 2.0]) and UnorderedTuple([1.0]) != UnorderedTuple([1.0, 1.0])
+    assert a.__eq__([1.0, 2.0, 3.0]) is NotImplemented
+    assert (UnorderedTuple([1.0]) == [1.0]) is False
+    assert repr(b) == "UnorderedTuple([1.0, 2.0, 3.0])"
     assert a.canonical.shape == (3,)
     with pytest.raises(ValueError):
         a.canonical[0] = 99.0  # canonical representative is frozen

@@ -208,6 +208,31 @@ def test_track_loop_detects_undersampling():
     assert exc_info.value.suggested_steps > 4
 
 
+@pytest.mark.parametrize("k, engine, message, suggested", [
+    (3, "dist_bruteforce",
+     "consecutive matching distance 2.05212 is not below half the minimal intra-tuple gap "
+     "(0.866025); try about 10 steps", 10),
+    (12, "dist_assignment",
+     "consecutive matching distance 0.523557 is not below half the minimal intra-tuple gap "
+     "(0.258819); try about 32 steps", 32),
+])
+def test_a_refused_step_is_priced_by_the_engine_for_its_size(k, engine, message, suggested,
+                                                             monkeypatch):
+    # k samples of the k-th roots loop: each step turns every root by 2*pi/k**2.
+    # The engine is looked up on the module when the step is refused, so a patch there sees it.
+    called = []
+    for name in ("dist_bruteforce", "dist_assignment"):
+        real = getattr(monodromy, name)
+        monkeypatch.setattr(monodromy, name,
+                            lambda y, z, real=real, name=name: called.append(name) or real(y, z))
+    turn = 2 * np.pi * (np.arange(k)[:, np.newaxis] / k + np.arange(k)) / k
+    with pytest.raises(UndersampledLoopError) as caught:
+        track_loop(ComplexLoop(samples=np.exp(1j * turn)))
+    assert str(caught.value) == "undersampled loop: " + message
+    assert caught.value.suggested_steps == suggested
+    assert called == [engine]
+
+
 def test_track_loop_rejects_colliding_components():
     samples = np.tile([1.0 + 0j, 1.0 + 0j], (8, 1))
     with pytest.raises(UndersampledLoopError):

@@ -26,6 +26,15 @@ def test_canonicalize_examples():
     assert np.array_equal(canonicalize([5.0, 5.0]), [5.0, 5.0])
 
 
+@pytest.mark.parametrize("make", [UnorderedTuple, np.array])
+def test_canonicalize_returns_a_writable_copy(make):
+    values = make([2.0, -1.0, 2.0])
+    source = values.canonical if isinstance(values, UnorderedTuple) else values
+    result = canonicalize(values)
+    assert result.tolist() == [-1.0, 2.0, 2.0]
+    assert result.flags.writeable and not np.shares_memory(result, source)
+
+
 def test_canonicalize_idempotent_and_sorted():
     rng = np.random.default_rng(2)
     for _ in range(50):
