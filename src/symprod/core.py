@@ -86,18 +86,19 @@ def row_chunks(count: int, row_elements: int):
     return (slice(a, a + rows) for a in range(0, count, rows))
 
 
-def read_text(path, newline: str | None = None) -> str:
-    """The whole text of a UTF-8 file, opened with ``newline``; the one file reader.
+def read_text(path) -> str:
+    """The whole text of a UTF-8 file, every line end read as "\\n"; the one file reader.
 
-    Bytes that are not UTF-8 raise InputError naming the line of the first
-    of them, wherever it sits, before any parser sees the text.
+    Bytes that are not UTF-8 raise InputError before any parser sees the text,
+    naming the line of the first of them: "\\r\\n", "\\r" and "\\n" each end one.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as handle:
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:  # read() decodes the file's bytes in one call
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"line {line_no}: not UTF-8 text ({exc.reason})") from None
+        data, end = exc.object, exc.start
+        ends = data.count(b"\n", 0, end) + data.count(b"\r", 0, end) - data.count(b"\r\n", 0, end)
+        raise InputError(f"line {ends + 1}: not UTF-8 text ({exc.reason})") from None
 
 
 def as_perm(p, n: int | None = None) -> np.ndarray:

@@ -24,7 +24,6 @@ import csv
 import json
 import math
 import os
-import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -78,7 +77,7 @@ class FieldDocument:
         return ComplexLoop(samples=self.tuples)
 
 
-def _parse_adjacency(spec, count: int, line_no: int) -> np.ndarray:
+def _parse_adjacency(spec, count: int) -> np.ndarray:
     """The meta adjacency, "path" or an edge list, as edges checked as ``SampledField`` does.
 
     Only what the array pass cannot see is checked here: JSON true/false
@@ -87,9 +86,9 @@ def _parse_adjacency(spec, count: int, line_no: int) -> np.ndarray:
     if spec == "path":
         return path_adjacency(count)
     if not isinstance(spec, list):
-        raise InputError(f'line {line_no}: adjacency must be "path" or an edge list')
+        raise InputError('adjacency must be "path" or an edge list')
     if any(type(i) is bool for edge in spec if isinstance(edge, list) for i in edge):
-        raise InputError(f"line {line_no}: adjacency indices must be integers, not true or false")
+        raise InputError("adjacency indices must be integers, not true or false")
     return _check_adjacency(spec, count)
 
 
@@ -141,6 +140,8 @@ def _read_valid_lines(lines):
         return None  # not JSON, an integer too large for a float, or a later block's other shape
     if not (np.isfinite(points).all() and np.isfinite(tuples).all()):
         return None  # NaN, Infinity or a float literal past the float range
+    for arr in (points, tuples):  # the reader's own: a field adopts them uncopied
+        arr.setflags(write=False)
     if tuples.ndim == 3:  # [re, im] pairs; re + 1j * im would lose a -0.0 real part
         tuples = tuples.view(complex)[..., 0]
     return meta, points, tuples
@@ -156,7 +157,7 @@ def _check_floats(values, line_no: int):
         raise InputError(f"line {line_no}: number is not finite")
 
 
-def _raise_read_error(lines: list[str], path: Path):
+def _raise_read_error(lines, path: Path):
     """Raise the first read error in field-file lines, naming its 1-based line; build nothing.
 
     Only a file that ``_read_valid_lines`` declines comes here, and that
@@ -215,6 +216,16 @@ def _raise_read_error(lines: list[str], path: Path):
     raise InvariantViolation(f"{path}: the block reader declined a file with no read error")
 
 
+def _lines(text: str):
+    """``text.split("\\n")`` less an empty last line, cut about 64k characters at a time."""
+    start, stop = 0, len(text) - text.endswith("\n")
+    while start < len(text):
+        end = text.find("\n", start + 65536, stop)
+        end = stop if end < 0 else end
+        yield from text[start:end].split("\n")
+        start = end + 1
+
+
 def read_field_file(path) -> FieldDocument:
     """Parse a JSON-lines field file; errors carry 1-based line numbers.
 
@@ -224,78 +235,61 @@ def read_field_file(path) -> FieldDocument:
     """
     path = Path(path)
     text = read_text(path)
-    pieces = re.finditer(r".{1,65536}[^\n]*", text, re.S)  # about 64k characters, to a line's end
-    lines = (s for piece in pieces for s in map(str.strip, piece.group().split("\n")) if s)
-    meta, points, tuples = _read_valid_lines(lines) or _raise_read_error(text.split("\n"), path)
-    m, n = points.shape[1], tuples.shape[1]
-    for key, actual in (("m", m), ("n", n)):
-        if key not in meta:
-            continue
-        if type(meta[key]) is not int:
-            raise InputError(f"meta {key} must be an integer, got {meta[key]!r}")
-        if meta[key] != actual:
-            raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
-    meta_line = text.count("\n", 0, re.match(r"\s*", text).end()) + 1  # the first non-blank line
-    adjacency = _parse_adjacency(meta.get("adjacency", "path"), points.shape[0], meta_line)
-    return FieldDocument(points=points, tuples=tuples, adjacency=adjacency)
-
-
-# A line with its ending, cut where a handle opened with newline="" cuts: at
-# "\r\n", "\r" and "\n" only (str.splitlines cuts at more characters).
-_CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
-
-
-def _csv_records(text: str):
-    """The CSV records of ``text``, one at a time; a malformed record is InputError."""
-    reader = csv.reader(match.group() for match in _CSV_LINE.finditer(text))
+    lines = (s for s in map(str.strip, _lines(text)) if s)
+    meta, points, tuples = _read_valid_lines(lines) or _raise_read_error(_lines(text), path)
     try:
-        yield from reader
-    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-        raise InputError(f"line {reader.line_num}: {exc}") from None
+        for key, actual in (("m", points.shape[1]), ("n", tuples.shape[1])):
+            if type(meta.get(key, actual)) is not int:
+                raise InputError(f"meta {key} must be an integer, got {meta[key]!r}")
+            if meta.get(key, actual) != actual:
+                raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
+        adjacency = _parse_adjacency(meta.get("adjacency", "path"), points.shape[0])
+    except InputError as exc:  # only a meta line fails here: the first non-blank line
+        line_no = next(i for i, line in enumerate(_lines(text), start=1) if line.strip())
+        raise InputError(f"line {line_no}: {exc}") from None
+    return FieldDocument(points=points, tuples=tuples, adjacency=adjacency)
 
 
 def read_csv_field(path) -> FieldDocument:
     """Parse the real-only CSV layout: point_* columns then tuple_* columns.
 
     Rows are converted as they are read, into one flat buffer of doubles, so
-    the file's text is the only copy of its cells held as strings.
+    the file's text is the only copy of its cells held as strings.  A row's
+    error names the last line of its record.
     """
     path = Path(path)
-    records = _csv_records(read_text(path, newline=""))
-    header = next(records, None)
-    if header is None:
-        raise InputError(f"{path}: empty CSV file")
-    names = [h.strip() for h in header]
-    m = sum(1 for h in names if h.startswith("point"))
-    n = sum(1 for h in names if h.startswith("tuple"))
-    if m == 0 or n == 0 or m + n != len(names):
-        raise InputError(
-            'CSV header must list "point_*" columns then "tuple_*" columns'
-        )
-    if any(h.startswith("tuple") for h in names[:m]) or any(
-        h.startswith("point") for h in names[m:]
-    ):
-        raise InputError("CSV columns must be ordered: point_* first, then tuple_*")
+    # Each line keeps its "\n": without it, csv joins the lines of a quoted cell.
+    reader = csv.reader(line + "\n" for line in _lines(read_text(path)))
     values = array("d")
-    for line_no, row in enumerate(records, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != m + n:
-            raise InputError(f"line {line_no}: expected {m + n} cells, got {len(row)}")
-        try:
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty CSV file")
+        kinds = [h.strip()[:5] for h in header]
+        m, n = kinds.count("point"), kinds.count("tuple")
+        if m == 0 or n == 0 or m + n != len(kinds):
+            raise InputError('CSV header must list "point_*" columns then "tuple_*" columns')
+        if kinds != ["point"] * m + ["tuple"] * n:
+            raise InputError("CSV columns must be ordered: point_* first, then tuple_*")
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != m + n:
+                raise ValueError(f"expected {m + n} cells, got {len(row)}")
             values.extend(map(float, row))
-        except ValueError as exc:
-            raise InputError(f"line {line_no}: {exc}") from None
-        if not all(map(math.isfinite, values[-len(row):])):
-            raise InputError(f"line {line_no}: number is not finite")
+            if not all(map(math.isfinite, values[-len(row):])):
+                raise ValueError("number is not finite")
+    except InputError:  # the header's, which names no line
+        raise
+    except (csv.Error, ValueError) as exc:  # a row's, or e.g. a cell past csv.field_size_limit()
+        raise InputError(f"line {reader.line_num}: {exc}") from None
     if not values:
         raise InputError(f"{path}: no samples found")
     table = np.frombuffer(values).reshape(-1, m + n)
-    return FieldDocument(
-        points=np.array(table[:, :m]),
-        tuples=np.array(table[:, m:]),
-        adjacency=path_adjacency(len(table)),
-    )
+    points, tuples = np.array(table[:, :m]), np.array(table[:, m:])
+    for arr in (points, tuples):  # the reader's own: a field adopts them uncopied
+        arr.setflags(write=False)
+    return FieldDocument(points=points, tuples=tuples, adjacency=path_adjacency(len(table)))
 
 
 @contextmanager

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import field_file_arrays
@@ -201,6 +201,30 @@ def test_bad_bytes_are_named_before_a_syntax_error_wherever_they_sit(tmp_path, r
         read_field_file(path)
 
 
+@pytest.mark.parametrize("pad", [0, 9000], ids=["in-first-8kb", "past-first-8kb"])
+@pytest.mark.parametrize("ending", ["\r", "\r\n"], ids=["cr", "crlf"])
+@pytest.mark.parametrize("layout", ["jsonl", "csv"])
+def test_a_bad_byte_and_a_syntax_error_on_one_line_name_the_same_line(tmp_path, pad, ending,
+                                                                      layout):
+    # "\r\n", "\r" and "\n" each end a line, for the decoder's error as for the parsers'.
+    if layout == "jsonl":
+        first, second = sample_line([0.0], [1.0]), '{"point": [1.0], "tuple": [%s2.0]}' % (" " * pad)
+        bad, broken = b'{"point": [\xff2.0]', b'{"point": [2.0'
+    else:
+        first, second = "point_0,tuple_0", "1.0," + " " * pad + "2.0"
+        bad, broken = b"2.0,\xff", b"2.0,abc"
+    head = (first + ending + second + ending).encode()
+    assert (len(head) > 8192) == (pad > 0)
+    path = tmp_path / f"f.{layout}"
+    reader = read_field_file if layout == "jsonl" else read_csv_field
+    path.write_bytes(head + bad + ending.encode())
+    with pytest.raises(InputError, match="^line 3: not UTF-8 text"):
+        reader(path)
+    path.write_bytes(head + broken + ending.encode())
+    with pytest.raises(InputError, match="^line 3: "):
+        reader(path)
+
+
 def test_mixed_real_and_complex_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(
@@ -329,13 +353,22 @@ def test_empty_file_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("lead", ["", "\n\n", " \n\t\n  "], ids=["none", "blank", "spaces"])
-@pytest.mark.parametrize("adjacency, shown", [
-    (5, 'adjacency must be "path" or an edge list'),
-    ([[0, True]], "adjacency indices must be integers, not true or false"),
-], ids=["not-a-list", "bool-index"])
-def test_adjacency_errors_name_the_meta_line(tmp_path, capsys, lead, adjacency, shown):
+@pytest.mark.parametrize("meta, shown", [
+    ({"adjacency": 5}, 'adjacency must be "path" or an edge list'),
+    ({"adjacency": [[0, True]]}, "adjacency indices must be integers, not true or false"),
+    ({"adjacency": [[0, 5]]}, "adjacency edge (0, 5) out of range for 2 samples"),
+    ({"adjacency": [[0, 1.5]]},
+     "adjacency must be an (E, 2) array of integer sample indices, got shape (1, 2) of float64"),
+    ({"adjacency": [[0, 2**70]]},
+     "adjacency must be an (E, 2) array of integer sample indices, got shape (1, 2) of object"),
+    ({"n": 3}, "meta declares n = 3 but data has n = 1"),
+    ({"m": True}, "meta m must be an integer, got True"),
+], ids=["not-a-list", "bool-index", "out-of-range", "float-index", "past-int64", "n-mismatch",
+        "bool-m"])
+def test_adjacency_errors_name_the_meta_line(tmp_path, capsys, lead, meta, shown):
+    # Every error in the meta line's contents names that line, after any blank lines.
     path = tmp_path / "f.jsonl"
-    path.write_text(lead + json.dumps({"meta": {"adjacency": adjacency}}) + "\n"
+    path.write_text(lead + json.dumps({"meta": meta}) + "\n"
                     + '{"point": [0.0], "tuple": [1.0]}\n{"point": [1.0], "tuple": [2.0]}\n')
     message = f"line {lead.count(chr(10)) + 1}: {shown}"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
@@ -468,6 +501,30 @@ def test_csv_cell_errors_carry_line_numbers(tmp_path):
         read_csv_field(path)
 
 
+@pytest.mark.parametrize("text", [
+    'point_0,"tuple\n_0"\n0.0,1.0\nabc,2.0\n',
+    'point_0,tuple_0\n0.0,"1.0\n"\nabc,2.0\n',
+], ids=["in-header", "in-row"])
+def test_a_csv_error_names_the_last_line_of_its_record(tmp_path, text):
+    # A quoted cell over two lines makes a record of two lines: the count is of lines.
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match="^line 4: could not convert string to float: 'abc'$"):
+        read_csv_field(path)
+    path.write_text(text.replace("abc", "1" * 200_000))
+    with pytest.raises(InputError, match="^line 4: field larger than field limit"):
+        read_csv_field(path)
+
+
+def test_a_quoted_csv_cell_keeps_its_line_ends(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b'point_0,tuple_0\r\n0.0,"1\r\n"\r\n')
+    assert read_csv_field(path).tuples.tolist() == [[1.0]]
+    path.write_bytes(b'point_0,tuple_0\n0.0,"1\n2"\n')  # "1\n2", never 12
+    with pytest.raises(InputError, match=re.escape("line 3: could not convert string to float: '1\\n2'")):
+        read_csv_field(path)
+
+
 @pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity", "1e999"])
 @pytest.mark.parametrize("column", [0, 2], ids=["point", "tuple"])
 def test_a_non_finite_csv_cell_names_its_line(tmp_path, capsys, cell, column):
@@ -504,6 +561,21 @@ def test_csv_reader_memory_grows_no_faster_than_the_file(tmp_path):
     (few, few_size), (many, many_size) = peak(2_000), peak(20_000)
     assert many <= 1.25 * few * many_size / few_size
     assert many <= 3 * many_size
+
+
+@pytest.mark.parametrize("layout", ["jsonl", "csv"])
+def test_a_field_adopts_the_documents_arrays(tmp_path, layout):
+    # Each reader hands over read-only arrays it owns, so the field holds no second copy.
+    path = tmp_path / f"f.{layout}"
+    if layout == "jsonl":
+        write_lines(path, [{"point": [0.0], "tuple": [3.5, 1.5]}, {"point": [1.0], "tuple": [0.5, 2.5]}])
+        doc = read_field_file(path)
+    else:
+        path.write_text("point_0,tuple_0,tuple_1\n0.0,3.5,1.5\n1.0,0.5,2.5\n")
+        doc = read_csv_field(path)
+    field = doc.to_sampled_field()
+    assert np.shares_memory(doc.points, field.points)
+    assert np.shares_memory(doc.tuples, field.values)
 
 
 def test_csv_and_jsonl_agree(tmp_path):
@@ -765,6 +837,20 @@ def test_a_change_in_a_later_block_is_the_per_line_parsers_error(tmp_path, chang
     path.write_text(text, encoding="utf-8")
     outcome = assert_same_as_per_line(path)
     assert outcome[0] == "error" and outcome[1].startswith(f"line {len(lines)}: ")
+
+
+@given(runs=st.lists(st.tuples(st.sampled_from(["\n", "x", "\r", " "]), st.integers(0, 70_000)),
+                     max_size=6))
+@example(runs=[("\n", 70_000)])
+@example(runs=[("x", 65_536), ("\n", 1), ("x", 70_000), ("\n", 2)])
+@example(runs=[])
+def test_the_line_cutter_is_split_less_an_empty_last_line(runs):
+    # Texts past 64k characters, single lines past 64k and long runs of bare newlines.
+    text = "".join(char * count for char, count in runs)
+    expected = text.split("\n")
+    if expected[-1] == "":  # the text ends in "\n", or is empty
+        expected.pop()
+    assert list(fieldfile._lines(text)) == expected
 
 
 def fast_result(tmp_path, text):
