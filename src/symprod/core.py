@@ -31,7 +31,10 @@ BRUTE_FORCE_CAP = 8
 STABILIZER_ORDER_CAP = math.factorial(BRUTE_FORCE_CAP)
 
 # Array elements a batched pass holds per chunk of samples or trials (at least
-# one sample's worth), so its memory does not grow with the sample count.
+# one sample's worth), so its memory does not grow with the sample count.  A
+# pass counts every array it holds at once, not only its widest.  A pass that
+# makes many numpy calls per block takes an eighth of a chunk (8 times its
+# elements per row), so that its block stays in a core's cache.
 CHUNK_ELEMENTS = 1 << 20
 
 
@@ -177,17 +180,22 @@ def invert(p: Sequence[int]) -> Perm:
     return tuple(np.argsort(as_perm(p)).tolist())  # the argsort of a permutation is its inverse
 
 
-def enumerate_perms(n: int) -> tuple[Perm, ...]:
-    """All n! permutations of ``range(n)`` in lexicographic order.
-
-    Raises CapExceededError above the brute-force cap.
-    """
+def _permutations(n: int):
+    """The permutations of ``range(n)`` one at a time, lexicographic; the one cap refusal."""
     n = as_count(n, "n", 1)
     if n > BRUTE_FORCE_CAP:
         raise CapExceededError(
             f"brute force too large: n = {n} exceeds cap {BRUTE_FORCE_CAP} ({n}! permutations)"
         )
-    return tuple(itertools.permutations(range(n)))
+    return itertools.permutations(range(n))
+
+
+def enumerate_perms(n: int) -> tuple[Perm, ...]:
+    """All n! permutations of ``range(n)`` in lexicographic order.
+
+    Raises CapExceededError above the brute-force cap.
+    """
+    return tuple(_permutations(n))
 
 
 @lru_cache(maxsize=None)
@@ -195,9 +203,12 @@ def perm_matrix(n: int) -> np.ndarray:
     """All permutations of range(n) as an (n!, n) int array, lexicographic rows.
 
     Row order matters: argmin over rows picks the lexicographically smallest
-    minimizer for free.  Cached per n; read-only.
+    minimizer for free.  Cached per n; read-only.  Filled from the iterator,
+    so the n! permutations are never all held as tuples.
     """
-    table = np.array(enumerate_perms(n), dtype=np.intp)
+    n = as_count(n, "n", 1)
+    flat = itertools.chain.from_iterable(_permutations(n))
+    table = np.fromiter(flat, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
     table.setflags(write=False)
     return table
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import read_text
+from .core import read_text, row_chunks
 from .errors import InputError, InvariantViolation
 # perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
 from .metric import UnorderedTuple  # noqa: F401
@@ -260,7 +260,8 @@ def read_csv_field(path) -> FieldDocument:
     path = Path(path)
     # Each line keeps its "\n": without it, csv joins the lines of a quoted cell.
     reader = csv.reader(line + "\n" for line in _lines(read_text(path)))
-    values = array("d")
+    values, line_nums = array("d"), array("q")  # the rows' doubles, and each row's last line
+    error = None
     try:
         header = next(reader, None)
         if header is None:
@@ -277,15 +278,20 @@ def read_csv_field(path) -> FieldDocument:
             if len(row) != m + n:
                 raise ValueError(f"expected {m + n} cells, got {len(row)}")
             values.extend(map(float, row))
-            if not all(map(math.isfinite, values[-len(row):])):
-                raise ValueError("number is not finite")
+            line_nums.append(reader.line_num)
     except InputError:  # the header's, which names no line
         raise
     except (csv.Error, ValueError) as exc:  # a row's, or e.g. a cell past csv.field_size_limit()
-        raise InputError(f"line {reader.line_num}: {exc}") from None
-    if not values:
-        raise InputError(f"{path}: no samples found")
-    table = np.frombuffer(values).reshape(-1, m + n)
+        error = InputError(f"line {reader.line_num}: {exc}")
+    if not line_nums:
+        raise error or InputError(f"{path}: no samples found")
+    # The rows read, tested once: a non-finite cell goes before a later row's error.
+    table = np.frombuffer(values, count=len(line_nums) * (m + n)).reshape(-1, m + n)
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise InputError(f"line {line_nums[int(np.argmax(bad))]}: number is not finite")
+    if error:
+        raise error
     points, tuples = np.array(table[:, :m]), np.array(table[:, m:])
     for arr in (points, tuples):  # the reader's own: a field adopts them uncopied
         arr.setflags(write=False)
@@ -334,8 +340,11 @@ def write_lifted_file(path, lifted: LiftedField):
     the path's, in order, else the edge list.
     """
     count, m = lifted.points.shape
-    first, second = lifted.adjacency.T  # compared in turn, so no temporary outlives its test
-    is_path = np.array_equal(first, np.arange(count - 1)) and np.array_equal(second, first + 1)
+    first, second = lifted.adjacency.T  # a slice at a time: the path's edges never exist whole
+    is_path = len(first) == count - 1 and all(
+        np.array_equal(first[rows], np.arange(*rows.indices(len(first))))
+        and np.array_equal(second[rows], first[rows] + 1)
+        for rows in row_chunks(len(first), 8 * 3))  # an index, its successor and a comparison
     adjacency = "path" if is_path else lifted.adjacency.tolist()
     meta = {"m": m, "n": lifted.values.shape[1], "adjacency": adjacency}
     _write_rows(path, meta, lifted.points, lifted.values)

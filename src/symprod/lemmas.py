@@ -132,9 +132,9 @@ def _random_l1_perturbation(
 ) -> np.ndarray:
     """``count`` rows, each of 1-norm strictly below its ``budget`` (a scalar or one per row)."""
     weights = rng.dirichlet(np.ones(n), size=count)
-    signs = rng.choice((-1.0, 1.0), size=(count, n))
-    scale = budget * rng.uniform(0.1, 0.99, size=count)
-    return weights * signs * scale[:, np.newaxis]
+    weights *= rng.choice((-1.0, 1.0), size=(count, n))
+    weights *= (budget * rng.uniform(0.1, 0.99, size=count))[:, np.newaxis]
+    return weights
 
 
 def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
@@ -150,8 +150,10 @@ def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> L
         if not np.all(dist_to_diagonal(near, partition) < bound):
             raise AssertionError("sampler broke its own precondition")
         stab = np.array(stabilizer_of(partition).elements, dtype=np.intp)
-        for rows in row_chunks(ids.size, stab.size):
-            displacement = np.abs(near[rows][:, stab] - near[rows][:, np.newaxis]).sum(axis=2)
+        for rows in row_chunks(ids.size, 8 * stab.size):  # one (rows, |S|, n) array, in place
+            moved = near[rows][:, stab]
+            moved -= near[rows][:, np.newaxis]
+            displacement = np.abs(moved, out=moved).sum(axis=2)
             ok = np.all(displacement < 2.0 * bound[rows, np.newaxis], axis=1)
             violations += int(np.count_nonzero(~ok))
     return LemmaCheck(
@@ -167,10 +169,9 @@ def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> Le
     """A quarter of one inversion's height is a safe out-of-order radius."""
     probes = 10
     violations = 0
-    # A block of vectors and all their probes.  A probe's draws, sum and class
-    # label take about eight times its n floats, so a block stays near one
-    # chunk of float64s in all.
-    for rows in row_chunks(trials, 8 * probes * n):
+    # A block of vectors and all their probes, an eighth of a chunk in all: a
+    # probe's draws, sum and class label take about eight times its n floats.
+    for rows in row_chunks(trials, 8 * 8 * probes * n):
         count = len(range(trials)[rows])
         x = _random_exterior_vectors(n, count, rng)
         running_max = np.maximum.accumulate(x, axis=1)[:, :-1]
@@ -189,6 +190,17 @@ def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> Le
     )
 
 
+def _keeps_sorted(x: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """``nondescending(x[:, perms])`` one column pair at a time, each column gathered once."""
+    prev = x[:, perms[:, 0]]
+    keeps = np.ones(prev.shape, dtype=bool)
+    for column in perms.T[1:]:
+        cur = x[:, column]
+        keeps &= cur >= prev
+        prev = cur
+    return keeps
+
+
 def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Only the identity keeps a strictly ascending vector non-descending."""
     perms = perm_matrix(n)
@@ -198,10 +210,10 @@ def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generato
         x[redraw] = np.sort(rng.uniform(-10.0, 10.0, size=(redraw.size, n)), axis=1)
         redraw = redraw[~np.all(np.diff(x[redraw], axis=1) > 0, axis=1)]
     violations = 0
-    for rows in row_chunks(trials, perms.size):
-        nondesc = nondescending(x[rows][:, perms])
-        # Row 0 is the identity, since perm_matrix lists its rows in lexicographic order.
-        violations += int(np.count_nonzero((nondesc.sum(axis=1) != 1) | ~nondesc[:, 0]))
+    for rows in row_chunks(trials, 8 * 4 * len(perms)):  # keeps, two columns, a comparison
+        keeps = _keeps_sorted(x[rows], perms)
+        # Column 0 is the identity, since perm_matrix lists its rows in lexicographic order.
+        violations += int(np.count_nonzero((keeps.sum(axis=1) != 1) | ~keeps[:, 0]))
     return LemmaCheck(
         name="interior-order-uniqueness",
         n=n,
@@ -232,10 +244,13 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
     x = _random_boundary_vectors(n, trials, rng)
     labels = equality_partition(x, 0.0)  # each row in the Stabilizer.labels convention
     violations = 0
-    for rows in row_chunks(trials, perms.size):
-        keeps_sorted = nondescending(x[rows][:, perms])
-        fixes_labels = np.all(labels[rows][:, perms] == labels[rows][:, np.newaxis], axis=2)
-        violations += int(np.count_nonzero(np.any(keeps_sorted != fixes_labels, axis=1)))
+    # fixes, keeps, two value columns, a label column and a comparison
+    for rows in row_chunks(trials, 8 * 6 * len(perms)):
+        row_labels = labels[rows]
+        fixes = np.ones((len(row_labels), len(perms)), dtype=bool)
+        for j, column in enumerate(perms.T):
+            fixes &= row_labels[:, column] == row_labels[:, j, np.newaxis]
+        violations += int(np.count_nonzero(np.any(_keeps_sorted(x[rows], perms) != fixes, axis=1)))
     return LemmaCheck(
         name="stabilizer-minimality",
         n=n,
@@ -273,9 +288,12 @@ def grid_min_block_cost(values: np.ndarray, lo: float, hi: float, step: float):
     best = np.empty(len(batch))
     # A total and a term buffer per row, a few rows at a time: at an eighth of a
     # chunk both fit a core's cache (about 3x faster than whole chunks with a 4 MB L2).
-    for rows in row_chunks(len(batch), 16 * grid.size):
-        total = np.zeros((len(best[rows]), grid.size))
-        term = np.empty_like(total)
+    # Every block reuses the first block's two buffers, so fresh pages are paid once a call.
+    chunks = list(row_chunks(len(batch), 16 * grid.size))
+    buffers = np.empty((2, len(best[chunks[0]]) if chunks else 0, grid.size))
+    for rows in chunks:
+        total, term = buffers[:, :len(best[rows])]
+        total.fill(0.0)
         for column in batch[rows].T:
             np.abs(np.subtract(column[:, np.newaxis], grid, out=term), out=term)
             total += term

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_array, as_count, nondescending
+from .core import as_array, as_count, nondescending, row_chunks
 from .errors import InputError, InvariantViolation
 from .metric import UnorderedTuple
 # perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
@@ -160,14 +160,19 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     if not np.array_equal(lifted.points, field.points):
         raise InputError("mismatched fields: sample points differ")
 
-    a, b = field.adjacency[:, 0], field.adjacency[:, 1]
+    edges = field.adjacency
+    moved, d = np.empty(len(edges)), np.empty(len(edges))
     # Finite values near the float limit can overflow to inf (and inf / inf to
     # nan); the nan ratio that follows is the report, not a numpy warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        moved = np.abs(lifted.values[a] - lifted.values[b]).sum(axis=1)
-        # The quotient distance by its own route: sort the field's rows as given
-        # (dist_sorted's arithmetic), never reusing the lifted array.
-        d = np.abs(np.sort(field.values[a], axis=1) - np.sort(field.values[b], axis=1)).sum(axis=1)
+        # Two endpoint gathers and their difference per slice of edges
+        for rows in row_chunks(len(edges), 8 * 3 * field.values.shape[1]):
+            a, b = edges[rows, 0], edges[rows, 1]
+            moved[rows] = np.abs(lifted.values[a] - lifted.values[b]).sum(axis=1)
+            # The quotient distance by its own route: sort the field's rows as
+            # given (dist_sorted's arithmetic), never reusing the lifted array.
+            d[rows] = np.abs(np.sort(field.values[a], axis=1)
+                             - np.sort(field.values[b], axis=1)).sum(axis=1)
     zero = d == 0.0
     broken = zero & (moved > EQUAL_CLASS_TOL)
     if broken.any():

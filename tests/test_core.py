@@ -96,6 +96,8 @@ def test_enumerate_perms_cap():
     assert len(enumerate_perms(BRUTE_FORCE_CAP)) == math.factorial(BRUTE_FORCE_CAP)
     with pytest.raises(CapExceededError, match="brute force too large"):
         enumerate_perms(BRUTE_FORCE_CAP + 1)
+    with pytest.raises(CapExceededError, match=f"n = {BRUTE_FORCE_CAP + 1} exceeds cap"):
+        perm_matrix(BRUTE_FORCE_CAP + 1)
 
 
 # Every count and size goes through as_count: a fraction, a non-number or a value
@@ -144,6 +146,11 @@ def test_perm_matrix_matches_enumeration():
     assert mat.shape == (24, 4)
     assert tuple(tuple(int(v) for v in row) for row in mat) == enumerate_perms(4)
     assert not mat.flags.writeable  # cached array must stay frozen
+    for n in range(1, BRUTE_FORCE_CAP + 1):  # filled from the iterator, never from the tuples
+        mat = perm_matrix(n)
+        assert mat.dtype == np.intp and mat.shape == (math.factorial(n), n)
+        assert mat.tolist() == [list(p) for p in enumerate_perms(n)]
+        assert not mat.flags.writeable and perm_matrix(n) is mat
 
 
 def test_invert_identity():

@@ -249,6 +249,50 @@ def test_exterior_openness_memory_does_not_grow_with_trials(monkeypatch):
     assert many <= 1.25 * few
 
 
+ALL_CHECKS = [
+    lemmas.check_displacement_bound,
+    lemmas.check_exterior_openness,
+    lemmas.check_interior_order_uniqueness,
+    lemmas.check_boundary_has_ties,
+    lemmas.check_stabilizer_minimality,
+    lemmas.check_stabilizer_order,
+    lemmas.check_diagonal_distance_closed_form,
+]
+# What a check may hold at the default CHUNK_ELEMENTS beside its samples: an
+# eighth of a chunk of float64s is 1 MB, and the grid oracle's two buffers of
+# three rows and its 20,001-point grid take 1.1 MB.  The samples are ten
+# float64s per drawn component at most.  A (150, 720, 6) float64 gather alone
+# is 5.2 MB.
+WORKING_SET_BYTES = 2 << 20
+SAMPLE_BYTES = 80
+
+
+def check_peak(check, n, trials):
+    """``check``'s tracemalloc peak at ``n`` and ``trials``, and the trials it reports."""
+    check(n, 5, np.random.default_rng(0))  # first-call set-up (perm_matrix's cache) is not measured
+    tracemalloc.start()
+    try:
+        result = check(n, trials, np.random.default_rng(1))
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    return peak_bytes, result.trials
+
+
+@pytest.mark.parametrize("n, trials", [(6, 150), (6, 1_500), (8, 50)])
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.__name__[6:])
+def test_each_check_holds_a_small_working_set(check, n, trials):
+    peak_bytes, drawn = check_peak(check, n, trials)
+    assert peak_bytes <= WORKING_SET_BYTES + SAMPLE_BYTES * drawn * n
+
+
+@pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda check: check.__name__[6:])
+def test_check_memory_grows_no_faster_than_the_samples(check):
+    (few, few_drawn), (many, many_drawn) = check_peak(check, 6, 150), check_peak(check, 6, 1_500)
+    assert many - few <= SAMPLE_BYTES * (many_drawn - few_drawn) * 6
+
+
 def test_suite_calls_the_classifier_once_per_batch(monkeypatch):
     # A guard on the shape of the work, not its speed: the per-trial loop
     # would make these counts grow with the trial count.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import min_matching_cost, symmetric_2x2_eigenvalues
+from symprod import core
 from symprod.core import apply_perm, enumerate_perms
 from symprod.diagonal import boundary_class
 from symprod.errors import InputError, InvariantViolation
@@ -404,3 +407,48 @@ def test_continuity_report_matches_per_edge_loop():
                 seen["zero"] += got.zero_edges > 0
                 seen["empty"] += field.adjacency.shape == (0, 2)
     assert min(seen.values()) > 0, seen
+
+
+def test_continuity_report_does_not_depend_on_the_chunk_size(monkeypatch):
+    # Slices of edges down to one edge give the same report, or the same first
+    # broken equal-class edge and its text.
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(150):
+        field = random_explicit_field(rng)
+        scales = rng.choice([1.0, 1.0, 2.0], size=(field.values.shape[0], 1))
+        broken = LiftedField(
+            points=field.points, values=lift_field(field).values * scales, adjacency=field.adjacency
+        )
+        cases += [(lift_field(field), field), (broken, field)]
+    default = [outcome(continuity_report, lifted, field) for lifted, field in cases]
+    assert any(isinstance(got, tuple) for got in default)
+    assert any(isinstance(got, ContinuityReport) and got.ratio_edges > 1 for got in default)
+    for elements in (1, 7):
+        monkeypatch.setattr(core, "CHUNK_ELEMENTS", elements)
+        assert [outcome(continuity_report, lifted, field) for lifted, field in cases] == default
+
+
+def test_continuity_report_temporaries_are_a_fixed_size():
+    # Whole-edge-set temporaries took 152 bytes an edge.  The (E,) results
+    # (moved, d, the masks and ratios) take about 40, and a slice of edges at a
+    # time adds a fixed 1 MB or so.
+    rng = np.random.default_rng(44)
+
+    def peak(count):
+        values = np.cumsum(rng.normal(0.0, 0.1, (count, 6)), axis=0)
+        field = SampledField.path(np.arange(count) / count, values)
+        lifted = lift_field(field)
+        tracemalloc.start()
+        try:
+            report = continuity_report(lifted, field)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ratio_edges == count - 1
+        return peak_bytes
+
+    peak(100)  # first-call set-up is not part of either measurement
+    few, many = peak(25_000), peak(100_000)
+    assert many <= few + 48 * 75_000
+    assert many <= (1 << 20) + 48 * 100_000
