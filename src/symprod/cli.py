@@ -112,9 +112,9 @@ def _cmd_dist(args) -> int:
     if args.file is not None:
         if args.a is not None or args.b is not None:
             raise InputError("give either --file or --a/--b, not both")
-        from .core import read_text
+        from .core import _lines, read_text
 
-        lines = [line.strip() for line in read_text(args.file).split("\n") if line.strip()]
+        lines = [s for s in map(str.strip, _lines(read_text(args.file))) if s]
         if len(lines) != 2:
             raise InputError(f"{args.file}: expected exactly two tuple lines, got {len(lines)}")
         a, b = parse_tuple_text(lines[0]), parse_tuple_text(lines[1])

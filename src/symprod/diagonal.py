@@ -102,15 +102,13 @@ class Stabilizer:
         order, cap = self.order, STABILIZER_ORDER_CAP
         if order > cap:
             raise CapExceededError(f"stabilizer order {order} exceeds enumeration cap {cap}")
-        blocks = self.partition.blocks
-        positions = [i for block in blocks for i in block]
-        elements = []
-        for choice in itertools.product(*map(itertools.permutations, blocks)):
-            word = list(range(self.partition.n))
-            for pos, img in zip(positions, itertools.chain(*choice)):
-                word[pos] = img
-            elements.append(tuple(word))
-        return tuple(sorted(elements))
+        # One row per element: each block's permutation table, repeated past the blocks after it.
+        table, after = np.tile(np.arange(self.partition.n), (order, 1)), order
+        for block in self.partition.blocks:
+            perms = np.array(list(itertools.permutations(block)))
+            after //= len(perms)
+            table[:, list(block)] = np.resize(np.repeat(perms, after, axis=0), (order, len(block)))
+        return tuple(map(tuple, table[np.lexsort(table.T[::-1])].tolist()))
 
 
 def equality_partition(x, tol: float = 0.0) -> BlockPartition | np.ndarray:

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import read_text, row_chunks
+from .core import _lines, read_text, row_chunks
 from .errors import InputError, InvariantViolation
 # perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
 from .metric import UnorderedTuple  # noqa: F401
@@ -214,16 +214,6 @@ def _raise_read_error(lines, path: Path):
     if not first:
         raise InputError(f"{path}: no samples found")
     raise InvariantViolation(f"{path}: the block reader declined a file with no read error")
-
-
-def _lines(text: str):
-    """``text.split("\\n")`` less an empty last line, cut about 64k characters at a time."""
-    start, stop = 0, len(text) - text.endswith("\n")
-    while start < len(text):
-        end = text.find("\n", start + 65536, stop)
-        end = stop if end < 0 else end
-        yield from text[start:end].split("\n")
-        start = end + 1
 
 
 def read_field_file(path) -> FieldDocument:

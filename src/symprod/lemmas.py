@@ -115,16 +115,16 @@ def _random_boundary_vectors(n: int, count: int, rng: np.random.Generator) -> np
     return x
 
 
-def _random_exterior_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` out-of-order rows; each is redrawn while sorted, at most 100 draws in all."""
+def _rejection_sample(n: int, count: int, rng: np.random.Generator, keep) -> np.ndarray:
+    """``count`` uniform rows, each redrawn until ``keep(rows)`` passes it; 100 draws at most."""
     x = np.empty((count, n))
     redraw = np.arange(count)
     for _ in range(100):
         x[redraw] = rng.uniform(-10.0, 10.0, size=(redraw.size, n))
-        redraw = redraw[nondescending(x[redraw])]
+        redraw = redraw[~keep(x[redraw])]
         if redraw.size == 0:
             return x
-    raise AssertionError("could not sample an out-of-order vector")
+    raise AssertionError("could not sample an accepted vector in 100 draws")
 
 
 def _random_l1_perturbation(
@@ -167,20 +167,24 @@ def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> L
 
 def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """A quarter of one inversion's height is a safe out-of-order radius."""
-    probes = 10
+    probes, group = 10, 64
     violations = 0
-    # A block of vectors and all their probes, an eighth of a chunk in all: a
-    # probe's draws, sum and class label take about eight times its n floats.
-    for rows in row_chunks(trials, 8 * 8 * probes * n):
-        count = len(range(trials)[rows])
-        x = _random_exterior_vectors(n, count, rng)
-        running_max = np.maximum.accumulate(x, axis=1)[:, :-1]
-        c = np.max(running_max - x[:, 1:], axis=1)  # largest inversion height per vector
-        if not np.all(c > 0):
-            raise AssertionError("sampler broke its own precondition")
-        y = np.repeat(x, probes, axis=0)  # each vector's probes are consecutive rows
-        y += _random_l1_perturbation(n, np.repeat(c / 4.0, probes), rng, count * probes)
-        violations += int(np.count_nonzero(boundary_class(y) != "exterior"))
+    # Each group of vectors draws from a generator spawned for it, so no sample depends on
+    # the block size.  A block of whole groups and their probes is an eighth of a chunk in
+    # all: a probe's draws, sum and class label take about eight times its n floats.
+    starts = range(0, trials, group)
+    for groups in row_chunks(len(starts), group * 8 * 8 * probes * n):
+        y = []
+        for start in starts[groups]:
+            g = rng.spawn(1)[0]
+            x = _rejection_sample(n, min(group, trials - start), g, lambda r: ~nondescending(r))
+            running_max = np.maximum.accumulate(x, axis=1)[:, :-1]
+            c = np.max(running_max - x[:, 1:], axis=1)  # largest inversion height per vector
+            if not np.all(c > 0):
+                raise AssertionError("sampler broke its own precondition")
+            delta = _random_l1_perturbation(n, np.repeat(c / 4.0, probes), g, len(x) * probes)
+            y.append(np.repeat(x, probes, axis=0) + delta)  # a vector's probes are consecutive
+        violations += int(np.count_nonzero(boundary_class(np.concatenate(y)) != "exterior"))
     return LemmaCheck(
         name="exterior-openness",
         n=n,
@@ -204,11 +208,8 @@ def _keeps_sorted(x: np.ndarray, perms: np.ndarray) -> np.ndarray:
 def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Only the identity keeps a strictly ascending vector non-descending."""
     perms = perm_matrix(n)
-    x = np.empty((trials, n))
-    redraw = np.arange(trials)
-    while redraw.size:  # ties have probability zero
-        x[redraw] = np.sort(rng.uniform(-10.0, 10.0, size=(redraw.size, n)), axis=1)
-        redraw = redraw[~np.all(np.diff(x[redraw], axis=1) > 0, axis=1)]
+    # uniform rows with no two components equal (ties have probability zero), sorted
+    x = np.sort(_rejection_sample(n, trials, rng, lambda r: (np.diff(np.sort(r)) > 0).all(axis=1)))
     violations = 0
     for rows in row_chunks(trials, 8 * 4 * len(perms)):  # keeps, two columns, a comparison
         keeps = _keeps_sorted(x[rows], perms)
@@ -301,20 +302,30 @@ def grid_min_block_cost(values: np.ndarray, lo: float, hi: float, step: float):
     return float(best[0]) if blocks.ndim == 1 else best
 
 
+def _grid_block_costs(x: np.ndarray, groups: dict[BlockPartition, np.ndarray]) -> np.ndarray:
+    """Each row's grid costs added in block order, as ``sum`` adds; one oracle call a block size."""
+    costs = np.zeros((len(x), x.shape[1] // 2))  # by block position, 0.0 past a row's last block
+    batches: dict[int, list] = {}
+    for partition, ids in groups.items():
+        for position, block in enumerate(partition.blocks):
+            part = (ids, np.full(ids.size, position), x[np.ix_(ids, block)])
+            batches.setdefault(len(block), []).append(part)
+    for parts in batches.values():
+        ids, positions, values = map(np.concatenate, zip(*parts))
+        costs[ids, positions] = grid_min_block_cost(values, -10.0, 10.0, 1e-3)
+    return sum(costs.T)
+
+
 def check_diagonal_distance_closed_form(
     n: int, trials: int, rng: np.random.Generator
 ) -> LemmaCheck:
     """Closed-form distance to a diagonal set vs a 1e-3 grid over [-10, 10]."""
     groups = _partition_groups(_random_partition_labels(n, trials, rng))
     x = rng.uniform(-10.0, 10.0, size=(trials, n))
+    by_grid = _grid_block_costs(x, groups)
     violations = 0
     for partition, ids in groups.items():
-        near = x[ids]
-        by_grid = sum(
-            grid_min_block_cost(near[:, list(block)], -10.0, 10.0, 1e-3)
-            for block in partition.blocks
-        )
-        gap = np.abs(dist_to_diagonal(near, partition) - by_grid)
+        gap = np.abs(dist_to_diagonal(x[ids], partition) - by_grid[ids])
         violations += int(np.count_nonzero(gap > 2e-3))
     return LemmaCheck(
         name="diagonal-distance-closed-form",

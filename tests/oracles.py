@@ -186,3 +186,36 @@ def field_file_arrays(text: str):
     else:
         tuples = np.array([[float(v) for v in row] for row in rows])
     return meta, points, tuples
+
+
+def set_partitions(n: int):
+    """Every set partition of range(n), as lists of blocks, by placing one index at a time."""
+    if n == 0:
+        yield []
+        return
+    for rest in set_partitions(n - 1):
+        yield rest + [[n - 1]]
+        for i in range(len(rest)):
+            yield rest[:i] + [rest[i] + [n - 1]] + rest[i + 1 :]
+
+
+def exterior_vectors_by_redraw(n: int, count: int, rng) -> np.ndarray:
+    """The exterior-openness sampler as one loop: rows redrawn while sorted, 100 draws at most."""
+    x = np.empty((count, n))
+    redraw = np.arange(count)
+    for _ in range(100):
+        x[redraw] = rng.uniform(-10.0, 10.0, size=(redraw.size, n))
+        redraw = redraw[np.all(x[redraw][:, 1:] >= x[redraw][:, :-1], axis=1)]
+        if redraw.size == 0:
+            return x
+    raise AssertionError("could not sample an out-of-order vector")
+
+
+def interior_vectors_by_redraw(n: int, count: int, rng) -> np.ndarray:
+    """The interior-order sampler as one loop: sorted rows, redrawn while any two tie."""
+    x = np.empty((count, n))
+    redraw = np.arange(count)
+    while redraw.size:
+        x[redraw] = np.sort(rng.uniform(-10.0, 10.0, size=(redraw.size, n)), axis=1)
+        redraw = redraw[~np.all(np.diff(x[redraw], axis=1) > 0, axis=1)]
+    return x

@@ -117,6 +117,32 @@ def test_dist_input_errors(tmp_path, capsys):
     assert capsys.readouterr().err == "error: give either --file or --a/--b, not both\n"
 
 
+@pytest.mark.parametrize("data, lines", [
+    (b"1,5\r\n2,3\r\n", 2),
+    (b"1,5\r2,3\r", 2),
+    (b"1,5\r\n\r\n2,3", 2),
+    (b"\n\n 1,5 \n\t\n\t2,3\t\n\n", 2),
+    (b"  1,5\r\n \r 2,3 \r\n\r\n", 2),
+    (b"1,5\x0c\n\x0b2,3\n\x1c\n", 2),
+    (b"1,5\r\n2,3\r\n4,4\r\n", 3),
+    (b"1,5\r\r\r", 1),
+    (b"\r\n \r\n", 0),
+], ids=["crlf", "cr", "blank-crlf", "blank-and-whitespace", "mixed-ends",
+        "other-whitespace", "three-crlf-lines", "one-cr-line", "only-blank"])
+def test_dist_file_line_ends_blank_lines_and_whitespace(tmp_path, capsys, data, lines):
+    # Every line end counts as one, blank lines are skipped and each line is stripped.
+    path = tmp_path / "pair.txt"
+    path.write_bytes(data)
+    code = cli.main(["dist", "--file", str(path)])
+    captured = capsys.readouterr()
+    if lines == 2:
+        assert (code, captured.err) == (0, "")
+        assert captured.out == "distance = 3\nengine = sorted\nminimizer = 0,1\n"
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}: expected exactly two tuple lines, got {lines}\n"
+
+
 @pytest.mark.parametrize("engine", ["auto", "sorted", "brute", "assignment"])
 @pytest.mark.parametrize(
     "a, b",

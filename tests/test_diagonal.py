@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import blocks_of_labels, equality_blocks_by_closure, grid_min_block_cost
+from oracles import (
+    blocks_of_labels,
+    equality_blocks_by_closure,
+    grid_min_block_cost,
+    perm_rows,
+    set_partitions,
+)
 from symprod import diagonal
 from symprod.core import apply_perm, compose, enumerate_perms, invert, perm_matrix
 from symprod.diagonal import (
@@ -168,6 +174,55 @@ def test_stabilizer_cap():
     assert stab.order == 5040**2
     with pytest.raises(CapExceededError):
         stab.elements  # 5040 * 5040 elements is past the cap
+
+
+def labels_of_blocks(blocks, n):
+    """labels[i]: the least index of i's block, or i; by hand, not by ``Stabilizer.labels``."""
+    labels = np.arange(n)
+    for block in blocks:
+        labels[list(block)] = min(block)
+    return labels
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stabilizer_elements_are_the_label_keeping_permutations(n):
+    # Every partition of range(n), singletons dropped (the empty partition too):
+    # the elements are exactly the rows of all n! permutations, in their
+    # lexicographic order, that map every index into its own block.
+    perms = perm_rows(n)
+    image, word = np.zeros((len(perms), 8), dtype=np.int8), np.zeros(8, dtype=np.int8)
+    for blocks in set_partitions(n):
+        blocks = tuple(tuple(b) for b in blocks if len(b) >= 2)
+        # labels[p] == labels for each row p, compared as one 8-byte word per row
+        word[:n] = labels_of_blocks(blocks, n)
+        image[:, :n] = word[perms]
+        keep = image.view(np.int64)[:, 0] == word.view(np.int64)[0]
+        expected = tuple(map(tuple, perms[keep].tolist()))
+        assert stabilizer_of(BlockPartition(blocks=blocks, n=n)).elements == expected
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_stabilizer_elements_past_the_brute_force_size(n):
+    # Too many permutations to filter, so check the laws: the group order of
+    # rows, each keeping every label, in strictly ascending order (so distinct).
+    rng = np.random.default_rng(n)
+    orders = set()
+    for _ in range(12):
+        sizes = rng.integers(2, 6, size=3)
+        cuts = np.cumsum(sizes)[np.cumsum(sizes) <= n]
+        indices = rng.permutation(n).tolist()
+        blocks = [indices[a:b] for a, b in zip([0, *cuts[:-1]], cuts)]
+        order = math.prod(math.factorial(len(b)) for b in blocks)
+        if order > math.factorial(8):
+            continue
+        elements = stabilizer_of(BlockPartition(blocks=blocks, n=n)).elements
+        rows = np.array(elements)
+        labels = labels_of_blocks(blocks, n)
+        assert len(elements) == order
+        assert all(a < b for a, b in zip(elements, elements[1:]))
+        assert np.array_equal(labels[rows], np.broadcast_to(labels, rows.shape))
+        orders.add(order)
+    assert max(orders) >= 24 * 6
 
 
 def random_block_partition(n, rng):

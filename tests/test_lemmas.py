@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from collections import Counter
@@ -5,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import random_partition_law
+from oracles import exterior_vectors_by_redraw, interior_vectors_by_redraw, random_partition_law
 from symprod import core, lemmas
 from symprod.diagonal import BlockPartition, Stabilizer, _partition_of_labels
 from symprod.errors import CapExceededError, InputError
@@ -16,6 +17,7 @@ from symprod.lemmas import (
     check_diagonal_distance_closed_form,
     check_displacement_bound,
     check_exterior_openness,
+    check_interior_order_uniqueness,
     check_stabilizer_minimality,
     check_stabilizer_order,
     run_lemma_suite,
@@ -333,7 +335,7 @@ def test_sampler_laws(n):
             delta = lemmas._random_l1_perturbation(n, b, rng, 50)
             assert delta.shape == (50, n)
             assert np.all(np.abs(delta).sum(axis=1) < b)
-        exterior = lemmas._random_exterior_vectors(n, 40, rng)
+        exterior = lemmas._rejection_sample(n, 40, rng, lambda x: ~core.nondescending(x))
         assert np.all(np.any(np.diff(exterior, axis=1) < 0, axis=1))
         boundary = lemmas._random_boundary_vectors(n, 40, rng)
         steps = np.diff(boundary, axis=1)
@@ -353,9 +355,77 @@ def test_exterior_sampler_gives_up_after_100_draws():
             return np.sort(np.random.default_rng(self.draws).uniform(lo, hi, size=size), axis=1)
 
     rng = SortedDraws()
-    with pytest.raises(AssertionError, match="could not sample an out-of-order vector"):
-        lemmas._random_exterior_vectors(3, 5, rng)
+    with pytest.raises(AssertionError, match="could not sample an accepted vector in 100 draws"):
+        lemmas._rejection_sample(3, 5, rng, lambda x: ~core.nondescending(x))
     assert rng.draws == 100
+
+
+@pytest.mark.parametrize("check, reference, sort", [
+    (check_exterior_openness, exterior_vectors_by_redraw, False),
+    (check_interior_order_uniqueness, interior_vectors_by_redraw, True),
+], ids=["exterior", "interior"])
+def test_each_check_draws_what_its_own_redraw_loop_drew(monkeypatch, check, reference, sort):
+    # The one rejection sampler against a copy of each check's former loop,
+    # run on a twin of the same generator: the same rows, the same draws used.
+    real = lemmas._rejection_sample
+    counts = []
+
+    def against_reference(n, count, rng, keep):
+        twin = copy.deepcopy(rng)
+        x = real(n, count, rng, keep)
+        assert np.array_equal(np.sort(x, axis=1) if sort else x, reference(n, count, twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        counts.append(count)
+        return x
+
+    monkeypatch.setattr(lemmas, "_rejection_sample", against_reference)
+    for seed in range(3):
+        for n in (2, 3, 5, 8):
+            assert check(n, 70, np.random.default_rng(seed)).passed
+    assert sum(counts) == 3 * 4 * 70
+
+
+def test_exterior_openness_draws_do_not_depend_on_the_chunk_size(monkeypatch):
+    # Every probe that boundary_class is given, in order, at three block sizes:
+    # a group of vectors draws from its own spawned generator, whatever the block.
+    real_class = lemmas.boundary_class
+
+    def probes(n, trials):
+        seen = []
+        monkeypatch.setattr(lemmas, "boundary_class",
+                            lambda y: seen.append(y.copy()) or real_class(y))
+        assert check_exterior_openness(n, trials, np.random.default_rng(17)).passed
+        return np.concatenate(seen)
+
+    default_elements = core.CHUNK_ELEMENTS
+    for n, trials in ((2, 150), (6, 500), (3, 1)):
+        monkeypatch.setattr(core, "CHUNK_ELEMENTS", default_elements)
+        default = probes(n, trials)
+        assert default.shape == (10 * trials, n)
+        for elements in (1, 7):
+            monkeypatch.setattr(core, "CHUNK_ELEMENTS", elements)
+            assert np.array_equal(probes(n, trials), default)
+
+
+def test_grid_totals_are_the_per_block_sums_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 4, 5, 6, 7, 8):
+        groups = lemmas._partition_groups(lemmas._random_partition_labels(n, 60, rng))
+        x = rng.uniform(-10.0, 10.0, size=(60, n))
+        totals = lemmas._grid_block_costs(x, groups)
+        for partition, ids in groups.items():
+            per_block = sum(lemmas.grid_min_block_cost(x[ids][:, list(block)], -10.0, 10.0, 1e-3)
+                            for block in partition.blocks)
+            assert totals[ids].tobytes() == per_block.tobytes()
+
+
+def test_the_grid_oracle_runs_once_per_block_size(monkeypatch):
+    real = lemmas.grid_min_block_cost
+    sizes = []
+    monkeypatch.setattr(lemmas, "grid_min_block_cost",
+                        lambda values, *args: sizes.append(values.shape[1]) or real(values, *args))
+    assert check_diagonal_distance_closed_form(6, 50, np.random.default_rng(3)).passed
+    assert sorted(sizes) == [2, 3, 4]
 
 
 def test_batched_grid_oracle_equals_the_old_layout():
