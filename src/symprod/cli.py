@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2..6", help='tuple sizes: "4", "2..6", or "2,3,5"')
     p.add_argument("--trials", type=int, default=500, help="trials per check per size")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: SYMPROD_SEED or 0)")
-    p.add_argument("--grid-trials", type=int, default=None, help="trials for the grid-oracle check")
+    p.add_argument("--grid-trials", type=int, default=None,
+                   help="trials for the diagonal-distance-closed-form check")
     p.set_defaults(func=_cmd_lemmas)
 
     p = sub.add_parser("bench", help="time the distance engines and cross-check values")

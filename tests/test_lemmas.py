@@ -5,10 +5,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from oracles import exterior_vectors_by_redraw, interior_vectors_by_redraw, random_partition_law
+from oracles import (
+    exterior_vectors_by_redraw,
+    grid_min_block_cost,
+    interior_vectors_by_redraw,
+    random_partition_law,
+)
 from symprod import core, lemmas
-from symprod.diagonal import BlockPartition, Stabilizer, _partition_of_labels
+from symprod.diagonal import BlockPartition, Stabilizer
 from symprod.errors import CapExceededError, InputError
 from symprod.lemmas import (
     DISPLACEMENT_EPSILONS,
@@ -182,10 +189,12 @@ def test_displacement_bound_catches_a_too_large_stabilizer(monkeypatch, n):
     assert check.violations > 0
 
 
-def test_closed_form_check_catches_a_shifted_distance(monkeypatch):
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("shift", [0.01, 1e-6])
+def test_closed_form_check_catches_a_shifted_distance(monkeypatch, shift, n):
     real_distance = lemmas.dist_to_diagonal
-    monkeypatch.setattr(lemmas, "dist_to_diagonal", lambda x, p: real_distance(x, p) + 0.01)
-    check = check_diagonal_distance_closed_form(4, 20, np.random.default_rng(7))
+    monkeypatch.setattr(lemmas, "dist_to_diagonal", lambda x, p: real_distance(x, p) + shift)
+    check = check_diagonal_distance_closed_form(n, 20, np.random.default_rng(7))
     assert check.violations == check.trials == 20
 
 
@@ -260,12 +269,12 @@ ALL_CHECKS = [
     lemmas.check_stabilizer_order,
     lemmas.check_diagonal_distance_closed_form,
 ]
-# What a check may hold at the default CHUNK_ELEMENTS beside its samples: an
-# eighth of a chunk of float64s is 1 MB, and the grid oracle's two buffers of
-# three rows and its 20,001-point grid take 1.1 MB.  The samples are ten
-# float64s per drawn component at most.  A (150, 720, 6) float64 gather alone
-# is 5.2 MB.
-WORKING_SET_BYTES = 2 << 20
+# What a check may hold at the default CHUNK_ELEMENTS beside its samples: its
+# blocks take an eighth of a chunk of float64s, 1 MB, at most.  The largest
+# measured peak above the samples is 0.71 MB, the exhaustive checks at n = 8.
+# The samples are ten float64s per drawn component at most.  A (150, 720, 6)
+# float64 gather alone is 5.2 MB.
+WORKING_SET_BYTES = 1 << 20
 SAMPLE_BYTES = 80
 
 
@@ -316,7 +325,7 @@ def test_suite_calls_the_classifier_once_per_batch(monkeypatch):
     assert few["boundary_class"] == many["boundary_class"] == 2 * 2  # two checks, two sizes
     # one distance call per distinct partition of a batch: n = 2 has one possible
     # partition, n = 3 has four, and two batches per n use them (displacement-bound
-    # with all three epsilons in one batch, and the grid oracle)
+    # with all three epsilons in one batch, and the closed-form check)
     assert few["dist_to_diagonal"] <= 2 * (1 + 4)
     assert many["dist_to_diagonal"] <= 2 * (1 + 4)
     # boundary-has-ties and stabilizer-minimality each label their whole batch
@@ -407,45 +416,19 @@ def test_exterior_openness_draws_do_not_depend_on_the_chunk_size(monkeypatch):
             assert np.array_equal(probes(n, trials), default)
 
 
-def test_grid_totals_are_the_per_block_sums_bit_for_bit():
-    rng = np.random.default_rng(21)
-    for n in (2, 3, 4, 5, 6, 7, 8):
-        groups = lemmas._partition_groups(lemmas._random_partition_labels(n, 60, rng))
-        x = rng.uniform(-10.0, 10.0, size=(60, n))
-        totals = lemmas._grid_block_costs(x, groups)
-        for partition, ids in groups.items():
-            per_block = sum(lemmas.grid_min_block_cost(x[ids][:, list(block)], -10.0, 10.0, 1e-3)
-                            for block in partition.blocks)
-            assert totals[ids].tobytes() == per_block.tobytes()
+# Coarse values repeat within a block, so ties and runs of equal values are common.
+BLOCK_VALUES = st.sampled_from([-10.0, -2.5, 0.0, 0.5, 3.0]) | st.floats(-10.0, 10.0)
 
 
-def test_the_grid_oracle_runs_once_per_block_size(monkeypatch):
-    real = lemmas.grid_min_block_cost
-    sizes = []
-    monkeypatch.setattr(lemmas, "grid_min_block_cost",
-                        lambda values, *args: sizes.append(values.shape[1]) or real(values, *args))
-    assert check_diagonal_distance_closed_form(6, 50, np.random.default_rng(3)).passed
-    assert sorted(sizes) == [2, 3, 4]
-
-
-def test_batched_grid_oracle_equals_the_old_layout():
-    rng = np.random.default_rng(12)
-    grid = np.arange(-10.0, 10.0 + 1e-3, 1e-3)
-    checked = 0
-    for n in (2, 3, 4, 5, 6):
-        partitions = [_partition_of_labels(lemmas._random_partition_labels(n, 1, rng)[0])
-                      for _ in range(8)]
-        x = rng.uniform(-10.0, 10.0, size=(8, n))
-        for partition in partitions:
-            for block in partition.blocks:
-                values = x[:, list(block)]
-                batched = lemmas.grid_min_block_cost(values, -10.0, 10.0, 1e-3)
-                old = [float(np.abs(v[np.newaxis, :] - grid[:, np.newaxis]).sum(axis=1).min())
-                       for v in values]
-                assert batched.tolist() == old
-                assert lemmas.grid_min_block_cost(values[0], -10.0, 10.0, 1e-3) == old[0]
-                checked += len(old)
-    assert checked >= 40
+@given(st.integers(2, 8).flatmap(lambda k: st.lists(
+    st.lists(BLOCK_VALUES, min_size=k, max_size=k), min_size=1, max_size=4)))
+@example([[1.5, 1.5, 1.5]])
+def test_min_block_cost_is_each_blocks_exact_minimum(rows):
+    costs = lemmas._min_block_cost(np.array(rows))
+    assert costs.shape == (len(rows),)
+    for row, cost in zip(rows, costs):
+        assert cost == min(sum(abs(v - c) for v in row) for c in row)
+        assert abs(cost - grid_min_block_cost(row)) <= 2e-3
 
 
 def test_boundary_has_ties_catches_a_batch_form_without_ties(monkeypatch):

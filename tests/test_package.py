@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,8 +55,26 @@ def test_names_left_out_of_the_export_lists_stay_importable_by_module_path():
     from symprod.core import as_count  # noqa: F401
     from symprod.core import read_text, row_chunks  # noqa: F401
     from symprod.diagonal import BoundaryClass  # noqa: F401
-    from symprod.lemmas import DISPLACEMENT_EPSILONS, grid_min_block_cost  # noqa: F401
+    from symprod.lemmas import DISPLACEMENT_EPSILONS  # noqa: F401
     from symprod.selection import EQUAL_CLASS_TOL  # noqa: F401
+
+
+def test_readme_removed_names_are_gone_from_the_package():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("**Removed names.**", 1)[1]
+    table = section[section.index("\n| removed |"):].split("\n\n", 1)[0]
+    names = re.findall(r"^\| `([\w.]+)", table, re.MULTILINE)
+    assert len(names) >= 11  # a parse that finds no rows cannot pass
+    for name in names:
+        *owner, attr = name.split(".")
+        if not owner:  # a bare function: gone from the package and from every submodule
+            homes = [symprod, *(importlib.import_module(f"symprod.{m}") for m in SUBMODULES)]
+        elif owner[0] in SUBMODULES:
+            homes = [importlib.import_module(f"symprod.{owner[0]}")]
+        else:  # a class, which itself stays
+            homes = [getattr(symprod, owner[0])]
+        for home in homes:
+            assert not hasattr(home, attr), f"{name} is listed as removed but {home} has it"
 
 
 def test_dir_lists_every_public_name_and_submodule():
