@@ -189,12 +189,7 @@ def _cmd_holonomy(args) -> int:
 def _cmd_lemmas(args) -> int:
     n_values = _parse_n_values(args.n)
     seed = _resolve_seed(args.seed)
-    results = run_lemma_suite(
-        n_values=n_values,
-        trials=args.trials,
-        seed=seed,
-        grid_trials=args.grid_trials,
-    )
+    results = run_lemma_suite(n_values=n_values, trials=args.trials, seed=seed)
     width = max(len(r.name) for r in results)
     print(f"{'check':<{width}}  n  trials  violations  status")
     for r in results:
@@ -280,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="2..6", help='tuple sizes: "4", "2..6", or "2,3,5"')
     p.add_argument("--trials", type=int, default=500, help="trials per check per size")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: SYMPROD_SEED or 0)")
-    p.add_argument("--grid-trials", type=int, default=None,
-                   help="trials for the diagonal-distance-closed-form check")
     p.set_defaults(func=_cmd_lemmas)
 
     p = sub.add_parser("bench", help="time the distance engines and cross-check values")

@@ -190,34 +190,30 @@ def invert(p: Sequence[int]) -> Perm:
     return tuple(np.argsort(as_perm(p)).tolist())  # the argsort of a permutation is its inverse
 
 
-def _permutations(n: int):
-    """The permutations of ``range(n)`` one at a time, lexicographic; the one cap refusal."""
-    n = as_count(n, "n", 1)
-    if n > BRUTE_FORCE_CAP:
-        raise CapExceededError(
-            f"brute force too large: n = {n} exceeds cap {BRUTE_FORCE_CAP} ({n}! permutations)"
-        )
-    return itertools.permutations(range(n))
-
-
 def enumerate_perms(n: int) -> tuple[Perm, ...]:
-    """All n! permutations of ``range(n)`` in lexicographic order.
+    """All n! permutations of ``range(n)`` in lexicographic order: ``perm_matrix``'s rows as tuples.
 
     Raises CapExceededError above the brute-force cap.
     """
-    return tuple(_permutations(n))
+    # as_count before the cache, which would reject an unhashable n with a TypeError
+    return tuple(map(tuple, perm_matrix(as_count(n, "n", 1)).tolist()))
 
 
 @lru_cache(maxsize=None)
 def perm_matrix(n: int) -> np.ndarray:
     """All permutations of range(n) as an (n!, n) int array, lexicographic rows.
 
-    Row order matters: argmin over rows picks the lexicographically smallest
-    minimizer for free.  Cached per n; read-only.  Filled from the iterator,
-    so the n! permutations are never all held as tuples.
+    The one enumerator of S_n and the one cap refusal.  Row order matters:
+    argmin over rows picks the lexicographically smallest minimizer for free.
+    Cached per n; read-only.  Filled from the iterator, so the n!
+    permutations are never all held as tuples.
     """
     n = as_count(n, "n", 1)
-    flat = itertools.chain.from_iterable(_permutations(n))
+    if n > BRUTE_FORCE_CAP:
+        raise CapExceededError(
+            f"brute force too large: n = {n} exceeds cap {BRUTE_FORCE_CAP} ({n}! permutations)"
+        )
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
     table = np.fromiter(flat, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
     table.setflags(write=False)
     return table

@@ -14,7 +14,6 @@ Pure functions on immutable values throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .core import (
     as_count,
     as_perm,
     nondescending,
+    perm_matrix,
 )
 from .errors import CapExceededError, InputError
 
@@ -96,19 +96,23 @@ class Stabilizer:
             return False
         return bool(np.array_equal(labels[p], labels))
 
-    @property
-    def elements(self) -> tuple[Perm, ...]:
-        """Every element, lexicographically sorted; raises past the enumeration cap."""
+    def _table(self) -> np.ndarray:
+        """Every element as a row of an ``(order, n)`` intp array, rows sorted; raises past the cap."""
         order, cap = self.order, STABILIZER_ORDER_CAP
         if order > cap:
             raise CapExceededError(f"stabilizer order {order} exceeds enumeration cap {cap}")
         # One row per element: each block's permutation table, repeated past the blocks after it.
         table, after = np.tile(np.arange(self.partition.n), (order, 1)), order
         for block in self.partition.blocks:
-            perms = np.array(list(itertools.permutations(block)))
+            perms = np.asarray(block)[perm_matrix(len(block))]
             after //= len(perms)
             table[:, list(block)] = np.resize(np.repeat(perms, after, axis=0), (order, len(block)))
-        return tuple(map(tuple, table[np.lexsort(table.T[::-1])].tolist()))
+        return table[np.lexsort(table.T[::-1])]
+
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        """Every element, lexicographically sorted; raises past the enumeration cap."""
+        return tuple(map(tuple, self._table().tolist()))
 
 
 def equality_partition(x, tol: float = 0.0) -> BlockPartition | np.ndarray:

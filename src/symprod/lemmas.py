@@ -27,7 +27,8 @@ Checks (names as reported):
   one exact coincidence, so its equality partition is nonempty.
 - stabilizer-minimality: for a boundary vector's own coincidence pattern,
   exactly the stabilizer permutations keep it sorted (exhaustive over S_n).
-- stabilizer-order: the enumerated stabilizer's size is the block-factorial product.
+- stabilizer-order: the enumerated stabilizer lists the block-factorial product of
+  distinct members and nothing else.
 - diagonal-distance-closed-form: the closed-form distance to a diagonal set
   matches each block's exact minimum, taken over the block's own values.
 """
@@ -149,7 +150,7 @@ def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> L
         near, bound = x[ids], eps[ids]
         if not np.all(dist_to_diagonal(near, partition) < bound):
             raise AssertionError("sampler broke its own precondition")
-        stab = np.array(stabilizer_of(partition).elements, dtype=np.intp)
+        stab = stabilizer_of(partition)._table()
         for rows in row_chunks(ids.size, 8 * stab.size):  # one (rows, |S|, n) array, in place
             moved = near[rows][:, stab]
             moved -= near[rows][:, np.newaxis]
@@ -262,11 +263,18 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
 
 
 def check_stabilizer_order(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
-    """The enumerated stabilizer's size is the product of block factorials."""
+    """The enumerated stabilizer lists the block-factorial product of distinct members, only."""
     violations = 0
     for partition, ids in _partition_groups(_random_partition_labels(n, trials, rng)).items():
         expected = math.prod(math.factorial(len(b)) for b in partition.blocks)
-        if len(stabilizer_of(partition).elements) != expected:
+        stab = stabilizer_of(partition)
+        table, labels = stab._table(), stab.labels
+        # the rows that are permutations keeping every index in its block, each counted
+        # once by its value as n base-n digits
+        members = table[np.all(np.sort(table) == np.arange(n), axis=1)]
+        members = members[np.all(labels[members] == labels, axis=1)]
+        keys = (members * n ** np.arange(n)).sum(axis=1)
+        if not len(table) == np.unique(keys).size == expected:
             violations += ids.size
     return LemmaCheck(
         name="stabilizer-order",
@@ -309,14 +317,12 @@ def run_lemma_suite(
     n_values: Iterable[int] = (2, 3, 4, 5, 6),
     trials: int = 500,
     seed: int | None = 0,
-    grid_trials: int | None = None,
 ) -> list[LemmaCheck]:
     """Run every check at every requested tuple size, deterministically.
 
     Each check draws from its own generator, spawned from ``seed``, so no
-    check's samples depend on how much another one drew.  ``grid_trials``
-    sets the trials of the diagonal-distance closed-form check; default is
-    min(trials, 50) per n.
+    check's samples depend on how much another one drew.  The
+    diagonal-distance closed-form check runs min(trials, 50) trials per n.
     """
     try:
         n_values = sorted(set(as_count(n, "n", 2) for n in n_values))
@@ -325,8 +331,6 @@ def run_lemma_suite(
     if not n_values:
         raise InputError("need at least one tuple size")
     trials = as_count(trials, "trials", 1)
-    grid_trials = as_count(min(trials, 50) if grid_trials is None else grid_trials,
-                           "grid_trials", 1)
     rng = np.random.default_rng(None if seed is None else as_count(seed, "seed", 0))
     perm_matrix(n_values[-1])  # refuses a size past the brute-force cap before any check runs
     results: list[LemmaCheck] = []
@@ -338,7 +342,7 @@ def run_lemma_suite(
         results.append(check_boundary_has_ties(n, trials, g[3]))
         results.append(check_stabilizer_minimality(n, trials, g[4]))
         results.append(check_stabilizer_order(n, trials, g[5]))
-        results.append(check_diagonal_distance_closed_form(n, grid_trials, g[6]))
+        results.append(check_diagonal_distance_closed_form(n, min(trials, 50), g[6]))
     return results
 
 

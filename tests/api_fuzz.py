@@ -137,8 +137,7 @@ CALLS = {
     "LemmaCheck": ((SCALARS, COUNTS, COUNTS, COUNTS), {}),
     "run_lemma_suite": (
         (),
-        {"n_values": SUITE_NS, "trials": SUITE_COUNTS, "seed": COUNTS,
-         "grid_trials": SUITE_COUNTS | st.none()},
+        {"n_values": SUITE_NS, "trials": SUITE_COUNTS, "seed": COUNTS},
     ),
     # metric
     "Distance": ((SCALARS, PERMS, SCALARS), {}),

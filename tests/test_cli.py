@@ -468,11 +468,21 @@ def test_lemmas_bad_n_range(capsys):
 
 
 def test_lemmas_without_trials_is_input_error(capsys):
-    for extra in (["--trials", "-5"], ["--trials", "0"], ["--grid-trials", "0"]):
+    for extra in (["--trials", "-5"], ["--trials", "0"]):
         assert cli.main(["lemmas", "--n", "2", *extra]) == 2
         captured = capsys.readouterr()
         assert "passed" not in captured.out
         assert "need" in captured.err
+
+
+def test_lemmas_has_no_grid_trials_option(capsys):
+    # The closed-form check runs a fixed min(trials, 50); the grid-era option is gone.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lemmas", "--n", "2", "--grid-trials", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --grid-trials 5" in captured.err
 
 
 def test_bench(capsys):

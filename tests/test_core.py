@@ -106,6 +106,8 @@ BAD_COUNTS = {
     "enumerate_perms-fraction": lambda: enumerate_perms(2.5),
     "enumerate_perms-string": lambda: enumerate_perms("3"),
     "enumerate_perms-zero": lambda: enumerate_perms(0),
+    "enumerate_perms-list": lambda: enumerate_perms([3]),
+    "enumerate_perms-dict": lambda: enumerate_perms({}),
     "partition-n-fraction": lambda: BlockPartition(((0, 1),), 2.5),
     "partition-index-fraction": lambda: BlockPartition(((0, 1.5),), 3),
     "partition-index-negative": lambda: BlockPartition(((-1, 1),), 3),
@@ -118,7 +120,6 @@ BAD_COUNTS = {
     "lemmas-n-one": lambda: run_lemma_suite(n_values=(1,)),
     "lemmas-trials-fraction": lambda: run_lemma_suite(n_values=(2,), trials=2.5),
     "lemmas-trials-inf": lambda: run_lemma_suite(n_values=(2,), trials=math.inf),
-    "lemmas-grid-trials-zero": lambda: run_lemma_suite(n_values=(2,), trials=1, grid_trials=0),
     "lemmas-seed-negative": lambda: run_lemma_suite(n_values=(2,), trials=1, seed=-1),
     "lemmas-seed-fraction": lambda: run_lemma_suite(n_values=(2,), trials=1, seed=1.5),
 }
@@ -136,9 +137,9 @@ def test_integral_float_counts_act_as_their_ints():
     assert np.array_equal(roots_loop_generator(3.0, 96.0).samples,
                           roots_loop_generator(3, 96).samples)
     table = [(r.name, r.n, r.trials, r.violations)
-             for r in run_lemma_suite(n_values=(2.0,), trials=4.0, seed=2.0, grid_trials=np.int8(3))]
+             for r in run_lemma_suite(n_values=(2.0,), trials=4.0, seed=2.0)]
     assert table == [(r.name, r.n, r.trials, r.violations)
-                     for r in run_lemma_suite(n_values=(2,), trials=4, seed=2, grid_trials=3)]
+                     for r in run_lemma_suite(n_values=(2,), trials=4, seed=2)]
 
 
 def test_perm_matrix_matches_enumeration():
@@ -146,10 +147,11 @@ def test_perm_matrix_matches_enumeration():
     assert mat.shape == (24, 4)
     assert tuple(tuple(int(v) for v in row) for row in mat) == enumerate_perms(4)
     assert not mat.flags.writeable  # cached array must stay frozen
-    for n in range(1, BRUTE_FORCE_CAP + 1):  # filled from the iterator, never from the tuples
+    for n in range(1, BRUTE_FORCE_CAP + 1):  # enumerate_perms is its view: check both by oracle
         mat = perm_matrix(n)
         assert mat.dtype == np.intp and mat.shape == (math.factorial(n), n)
-        assert mat.tolist() == [list(p) for p in enumerate_perms(n)]
+        assert mat.tolist() == [list(p) for p in all_perms(n)]
+        assert enumerate_perms(n) == all_perms(n)
         assert not mat.flags.writeable and perm_matrix(n) is mat
 
 

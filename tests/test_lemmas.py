@@ -69,24 +69,25 @@ def test_displacement_bound_counts_all_epsilons():
 def list_a_foreign_permutation(monkeypatch):
     """List the n-cycle in place of each stabilizer's last element.
 
-    The n-cycle lies in no stabilizer but S_n's.  The number of elements
-    stays, so of the suite's checks only displacement-bound can see it.
+    The n-cycle lies in no stabilizer but S_n's, where it repeats an element.
+    The number of rows stays, so of the suite's checks only displacement-bound
+    and stabilizer-order, which counts distinct members, can see it.
     """
-    listed = Stabilizer.elements.fget
-    monkeypatch.setattr(Stabilizer, "elements", property(
-        lambda stab: listed(stab)[:-1] + ((*range(1, stab.partition.n), 0),)
-    ))
+    table = Stabilizer._table
+
+    def foreign(stab):
+        rows = table(stab)
+        rows[-1] = np.roll(np.arange(stab.partition.n), -1)
+        return rows
+
+    monkeypatch.setattr(Stabilizer, "_table", foreign)
 
 
 def test_injected_fault_is_caught(monkeypatch):
     list_a_foreign_permutation(monkeypatch)
     results = run_lemma_suite(n_values=(2, 3), trials=40, seed=0)
     assert not all_passed(results)
-    broken = [r for r in results if not r.passed]
-    assert broken
-    assert all(r.name == "displacement-bound" for r in broken)
-    untouched = [r for r in results if r.name != "displacement-bound"]
-    assert all(r.passed for r in untouched)
+    assert {r.name for r in results if not r.passed} == {"displacement-bound", "stabilizer-order"}
 
 
 def test_n_values_validated_and_deduplicated():
@@ -163,10 +164,26 @@ def test_stabilizer_order_catches_a_missing_block(monkeypatch, n):
 
 def test_stabilizer_order_counts_the_enumerated_elements(monkeypatch):
     # The check must enumerate, not compare the factorial formula with itself.
-    listed = Stabilizer.elements.fget
-    monkeypatch.setattr(Stabilizer, "elements", property(lambda stab: listed(stab)[:-1]))
+    table = Stabilizer._table
+    monkeypatch.setattr(Stabilizer, "_table", lambda stab: table(stab)[:-1])
     check = check_stabilizer_order(4, 30, np.random.default_rng(4))
     assert check.violations == check.trials == 30
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_stabilizer_order_catches_a_repeated_element(monkeypatch, n):
+    # The first element listed again in place of the last: the row count
+    # stays, so only a count of distinct members sees the lost element.
+    table = Stabilizer._table
+
+    def repeat_first(stab):
+        rows = table(stab)
+        rows[-1] = rows[0]
+        return rows
+
+    monkeypatch.setattr(Stabilizer, "_table", repeat_first)
+    check = check_stabilizer_order(n, 30, np.random.default_rng(4))
+    assert check.violations == check.trials == 30  # every sampled partition has a block
 
 
 def test_exterior_openness_catches_a_classifier_that_never_says_exterior(monkeypatch):
@@ -200,7 +217,7 @@ def test_closed_form_check_catches_a_shifted_distance(monkeypatch, shift, n):
 
 def test_batched_checks_do_not_depend_on_the_chunk_size(monkeypatch):
     def table():
-        results = run_lemma_suite(n_values=(2, 3, 4), trials=25, seed=5, grid_trials=6)
+        results = run_lemma_suite(n_values=(2, 3, 4), trials=25, seed=5)
         return [(r.name, r.n, r.trials, r.violations) for r in results]
 
     def faulty_counts():
