@@ -195,24 +195,30 @@ def enumerate_perms(n: int) -> tuple[Perm, ...]:
 
     Raises CapExceededError above the brute-force cap.
     """
-    # as_count before the cache, which would reject an unhashable n with a TypeError
-    return tuple(map(tuple, perm_matrix(as_count(n, "n", 1)).tolist()))
+    return tuple(map(tuple, perm_matrix(n).tolist()))
 
 
-@lru_cache(maxsize=None)
 def perm_matrix(n: int) -> np.ndarray:
     """All permutations of range(n) as an (n!, n) int array, lexicographic rows.
 
     The one enumerator of S_n and the one cap refusal.  Row order matters:
     argmin over rows picks the lexicographically smallest minimizer for free.
-    Cached per n; read-only.  Filled from the iterator, so the n!
-    permutations are never all held as tuples.
+    Cached per n; read-only.
     """
-    n = as_count(n, "n", 1)
+    n = as_count(n, "n", 1)  # before the cache, which would reject an unhashable n with a TypeError
     if n > BRUTE_FORCE_CAP:
         raise CapExceededError(
             f"brute force too large: n = {n} exceeds cap {BRUTE_FORCE_CAP} ({n}! permutations)"
         )
+    return _perm_table(n)
+
+
+@lru_cache(maxsize=None)
+def _perm_table(n: int) -> np.ndarray:
+    """``perm_matrix(n)`` for a checked n, built once.
+
+    Filled from the iterator, so the n! permutations are never all held as tuples.
+    """
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
     table = np.fromiter(flat, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
     table.setflags(write=False)

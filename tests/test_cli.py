@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -732,6 +733,106 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, loaded, tmp_path):
     code, modules = json.loads(result.stdout)
     assert code == (0 if argv else None)
     assert modules == [f"symprod.{name}" for name in loaded]
+
+
+# The argvs of the module-loading test above, read from its parametrize mark, so an
+# argv added there is checked here too.
+LOAD_CASES = next(mark for mark in test_each_subcommand_loads_only_the_modules_it_runs.pytestmark
+                  if mark.name == "parametrize")
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in LOAD_CASES.args[1]],
+                         ids=LOAD_CASES.kwargs["ids"])
+def test_no_subcommand_loads_numpy_ma(argv, tmp_path):
+    # np.unique, np.median and np.quantile import numpy.ma (about 11 ms) on numpy 2.x.
+    if argv == ["lift"]:
+        field = tmp_path / "field.jsonl"
+        write_lines(field, [{"point": [0.0], "tuple": [2.0, 1.0]},
+                            {"point": [1.0], "tuple": [1.0, 3.0]}])
+        argv = argv + ["--input", str(field), "--output", str(tmp_path / "out.jsonl")]
+    if argv == ["holonomy", "--input"]:
+        loop = tmp_path / "loop.jsonl"
+        write_lines(loop, [{"point": [0.0], "tuple": [[1.0, 0.0], [2.0, 0.0]]}] * 4)
+        argv = argv + [str(loop)]
+    if argv == ["dist", "--file"]:
+        pair = tmp_path / "pair.txt"
+        pair.write_text("1,5\n2,3\n")
+        argv = argv + [str(pair)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", LOAD_PROBE + 'print(json.dumps("numpy.ma" in sys.modules))\n',
+         json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    probe_line, ma_line = result.stdout.splitlines()
+    assert json.loads(probe_line)[0] == (0 if argv else None)
+    assert ma_line == "false"
+
+
+def test_the_command_and_the_module_run_share_one_entry():
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(cli.__file__).resolve()
+    scripts = tomllib.loads((path.parents[2] / "pyproject.toml").read_text())["project"]["scripts"]
+    (block,) = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in block.body] == ["_script()"]
+    assert scripts == {"symprod": "symprod.cli:_script"}
+
+
+FREEZE_PROBE = """
+import contextlib, gc, io, json, sys
+import symprod.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [symprod.cli.main(["canon", "--t", "3,1,2"]) for _ in range(2)]
+    frozen_by_main = gc.get_freeze_count()
+    sys.argv[1:] = ["canon", "--t", "3,1,2"]
+    try:
+        symprod.cli._script()
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps([codes, frozen_by_main, gc.get_freeze_count()]))
+"""
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    # main() is called repeatedly in one process (tests, the tracer, host programs),
+    # so it must leave their garbage collectable; the entry freezes just before exit.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    codes, frozen_by_main, frozen_by_entry = json.loads(result.stdout)
+    assert codes == [0, 0, 0]
+    assert frozen_by_main == 0
+    assert frozen_by_entry > 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["canon", "--t", "3,1,2"], 0),
+    (["lemmas", "--n", "2..9"], 2),
+    (["holonomy", "--k", "3", "--steps", "12"], 3),
+], ids=["canon", "lemmas-past-cap", "holonomy-undersampled"])
+def test_module_run_matches_in_process_main(argv, code, capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "symprod.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert (result.stdout, result.stderr, result.returncode) == (captured.out, captured.err, code)
 
 
 def test_lift_overflow_prints_no_numpy_warning(tmp_path):

@@ -108,6 +108,8 @@ BAD_COUNTS = {
     "enumerate_perms-zero": lambda: enumerate_perms(0),
     "enumerate_perms-list": lambda: enumerate_perms([3]),
     "enumerate_perms-dict": lambda: enumerate_perms({}),
+    "perm_matrix-list": lambda: perm_matrix([3]),
+    "perm_matrix-dict": lambda: perm_matrix({}),
     "partition-n-fraction": lambda: BlockPartition(((0, 1),), 2.5),
     "partition-index-fraction": lambda: BlockPartition(((0, 1.5),), 3),
     "partition-index-negative": lambda: BlockPartition(((-1, 1),), 3),

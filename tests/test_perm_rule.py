@@ -1,9 +1,10 @@
-"""S_n is enumerated in one place: ``core.perm_matrix``, the one permutation table.
+"""S_n is enumerated in one place: ``core.perm_matrix``, the one permutation table
+(built by its cached helper ``core._perm_table``).
 
 ``enumerate_perms`` is the tuple view of that table, and a stabilizer's
 elements take each block's rows from it.  A second enumerator would be a
 second cap refusal and a second row order, so an ``itertools.permutations``
-anywhere in ``src/`` outside ``perm_matrix`` fails here first.
+anywhere in ``src/`` outside ``_perm_table`` fails here first.
 """
 
 import ast
@@ -57,10 +58,10 @@ def test_only_perm_matrix_enumerates_permutations():
     found = [f"{path.name}:{line} in {where or 'module'}"
              for path in sorted(SRC.glob("*.py"))
              for where, line in enumerations(ast.parse(path.read_text(encoding="utf-8")))
-             if (path.name, where) != ("core.py", "perm_matrix")]
+             if (path.name, where) != ("core.py", "_perm_table")]
     assert found == [], "enumerate S_n with core.perm_matrix: " + "; ".join(found)
 
 
 def test_perm_matrix_holds_the_one_enumerator():
     found = enumerations(ast.parse((SRC / "core.py").read_text(encoding="utf-8")))
-    assert [where for where, _ in found] == ["perm_matrix"]
+    assert [where for where, _ in found] == ["_perm_table"]
