@@ -64,7 +64,6 @@ def parse_tuple_text(text: str) -> np.ndarray:
     if not entries:
         raise InputError(f"empty tuple: {text!r}")
     values = []
-    any_complex = False
     for entry in entries:
         try:
             values.append(float(entry))
@@ -73,33 +72,30 @@ def parse_tuple_text(text: str) -> np.ndarray:
             pass
         try:
             values.append(complex(entry.replace("i", "j")))
-            any_complex = True
         except ValueError:
             raise InputError(f"cannot parse component {entry!r}") from None
-    dtype = complex if any_complex else float
-    return np.asarray(values, dtype=dtype)
+    return np.asarray(values)  # floats give float64; a complex among them gives complex128
 
 
-def _parse_n_values(text: str) -> list[int]:
-    """Accept "4", "2..6", or "2,3,5"."""
+def _parse_n_values(text: str) -> range | list[int]:
+    """Accept "4", "2..6", or "2,3,5"; a range stays a ``range``, so a long one is never a list."""
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split(".."))
+            values, smallest = range(lo, hi + 1), lo
         else:
             values = [int(part) for part in text.split(",")]
+            smallest = min(values)
     except ValueError:
         raise InputError(f"cannot parse n range {text!r} (use e.g. 4, 2..6, or 2,3,5)") from None
-    if not values or any(v < 1 for v in values):
+    if not values or smallest < 1:
         raise InputError(f"invalid n range {text!r}")
     return values
 
 
 def _resolve_seed(value: int | None) -> int:
     if value is None:
-        env = os.environ.get("SYMPROD_SEED")
-        if env is None:
-            return 0
+        env = os.environ.get("SYMPROD_SEED", "0")
         try:
             value = int(env)
         except ValueError:
@@ -143,8 +139,9 @@ def _cmd_lift(args) -> int:
     from . import fieldfile
 
     out_dir = os.path.dirname(args.output) or "."
-    if not os.path.exists(out_dir):  # fail before the read and the lift, not after them
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+    if not os.path.isdir(out_dir):  # fail before the read and the lift, not after them
+        code = errno.ENOTDIR if os.path.exists(out_dir) else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.output)
     in_path = args.input
     if args.csv or str(in_path).endswith(".csv"):
         doc = fieldfile.read_csv_field(in_path)

@@ -38,6 +38,14 @@ STABILIZER_ORDER_CAP = math.factorial(BRUTE_FORCE_CAP)
 CHUNK_ELEMENTS = 1 << 20
 
 
+def _asarray(values, refusal: str) -> np.ndarray:
+    """``np.asarray(values)``, or InputError "{refusal}: {why}": the one ragged-input guard."""
+    try:
+        return np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged or unreadable caller data
+        raise InputError(f"{refusal}: {exc}") from None
+
+
 def as_array(values, *, dtype=float, ranks=(1,), name: str = "tuple") -> np.ndarray:
     """Coerce caller data to a float64 (or, with ``dtype=complex``, complex128) array.
 
@@ -45,8 +53,9 @@ def as_array(values, *, dtype=float, ranks=(1,), name: str = "tuple") -> np.ndar
     components where reals are wanted, ragged or non-numeric input, a rank
     outside ``ranks``, no components and NaN/inf each raise InputError.
     """
+    refusal = f"{name} must hold {'real numbers' if dtype is float else 'numbers'}"
+    arr = _asarray(values, refusal)
     try:
-        arr = np.asarray(values)
         # float() refuses a Python complex but casts a numpy complex scalar with only a warning.
         if dtype is float and (arr.dtype.kind == "c" or arr.dtype.kind == "O" and any(
             isinstance(v, np.complexfloating) for v in arr.flat
@@ -56,8 +65,7 @@ def as_array(values, *, dtype=float, ranks=(1,), name: str = "tuple") -> np.ndar
             raise TypeError(f"got {arr.dtype} components")
         arr = arr.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
-        kind = "real numbers" if dtype is float else "numbers"
-        raise InputError(f"{name} must hold {kind}: {exc}") from None
+        raise InputError(f"{refusal}: {exc}") from None
     if arr.ndim not in ranks:
         ranks_text = " or ".join(f"{r}-D" for r in ranks)
         raise InputError(f"{name} must be {ranks_text}, got shape {arr.shape}")
@@ -120,10 +128,7 @@ def as_perm(p, n: int | None = None) -> np.ndarray:
     The one permutation validator.  Bools and integral floats count as their
     ints; ``n``, when given, is the required length.
     """
-    try:
-        arr = np.asarray(p)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"not a permutation: {exc}") from None
+    arr = _asarray(p, "not a permutation")
     size = arr.size if n is None else n
     # Sorted, the entries are exactly 0..size - 1: no fraction, nan, repeat or gap.
     if not (arr.ndim == 1 and 0 < arr.size == size and arr.dtype.kind in "biuf"
@@ -159,10 +164,7 @@ def apply_perm(p: Sequence[int], x) -> np.ndarray:
 
     The result is always a permutation of the input multiset.
     """
-    try:
-        x = np.asarray(x)
-    except (TypeError, ValueError) as exc:  # ragged input
-        raise InputError(f"a permutation applies to a 1-D tuple: {exc}") from None
+    x = _asarray(x, "a permutation applies to a 1-D tuple")
     if x.ndim != 1:
         raise InputError(f"a permutation applies to a 1-D tuple, got shape {x.shape}")
     return x[as_perm(p, x.size)]

@@ -25,7 +25,7 @@ import json
 import math
 import os
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -303,7 +303,8 @@ def _replacing(path):
             yield handle
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):  # a failed cleanup must not replace the error it follows
+            tmp.unlink()
         if isinstance(exc, OSError) and exc.filename == str(tmp):
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise

@@ -25,16 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Perm, as_array, perm_matrix
+from .core import Perm, _asarray, as_array, perm_matrix
 from .errors import InputError
 
 
 def l1_norm(x) -> float:
     """Sum of absolute values of the components; inf entries sum to inf."""
-    try:
-        x = np.asarray(x)
-    except (TypeError, ValueError) as exc:  # ragged input
-        raise InputError(f"l1_norm needs an array of numbers: {exc}") from None
+    x = _asarray(x, "l1_norm needs an array of numbers")
     if x.dtype.kind not in "biufc":
         raise InputError(f"l1_norm needs numbers, got dtype {x.dtype}")
     if x.dtype.kind in "biu":  # in their own dtype, abs and sum would wrap around
@@ -50,12 +47,13 @@ class UnorderedTuple:
     canonical value, so equality and hashing are well-defined on classes.
     """
 
-    __slots__ = ("_canonical",)
+    __slots__ = ("_canonical", "_key")
 
     def __init__(self, values):
         arr = np.sort(as_array(values))
         arr.setflags(write=False)
         self._canonical = arr
+        self._key = (arr + 0.0).tobytes()  # what equality and hashing read: -0.0 as 0.0
 
     @property
     def canonical(self) -> np.ndarray:
@@ -65,10 +63,10 @@ class UnorderedTuple:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnorderedTuple):
             return NotImplemented
-        return np.array_equal(self._canonical, other._canonical)
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._canonical.tobytes())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(float(v)) for v in self._canonical)

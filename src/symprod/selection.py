@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_array, as_count, nondescending, row_chunks
+from .core import _asarray, as_array, as_count, nondescending, row_chunks
 from .errors import InputError, InvariantViolation
 from .metric import UnorderedTuple
 # perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
@@ -57,10 +57,7 @@ def _as_rows(values, count: int) -> np.ndarray:
 
 def _check_adjacency(adjacency, count: int) -> np.ndarray:
     """Edges as a read-only (E, 2) intp array of indices below ``count``; no edges is (0, 2)."""
-    try:
-        edges = np.asarray(adjacency)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"adjacency must be an (E, 2) array of sample indices: {exc}") from None
+    edges = _asarray(adjacency, "adjacency must be an (E, 2) array of sample indices")
     if edges.ndim == 1 and edges.size == 0:
         edges = np.empty((0, 2), dtype=np.intp)
     if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +469,21 @@ def test_lemmas_bad_n_range(capsys):
     assert capsys.readouterr().err == "error: invalid n range '0'\n"
 
 
+def test_a_long_lemma_range_is_refused_unread(capsys):
+    # Only the range's ends are read, never a list of 3 million sizes.  symprod.lemmas is
+    # imported above, so the trace holds only the parse and the refusal.
+    tracemalloc.start()
+    try:
+        assert cli.main(["lemmas", "--n", "2..3000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        "error: brute force too large: n = 3000000 exceeds cap 8 (3000000! permutations)\n"
+    )
+    assert peak < 1 << 20
+
+
 def test_lemmas_without_trials_is_input_error(capsys):
     for extra in (["--trials", "-5"], ["--trials", "0"]):
         assert cli.main(["lemmas", "--n", "2", *extra]) == 2
@@ -860,11 +876,17 @@ def test_lift_overflow_prints_no_numpy_warning(tmp_path):
     assert not out.exists()
 
 
-def test_a_failed_output_open_names_the_requested_path(tmp_path):
+@pytest.mark.parametrize("parent, reason", [
+    ("missing-dir", "[Errno 2] No such file or directory"),
+    ("regular-file", "[Errno 20] Not a directory"),
+], ids=["missing-dir", "regular-file"])
+def test_a_failed_output_open_names_the_requested_path(tmp_path, parent, reason):
     # Two fresh interpreters, so two process ids: the temporary file's name would differ.
     path = tmp_path / "f.jsonl"
     write_lines(path, [{"point": [0.0], "tuple": [2.0, 1.0]}, {"point": [1.0], "tuple": [1.0, 3.0]}])
-    out = tmp_path / "missing-dir" / "x.jsonl"
+    if parent == "regular-file":
+        (tmp_path / parent).write_bytes(b"")
+    out = tmp_path / parent / "x.jsonl"
     src = str(Path(cli.__file__).resolve().parents[1])
     runs = [subprocess.run(
         [sys.executable, "-m", "symprod.cli", "lift", "--input", str(path), "--output", str(out)],
@@ -875,9 +897,9 @@ def test_a_failed_output_open_names_the_requested_path(tmp_path):
     ) for _ in range(2)]
     assert [r.returncode for r in runs] == [2, 2]
     assert runs[0].stderr == runs[1].stderr
-    assert runs[0].stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert runs[0].stderr == f"error: {reason}: '{out}'\n"  # refused before the lift reports
     assert ".tmp" not in runs[0].stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.jsonl"]
+    assert {p.name for p in tmp_path.iterdir()} - {parent} == {"f.jsonl"}
 
 
 LEMMA_TABLE_SEED_3 = "".join(

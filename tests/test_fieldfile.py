@@ -680,6 +680,16 @@ def test_a_failed_rename_names_the_requested_path(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["lifted.jsonl"]
 
 
+def test_a_file_for_a_parent_directory_names_the_requested_path(tmp_path):
+    # The temporary file's removal fails too; that second error must not replace the first.
+    (tmp_path / "afile").write_bytes(b"")
+    out = tmp_path / "afile" / "out.jsonl"
+    with pytest.raises(NotADirectoryError) as caught:
+        write_lifted_file(out, small_lifted())
+    assert caught.value.filename == str(out)
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 def test_lift_cli_write_failure_keeps_the_old_output(tmp_path, monkeypatch, capsys):
     src = tmp_path / "field.jsonl"
     write_lines(src, [{"point": [0.0], "tuple": [2.0, 1.0]}, {"point": [1.0], "tuple": [0.5, 3.0]}])

@@ -222,6 +222,21 @@ def test_unordered_tuple_canonical_and_equality():
         a.canonical[0] = 99.0  # canonical representative is frozen
 
 
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5]), min_size=1, max_size=6), st.data())
+def test_equal_unordered_tuples_hash_equal(values, data):
+    # Signed zeros and repeated values: any zero may flip its sign, in any order.
+    flipped = [data.draw(st.sampled_from([0.0, -0.0])) if v == 0 else v for v in values]
+    a, b = UnorderedTuple(values), UnorderedTuple(data.draw(st.permutations(flipped)))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_unordered_tuple_keeps_the_sign_it_was_given():
+    a = UnorderedTuple([1.0, -0.0])
+    assert a == UnorderedTuple([0.0, 1.0]) and len({a, UnorderedTuple([0.0, 1.0])}) == 1
+    assert repr(a) == "UnorderedTuple([-0.0, 1.0])" and np.signbit(a.canonical[0])
+
+
 def test_unordered_tuple_rejects_bad_input():
     with pytest.raises(InputError):
         UnorderedTuple([])
