@@ -18,8 +18,6 @@ import time
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # symprod calls no BLAS: skip the pool's start-up
 
-import numpy as np
-
 from .errors import InputError, InvariantViolation, UndersampledLoopError
 
 LIFT_RATIO_TOL = 1e-6
@@ -56,6 +54,8 @@ def _fmt(value: float) -> str:
 
 def parse_tuple_text(text: str) -> np.ndarray:
     """Parse "1,5" or "1+2j,-1j" into a real or complex vector."""
+    import numpy as np
+
     try:  # every entry a real number: float() of each is what the loop below gives
         return np.fromiter(map(float, text.split(",")), dtype=float, count=text.count(",") + 1)
     except ValueError:  # a blank, complex or malformed entry
@@ -128,6 +128,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_canon(args) -> int:
+    import numpy as np
+
     values = parse_tuple_text(args.t)
     if np.iscomplexobj(values):
         raise InputError("canon is defined for real tuples only")
@@ -203,6 +205,8 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_bench(args) -> int:
     from statistics import median  # np.median imports numpy.ma: about 11 ms, against 3 ms
+
+    import numpy as np
 
     from .core import BRUTE_FORCE_CAP, as_count
 
@@ -307,10 +311,13 @@ def main(argv=None) -> int:
 def _script() -> None:
     """The process entry of ``python -m symprod.cli`` and the ``symprod`` command.
 
-    ``gc.freeze()`` moves every live object to the permanent generation, so the
-    collections at interpreter shutdown no longer walk what numpy's import made.
-    Only here, never in ``main``, which tests and host programs call repeatedly.
+    A run leaves only the argument parser's cycles, so the cyclic collector is
+    off from before numpy loads (in the subcommand) to the exit.  ``gc.freeze()``
+    keeps the collection at interpreter shutdown, which runs even so, from
+    walking what numpy's import made.  Only here, never in ``main``, which
+    tests and host programs call repeatedly.
     """
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

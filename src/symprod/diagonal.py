@@ -101,12 +101,15 @@ class Stabilizer:
         order, cap = self.order, STABILIZER_ORDER_CAP
         if order > cap:
             raise CapExceededError(f"stabilizer order {order} exceeds enumeration cap {cap}")
-        # One row per element: each block's permutation table, repeated past the blocks after it.
-        table, after = np.tile(np.arange(self.partition.n), (order, 1)), order
-        for block in self.partition.blocks:
-            perms = np.asarray(block)[perm_matrix(len(block))]
-            after //= len(perms)
-            table[:, list(block)] = np.resize(np.repeat(perms, after, axis=0), (order, len(block)))
+        # One axis per block, so an element is one choice of permutation along each axis.
+        n, blocks = self.partition.n, self.partition.blocks
+        sizes = [math.factorial(len(block)) for block in blocks]
+        table = np.full((*sizes, n), np.arange(n))
+        for axis, block in enumerate(blocks):  # the block's permutations, laid along its axis
+            shape = [1] * len(blocks) + [len(block)]
+            shape[axis] = sizes[axis]
+            table[..., list(block)] = np.asarray(block)[perm_matrix(len(block))].reshape(shape)
+        table = table.reshape(order, n)
         return table[np.lexsort(table.T[::-1])]
 
     @property

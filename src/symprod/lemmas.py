@@ -100,9 +100,11 @@ def _partition_groups(labels: np.ndarray) -> dict[BlockPartition, np.ndarray]:
 
     Local to one check, so it holds at most ``count`` keys.
     """
-    distinct, which, counts = np.unique(labels, axis=0, return_inverse=True, return_counts=True)
-    ids = np.split(np.argsort(which.ravel(), kind="stable"), np.cumsum(counts)[:-1])
-    return {_partition_of_labels(row): group for row, group in zip(distinct, ids)}
+    n = labels.shape[1]
+    keys = (labels * n ** np.arange(n)[::-1]).sum(axis=1)  # n base-n digits, first column leading
+    order = np.argsort(keys, kind="stable")
+    cuts = np.flatnonzero(np.diff(keys[order], prepend=-1, append=-1)).tolist()  # runs of one key
+    return {_partition_of_labels(labels[order[lo]]): order[lo:hi] for lo, hi in zip(cuts, cuts[1:])}
 
 
 def _random_boundary_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -199,6 +199,19 @@ def set_partitions(n: int):
             yield rest[:i] + [rest[i] + [n - 1]] + rest[i + 1 :]
 
 
+def stabilizer_rows(partition) -> np.ndarray:
+    """The permutations of range(n) that keep every index in its block, as lex-ordered rows.
+
+    A filter over all n! permutations (n <= 7 here) by the defining property,
+    with each index labelled by the least index of its block.
+    """
+    labels = np.arange(partition.n)
+    for block in partition.blocks:
+        labels[list(block)] = min(block)
+    rows = perm_rows(partition.n)
+    return rows[np.all(labels[rows] == labels, axis=1)]
+
+
 def exterior_vectors_by_redraw(n: int, count: int, rng) -> np.ndarray:
     """The exterior-openness sampler as one loop: rows redrawn while sorted, 100 draws at most."""
     x = np.empty((count, n))

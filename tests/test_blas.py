@@ -85,7 +85,12 @@ def probe(statement: str, **env) -> tuple:
 
 
 def test_the_cli_starts_a_one_thread_openblas():
-    value, threads, numpy_loaded = probe("import symprod.cli")
+    # `import symprod.cli` loads no numpy; a subcommand does, after the variable is set.
+    value, threads, numpy_loaded = probe(
+        "import contextlib, io, symprod.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert symprod.cli.main(['canon', '--t', '1,2']) == 0"
+    )
     assert value == "1" and numpy_loaded
     if threads is not None:  # Linux: the pool would add a thread per extra CPU
         assert threads == 1

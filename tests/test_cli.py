@@ -1,4 +1,7 @@
 import ast
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -804,13 +807,13 @@ import contextlib, gc, io, json, sys
 import symprod.cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [symprod.cli.main(["canon", "--t", "3,1,2"]) for _ in range(2)]
-    frozen_by_main = gc.get_freeze_count()
+    frozen_by_main, enabled_after_main = gc.get_freeze_count(), gc.isenabled()
     sys.argv[1:] = ["canon", "--t", "3,1,2"]
     try:
         symprod.cli._script()
     except SystemExit as exc:
         codes.append(exc.code)
-print(json.dumps([codes, frozen_by_main, gc.get_freeze_count()]))
+print(json.dumps([codes, frozen_by_main, gc.get_freeze_count(), enabled_after_main]))
 """
 
 
@@ -826,10 +829,72 @@ def test_only_the_process_entry_freezes_the_heap():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    codes, frozen_by_main, frozen_by_entry = json.loads(result.stdout)
+    codes, frozen_by_main, frozen_by_entry, enabled_after_main = json.loads(result.stdout)
     assert codes == [0, 0, 0]
     assert frozen_by_main == 0
+    assert enabled_after_main  # the collector is the entry's to stop, never main()'s
     assert frozen_by_entry > 0
+
+
+ENTRY_PROBE = """
+import gc, json, sys
+import symprod.cli
+
+def probe():
+    print(json.dumps([gc.isenabled(), "numpy" in sys.modules]))
+    return 7
+
+symprod.cli.main = probe
+symprod.cli._script()
+"""
+
+
+def test_the_process_entry_stops_the_collector_before_numpy_loads():
+    # The collector finds next to nothing in a CLI run (see the test below), but it
+    # runs dozens of times while numpy's import builds its objects.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", ENTRY_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 7, result.stderr
+    assert json.loads(result.stdout) == [False, False]  # collector off, numpy not loaded yet
+
+
+def unreachable_after_main(argv) -> int:
+    """Objects that ``cli.main(argv)`` leaves in unreachable cycles, collected once after it."""
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_a_run_without_the_collector_leaves_cycles_that_do_not_grow_with_its_input(tmp_path):
+    # What a run without the collector never frees: equal counts at a small and a
+    # large input mean the cycles are the run's fixed overhead, not its data.
+    def lift_argv(rows):
+        path = tmp_path / f"field{rows}.jsonl"
+        rng = np.random.default_rng(rows)
+        write_lines(path, [{"point": [float(i)], "tuple": rng.uniform(-1, 1, 4).tolist()}
+                           for i in range(rows)])
+        return ["lift", "--input", str(path), "--output", str(tmp_path / "out.jsonl")]
+
+    pairs = [
+        (lift_argv(50), lift_argv(5000)),
+        (["lemmas", "--trials", "5", "--seed", "1"], ["lemmas", "--trials", "150", "--seed", "1"]),
+        (["holonomy", "--k", "3", "--steps", "24"], ["holonomy", "--k", "64", "--steps", "2048"]),
+    ]
+    for small, large in pairs:
+        unreachable_after_main(small)  # the first run's imports are not a run's cost
+        counts = [unreachable_after_main(small), unreachable_after_main(large)]
+        assert counts[0] == counts[1], (small[0], counts)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from oracles import (
     grid_min_block_cost,
     perm_rows,
     set_partitions,
+    stabilizer_rows,
 )
 from symprod import diagonal
 from symprod.core import apply_perm, compose, enumerate_perms, invert, perm_matrix
@@ -172,7 +174,8 @@ def test_stabilizer_cap():
     part = BlockPartition(blocks=(tuple(range(7)), tuple(range(7, 14))), n=14)
     stab = stabilizer_of(part)  # kept as its blocks, so building it is never capped
     assert stab.order == 5040**2
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"^stabilizer order 25401600 exceeds enumeration "
+                                              r"cap 40320$"):
         stab.elements  # 5040 * 5040 elements is past the cap
 
 
@@ -199,6 +202,30 @@ def test_stabilizer_elements_are_the_label_keeping_permutations(n):
         keep = image.view(np.int64)[:, 0] == word.view(np.int64)[0]
         expected = tuple(map(tuple, perms[keep].tolist()))
         assert stabilizer_of(BlockPartition(blocks=blocks, n=n)).elements == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stabilizer_table_is_the_filtered_permutation_table(n):
+    # The array form that the lemma suite reads, row for row and dtype too, against
+    # a filter of all n! permutations.
+    for blocks in set_partitions(n):
+        partition = BlockPartition(blocks=tuple(b for b in blocks if len(b) >= 2), n=n)
+        table, expected = Stabilizer(partition)._table(), stabilizer_rows(partition)
+        assert table.dtype == expected.dtype and np.array_equal(table, expected)
+
+
+def test_stabilizer_table_past_the_brute_force_size_is_the_product_of_block_permutations():
+    # n = 12: each element picks one permutation per block and fixes the rest.
+    n, blocks = 12, ((0, 5), (2, 3, 11))
+    rows = []
+    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        row = list(range(n))
+        for block, image in zip(blocks, choice):
+            for i, j in zip(block, image):
+                row[i] = j
+        rows.append(row)
+    table = Stabilizer(BlockPartition(blocks=blocks, n=n))._table()
+    assert table.tolist() == sorted(rows)
 
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])

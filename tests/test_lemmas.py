@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
+    blocks_of_labels,
     exterior_vectors_by_redraw,
     grid_min_block_cost,
     interior_vectors_by_redraw,
@@ -184,6 +185,55 @@ def test_stabilizer_order_catches_a_repeated_element(monkeypatch, n):
     monkeypatch.setattr(Stabilizer, "_table", repeat_first)
     check = check_stabilizer_order(n, 30, np.random.default_rng(4))
     assert check.violations == check.trials == 30  # every sampled partition has a block
+
+
+@pytest.mark.parametrize("extra", ["duplicate", "foreign"])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_stabilizer_order_catches_an_extra_row(monkeypatch, n, extra):
+    # Every element listed, plus one row: a repeat of the first element, or a row
+    # of zeros that is no permutation.  Only the row count sees either.
+    table = Stabilizer._table
+
+    def one_row_more(stab):
+        rows = table(stab)
+        row = rows[0] if extra == "duplicate" else np.zeros_like(rows[0])
+        return np.vstack([rows, row])
+
+    monkeypatch.setattr(Stabilizer, "_table", one_row_more)
+    check = check_stabilizer_order(n, 30, np.random.default_rng(4))
+    assert check.violations == check.trials == 30
+
+
+@st.composite
+def labels_batches(draw):
+    """A ``(count, n)`` batch in the ``Stabilizer.labels`` convention: one row, equal rows or any."""
+    n = draw(st.integers(1, 8))
+
+    def row():  # any set partition of range(n): each index labelled by its block's least index
+        group = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        return [group.index(g) for g in group]
+
+    shape = draw(st.sampled_from(["one", "equal", "random"]))
+    if shape == "one":
+        rows = [row()]
+    elif shape == "equal":
+        rows = [row()] * draw(st.integers(2, 40))
+    else:
+        rows = [row() for _ in range(draw(st.integers(2, 40)))]
+    return np.array(rows, dtype=np.intp)
+
+
+@given(labels_batches())
+def test_partition_groups_match_a_plain_grouping(labels):
+    expected: dict[tuple, list[int]] = {}
+    for i, row in enumerate(labels.tolist()):
+        expected.setdefault(tuple(row), []).append(i)
+    n = labels.shape[1]
+    groups = lemmas._partition_groups(labels)
+    assert all(partition.n == n for partition in groups)
+    assert {p.blocks: ids.tolist() for p, ids in groups.items()} == {
+        blocks_of_labels(row): ids for row, ids in expected.items()
+    }
 
 
 def test_exterior_openness_catches_a_classifier_that_never_says_exterior(monkeypatch):
