@@ -27,7 +27,7 @@ import os
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -106,45 +106,50 @@ def _plain_numbers(lists, pairs: bool = False) -> bool:
     return set(map(type, chain.from_iterable(lists))) <= _NUMBER_TYPES
 
 
-def _read_valid_lines(lines):
-    """(meta, points, tuples) of a well-formed file in either mode, a block at a time, or None.
+def _read_valid_lines(lines, path: Path):
+    """(meta, points, tuples, first non-blank line's number) of a field file, a block at a time.
 
-    None means the file has a read error, for ``_raise_read_error`` to name.
-    ``lines`` are its stripped non-blank lines.  Each line is decoded whole,
-    and "point" and "tuple" may come in any order among other keys.
+    Each line is decoded whole; "point" and "tuple" may come in any order among
+    other keys.  A declined block has a read error, which ``_raise_read_error``
+    names after ``heads``: the first two non-blank lines, which set its state.
     """
-    decode = json.JSONDecoder().raw_decode
-    meta, point_blocks, row_blocks = {}, [], []
-    lines = iter(lines)
-    try:
-        for block_no, block in enumerate(iter(lambda: list(islice(lines, _DECODE_LINES)), [])):
-            objs = []
+    decode, lines, size = json.JSONDecoder().raw_decode, iter(lines), _DECODE_LINES
+    meta, blocks, heads, shape = {}, [], [], None
+    for start, raw in zip(count(1, size), iter(lambda: list(islice(lines, size)), [])):
+        block, objs = [s for s in map(str.strip, raw) if s], []
+        try:
             for line in block:
                 obj, end = decode(line)
                 if end != len(line) or not isinstance(obj, dict):
-                    return None
+                    raise ValueError
                 objs.append(obj)
-            if block_no == 0 and "meta" in objs[0]:  # the optional meta line
+            if not heads and objs and "meta" in objs[0]:  # the optional meta line
                 meta = objs.pop(0)["meta"]
-            if not objs:  # the meta line was the whole block
-                continue
             points, rows = [o.get("point") for o in objs], [o.get("tuple") for o in objs]
-            if not (isinstance(meta, dict) and all("meta" not in o for o in objs)
-                    and _plain_numbers(points)
+            if not isinstance(meta, dict) or objs and not (
+                    all("meta" not in o for o in objs) and _plain_numbers(points)
                     and (_plain_numbers(rows) or _plain_numbers(rows, pairs=True))):
-                return None
-            point_blocks.append(np.array(points, dtype=float))
-            row_blocks.append(np.array(rows, dtype=float))
-        points, tuples = np.concatenate(point_blocks), np.concatenate(row_blocks)
-    except (ValueError, RecursionError, OverflowError):
-        return None  # not JSON, an integer too large for a float, or a later block's other shape
-    if not (np.isfinite(points).all() and np.isfinite(tuples).all()):
-        return None  # NaN, Infinity or a float literal past the float range
+                raise ValueError
+            if objs:
+                p, r = np.array(points, dtype=float), np.array(rows, dtype=float)
+                shape = shape or (p.shape[1:], r.shape[1:])  # the first sample's sizes and mode
+                finite = np.isfinite(p).all() and np.isfinite(r).all()
+                if shape != (p.shape[1:], r.shape[1:]) or not finite:
+                    raise ValueError  # another shape, NaN, Infinity or past the float range
+                blocks.append((p, r))
+        except (ValueError, RecursionError, OverflowError):  # or not JSON, or past the float range
+            objs = None  # declined, and named outside this handler so that nothing chains to it
+        if objs is None:
+            _raise_read_error([*heads, *enumerate(raw, start)], path)
+        heads += islice(((i, s) for i, s in enumerate(raw, start) if s.strip()), 2 - len(heads))
+    if not blocks:
+        raise InputError(f"{path}: no samples found")
+    points, tuples = map(np.concatenate, zip(*blocks))
     for arr in (points, tuples):  # the reader's own: a field adopts them uncopied
         arr.setflags(write=False)
     if tuples.ndim == 3:  # [re, im] pairs; re + 1j * im would lose a -0.0 real part
         tuples = tuples.view(complex)[..., 0]
-    return meta, points, tuples
+    return meta, points, tuples, heads[0][0]
 
 
 def _check_floats(values, line_no: int):
@@ -158,14 +163,13 @@ def _check_floats(values, line_no: int):
 
 
 def _raise_read_error(lines, path: Path):
-    """Raise the first read error in field-file lines, naming its 1-based line; build nothing.
+    """Raise the first read error in ``(line number, line)`` pairs, naming its line; build nothing.
 
-    Only a file that ``_read_valid_lines`` declines comes here, and that
-    route declines exactly the files with a read error.  So a file with
-    none is an ``InvariantViolation``: the two disagree.
+    ``_read_valid_lines`` declines exactly the blocks with a read error, so a
+    block it sends with none is an ``InvariantViolation``: the two disagree.
     """
     meta_seen, first, complex_mode = False, None, None  # first: the first sample's sizes
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in lines:
         line = raw.strip()
         if not line:
             continue
@@ -211,8 +215,6 @@ def _raise_read_error(lines, path: Path):
             raise InputError(f"line {line_no}: tuple size {len(value)} != {first[1]}")
         _check_floats(point, line_no)
         first = first or (len(point), len(value))
-    if not first:
-        raise InputError(f"{path}: no samples found")
     raise InvariantViolation(f"{path}: the block reader declined a file with no read error")
 
 
@@ -220,13 +222,11 @@ def read_field_file(path) -> FieldDocument:
     """Parse a JSON-lines field file; errors carry 1-based line numbers.
 
     A well-formed file is decoded a block of lines at a time (``_read_valid_lines``),
-    the one route that builds its arrays.  A file that route declines has a
-    read error, and a per-line pass names its first bad line.
+    the one route that builds its arrays.  A block that route declines has a
+    read error, and a per-line pass over that block names its first bad line.
     """
     path = Path(path)
-    text = read_text(path)
-    lines = (s for s in map(str.strip, _lines(text)) if s)
-    meta, points, tuples = _read_valid_lines(lines) or _raise_read_error(_lines(text), path)
+    meta, points, tuples, meta_line = _read_valid_lines(_lines(read_text(path)), path)
     try:
         for key, actual in (("m", points.shape[1]), ("n", tuples.shape[1])):
             if type(meta.get(key, actual)) is not int:
@@ -235,8 +235,7 @@ def read_field_file(path) -> FieldDocument:
                 raise InputError(f"meta declares {key} = {meta[key]} but data has {key} = {actual}")
         adjacency = _parse_adjacency(meta.get("adjacency", "path"), points.shape[0])
     except InputError as exc:  # only a meta line fails here: the first non-blank line
-        line_no = next(i for i, line in enumerate(_lines(text), start=1) if line.strip())
-        raise InputError(f"line {line_no}: {exc}") from None
+        raise InputError(f"line {meta_line}: {exc}") from None
     return FieldDocument(points=points, tuples=tuples, adjacency=adjacency)
 
 

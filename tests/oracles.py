@@ -9,8 +9,11 @@ import itertools
 import json
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+
+from symprod.errors import InputError, InvariantViolation
 
 
 @lru_cache(maxsize=None)
@@ -186,6 +189,93 @@ def field_file_arrays(text: str):
     else:
         tuples = np.array([[float(v) for v in row] for row in rows])
     return meta, points, tuples
+
+
+# A JSON number, by exact type: a bool is not one.
+_NUMBER_TYPES = {float, int}
+
+
+def _plain_numbers(lists, pairs: bool = False) -> bool:
+    """Whether ``lists`` are nonempty lists of one length holding only JSON numbers.
+
+    With ``pairs`` they hold only [re, im] pairs of numbers instead.
+    """
+    if set(map(type, lists)) != {list} or len(set(map(len, lists))) != 1 or not lists[0]:
+        return False
+    if pairs:
+        lists = list(itertools.chain.from_iterable(lists))
+        if set(map(type, lists)) != {list} or set(map(len, lists)) != {2}:
+            return False
+    return set(map(type, itertools.chain.from_iterable(lists))) <= _NUMBER_TYPES
+
+
+def _check_floats(values, line_no: int):
+    """Refuse NaN, an infinity and a JSON integer too large for a float, as the block route does."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        raise InputError(f"line {line_no}: integer too large for a float") from None
+    if not finite:
+        raise InputError(f"line {line_no}: number is not finite")
+
+
+def field_file_read_error(lines, path: Path):
+    """Raise the first read error in a field file's lines, by one walk from line 1.
+
+    An ``InputError`` names the 1-based line of the first read error, or says
+    ``{path}: no samples found``; a file with neither is an ``InvariantViolation``.
+    The reader must name the same error from the one block it declines.
+    """
+    meta_seen, first, complex_mode = False, None, None  # first: the first sample's sizes
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        except ValueError as exc:  # an integer literal longer than int() accepts
+            raise InputError(f"line {line_no}: {exc}") from None
+        except RecursionError:
+            raise InputError(f"line {line_no}: JSON nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise InputError(f"line {line_no}: expected a JSON object")
+        if "meta" in obj:
+            if meta_seen or first:
+                raise InputError(f"line {line_no}: meta line must come first")
+            if not isinstance(obj["meta"], dict):
+                raise InputError(f"line {line_no}: meta must be an object")
+            meta_seen = True
+            continue
+        if "point" not in obj or "tuple" not in obj:
+            raise InputError(f'line {line_no}: need both "point" and "tuple"')
+        point, value = obj["point"], obj["tuple"]
+        if not _plain_numbers([point]):
+            raise InputError(f"line {line_no}: point must be a list of numbers")
+        if not (isinstance(value, list) and value):
+            raise InputError(f"line {line_no}: tuple must be a nonempty list")
+        for entry in value:
+            pair = _plain_numbers([entry]) and len(entry) == 2
+            if not (pair or type(entry) in _NUMBER_TYPES):
+                raise InputError(
+                    f"line {line_no}: tuple entries must be numbers or [re, im] pairs, got {entry!r}"
+                )
+            _check_floats(entry if pair else [entry], line_no)
+            if complex_mode not in (None, pair):
+                raise InputError(
+                    f"line {line_no}: mixed real and complex tuple entries in one file"
+                )
+            complex_mode = pair
+        if first and len(point) != first[0]:
+            raise InputError(f"line {line_no}: point dimension {len(point)} != {first[0]}")
+        if first and len(value) != first[1]:
+            raise InputError(f"line {line_no}: tuple size {len(value)} != {first[1]}")
+        _check_floats(point, line_no)
+        first = first or (len(point), len(value))
+    if not first:
+        raise InputError(f"{path}: no samples found")
+    raise InvariantViolation(f"{path}: the block reader declined a file with no read error")
 
 
 def set_partitions(n: int):

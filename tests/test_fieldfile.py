@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import field_file_arrays
+from oracles import field_file_arrays, field_file_read_error
 from symprod import cli, fieldfile, selection
 from symprod.errors import InputError, InvariantViolation
 from symprod.fieldfile import (
@@ -186,6 +186,57 @@ def test_a_meta_line_alone_in_the_first_block_is_skipped(tmp_path, monkeypatch):
     assert doc.points.tolist() == [[0.0], [1.0]]
     assert doc.tuples.tolist() == [[3.0, 1.0], [1.5, 2.5]]
     assert doc.adjacency.tolist() == [[1, 0]]
+
+
+@pytest.mark.parametrize("block", [1, fieldfile._DECODE_LINES])
+@pytest.mark.parametrize("text, error", [
+    ('{"meta": {}}\n', "{path}: no samples found"),
+    ('{"meta": 5}\n', "line 1: meta must be an object"),
+    ('{"meta": null}\n', "line 1: meta must be an object"),
+    ("\n  \n\t\n", "{path}: no samples found"),
+    ("", "{path}: no samples found"),
+    ('{"meta": {}}\n\n  \n', "{path}: no samples found"),
+    ('{"meta": []}\n{"meta": {}}\n', "line 1: meta must be an object"),
+], ids=["meta-only", "meta-number", "meta-null", "blank-only", "empty", "meta-then-blanks",
+        "meta-list-then-meta"])
+def test_a_file_with_no_samples_names_its_error(tmp_path, monkeypatch, block, text, error):
+    monkeypatch.setattr(fieldfile, "_DECODE_LINES", block)
+    path = tmp_path / "f.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as caught:
+        read_field_file(path)
+    assert str(caught.value) == error.format(path=path)
+
+
+@pytest.mark.parametrize("case, error", [
+    ("good", None),
+    ("size", "line 516: tuple size 3 != 2"),
+    ("edge", "line 1: adjacency edge (0, 99999) out of range for 517 samples"),
+], ids=["good", "size", "edge"])
+def test_the_reader_cuts_its_text_once(tmp_path, monkeypatch, case, error):
+    # One block and 5 rows more, so a read error in the second block is named
+    # from that block, and a meta error from the line number kept by the walk.
+    meta = {"m": 1, "n": 2, **({"adjacency": [[0, 99999]]} if case == "edge" else {})}
+    lines = [json.dumps({"meta": meta})]
+    lines += [sample_line([float(i)], [1.0, 2.0]) for i in range(fieldfile._DECODE_LINES + 5)]
+    if case == "size":
+        lines[515] = sample_line([0.0], [1.0, 2.0, 3.0])
+    path = tmp_path / "f.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cuts, cut = [], fieldfile._lines
+
+    def counted(text):
+        cuts.append(len(text))
+        return cut(text)
+
+    monkeypatch.setattr(fieldfile, "_lines", counted)
+    if error is None:
+        assert read_field_file(path).tuples.shape == (fieldfile._DECODE_LINES + 5, 2)
+    else:
+        with pytest.raises(InputError) as caught:
+            read_field_file(path)
+        assert str(caught.value) == error
+    assert len(cuts) == 1
 
 
 @pytest.mark.parametrize("rows", [10, 1000], ids=["in-first-8kb", "past-first-8kb"])
@@ -713,18 +764,21 @@ FIELD_NUMBERS = st.integers(-3, 3) | st.floats(width=64) | EDGE_NUMBERS
 
 
 def per_line_verdict(lines):
-    """The per-line pass's verdict on ``lines``: True if it finds a read error, False if none."""
+    """The whole-file walk's verdict on ``lines``: True if it finds a read error, False if none."""
     with pytest.raises((InputError, InvariantViolation)) as caught:
-        fieldfile._raise_read_error(lines, Path("f.jsonl"))
+        field_file_read_error(lines, Path("f.jsonl"))
     return caught.errisinstance(InputError)
 
 
 @contextlib.contextmanager
 def per_line_only():
-    """Read without the block reader: the per-line pass's error, else the oracle's arrays."""
-    def read(lines):
+    """Read without the block reader: the whole-file walk's error, else the oracle's arrays."""
+    def read(lines, path):
         lines = list(lines)  # the reader passes its lines as a one-pass iterator
-        return None if per_line_verdict(lines) else field_file_arrays("\n".join(lines))
+        with contextlib.suppress(InvariantViolation):  # no read error: the oracle's arrays
+            field_file_read_error(lines, path)
+        first = next(i for i, line in enumerate(lines, start=1) if line.strip())
+        return (*field_file_arrays("\n".join(lines)), first)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fieldfile, "_read_valid_lines", read)
@@ -754,11 +808,20 @@ def assert_same_as_per_line(path):
 
 
 def assert_routes_agree(text):
-    """The block reader declines exactly the files with a read error, else gives the oracle's arrays."""
+    """The block reader declines exactly the files with a read error, else gives the oracle's arrays.
+
+    A declined block's error is the one the whole-file walk names.
+    """
     lines = text.split("\n")
-    taken = fieldfile._read_valid_lines([s for s in map(str.strip, lines) if s])
+    try:
+        taken, error = fieldfile._read_valid_lines(lines, Path("f.jsonl")), None
+    except InputError as exc:  # a declined block
+        taken, error = None, str(exc)
     if per_line_verdict(lines):
         assert taken is None
+        with pytest.raises(InputError) as walked:
+            field_file_read_error(lines, Path("f.jsonl"))
+        assert error == str(walked.value)
         return
     assert taken is not None
     (meta, *arrays), (expected_meta, *expected_arrays) = taken, field_file_arrays(text)
@@ -800,10 +863,16 @@ def field_file_lines(draw):
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines)))
         damage = draw(st.sampled_from(
-            ["blank", "meta", "pair", "split", "size", "dim", "mode", "entry", "swap", "pad"]
+            ["blank", "blanks", "meta", "pair", "split", "size", "dim", "mode", "entry", "swap", "pad",
+             "no-samples"]
         ))
         if damage == "blank":
             lines.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
+        elif damage == "blanks":  # a run of blank lines longer than a small block
+            lines[at:at] = [""] * draw(st.integers(2, 9))
+        elif damage == "no-samples":  # a meta line that is not an object, and nothing else
+            lines[:] = [json.dumps({"meta": draw(st.sampled_from([5, None, [], "path"]))})]
+            lines += [""] * draw(st.integers(0, 5))
         elif damage == "meta":  # a meta line after the first line, or a repeated one
             meta_line = {"meta": draw(st.sampled_from([{"n": n}, {}]))}
             if draw(st.booleans()):  # a meta line with sample keys is still a meta line
@@ -860,6 +929,26 @@ def test_a_change_in_a_later_block_is_the_per_line_parsers_error(tmp_path, chang
     assert outcome[0] == "error" and outcome[1].startswith(f"line {len(lines)}: ")
 
 
+@pytest.mark.parametrize("block", [1, 2, fieldfile._DECODE_LINES])
+@pytest.mark.parametrize("change, error", [
+    ("size", "tuple size 3 != 2"),
+    ("dim", "point dimension 2 != 1"),
+    ("mode", "mixed real and complex tuple entries in one file"),
+])
+def test_a_later_block_of_another_shape_is_named_at_its_first_line(tmp_path, monkeypatch, block,
+                                                                    change, error):
+    # Every line of the third block has the other shape, so no line of it differs
+    # from the next: only the first sample, from the earlier blocks, shows the change.
+    bad = {"size": sample_line([1.0], [0.25, 1.0, 2.0]), "dim": sample_line([1.0, 2.0], [0.25, 1.0]),
+           "mode": sample_line([1.0], [[0.25, 0.0], [1.0, 0.0]])}[change]
+    lines = ['{"meta": {"m": 1, "n": 2}}'] + [sample_line([0.0], [0.25, 1.0])] * (2 * block - 1)
+    lines += [bad] * block
+    monkeypatch.setattr(fieldfile, "_DECODE_LINES", block)
+    path = tmp_path / "f.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert read_outcome(path) == ("error", f"line {2 * block + 1}: {error}")
+
+
 @given(runs=st.lists(st.tuples(st.sampled_from(["\n", "x", "\r", " "]), st.integers(0, 70_000)),
                      max_size=6))
 @example(runs=[("\n", 70_000)])
@@ -879,7 +968,10 @@ def fast_result(tmp_path, text):
     path.write_text(text, encoding="utf-8")
     assert_same_as_per_line(path)
     assert_routes_agree(text)
-    return fieldfile._read_valid_lines([s for s in map(str.strip, text.split("\n")) if s])
+    try:
+        return fieldfile._read_valid_lines(text.split("\n"), path)
+    except InputError:  # a declined block
+        return None
 
 
 def test_fast_reader_takes_plain_real_files(tmp_path):
@@ -948,10 +1040,16 @@ def test_written_files_take_the_block_route(tmp_path, monkeypatch):
 def test_a_valid_file_the_block_route_declines_is_an_invariant_violation(
     tmp_path, monkeypatch, capsys
 ):
-    # No silent fall-back: the per-line pass finds no read error and says so.
+    # No silent fall-back: the per-line pass finds no read error and says so.  The
+    # decline is injected into the block route's decoder; the per-line pass uses
+    # json.loads, whose decoder was made at import.
+    class Declining(json.JSONDecoder):
+        def raw_decode(self, s, idx=0):
+            raise ValueError("declined")
+
     source, out = tmp_path / "field.jsonl", tmp_path / "lifted.jsonl"
     write_lines(source, [{"point": [0.0], "tuple": [2.0, 1.0]}, {"point": [1.0], "tuple": [0.5, 3.0]}])
-    monkeypatch.setattr(fieldfile, "_read_valid_lines", lambda lines: None)
+    monkeypatch.setattr(json, "JSONDecoder", Declining)
     with pytest.raises(InvariantViolation, match="declined a file with no read error"):
         read_field_file(source)
     assert cli.main(["lift", "--input", str(source), "--output", str(out)]) == 1

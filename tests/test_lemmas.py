@@ -256,6 +256,58 @@ def test_displacement_bound_catches_a_too_large_stabilizer(monkeypatch, n):
     assert check.violations > 0
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_displacement_bound_counts_each_row_at_or_past_twice_its_epsilon(monkeypatch, n):
+    # With all of S_n as every stabilizer, a row's largest displacement is that of
+    # its reversed sort (rearrangement inequality).  Some rows must fall in
+    # [2 eps, 4 eps), so a check with a 4 eps bound would miss them.
+    real_stabilizer = lemmas.stabilizer_of
+    everything = BlockPartition(blocks=(tuple(range(n)),), n=n)
+    monkeypatch.setattr(lemmas, "stabilizer_of", lambda p: real_stabilizer(everything))
+    check = check_displacement_bound(n, 30, np.random.default_rng(6))
+    rng = np.random.default_rng(6)  # the check's own draws, in its order
+    eps = np.repeat(DISPLACEMENT_EPSILONS, 30)
+    labels = lemmas._random_partition_labels(n, eps.size, rng)
+    x = np.take_along_axis(rng.uniform(-10.0, 10.0, size=labels.shape), labels, axis=1)
+    x += lemmas._random_l1_perturbation(n, eps, rng, eps.size)
+    ascending = np.sort(x, axis=1)
+    largest = np.abs(ascending[:, ::-1] - ascending).sum(axis=1)
+    assert check.violations == np.count_nonzero(largest >= 2.0 * eps)
+    assert np.any((largest >= 2.0 * eps) & (largest < 4.0 * eps))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("identity_kept", [True, False], ids=["identity-kept", "identity-lost"])
+def test_interior_order_uniqueness_catches_a_second_keeping_permutation(monkeypatch, n,
+                                                                         identity_kept):
+    # The last column is the reversal, which never keeps a strict row: mark it as
+    # keeping every row, with or without the identity in column 0.
+    real_keeps = lemmas._keeps_sorted
+
+    def reversal_keeps(x, perms):
+        keeps = real_keeps(x, perms)
+        keeps[:, -1] = True
+        keeps[:, 0] &= identity_kept
+        return keeps
+
+    monkeypatch.setattr(lemmas, "_keeps_sorted", reversal_keeps)
+    check = check_interior_order_uniqueness(n, 30, np.random.default_rng(8))
+    assert check.violations == check.trials == 30
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_stabilizer_minimality_catches_a_partition_too_coarse(monkeypatch, n):
+    # One block holding every index: every permutation fixes the labels, but only
+    # those that keep the row sorted should, so each row not all one value counts.
+    monkeypatch.setattr(lemmas, "equality_partition",
+                        lambda x, tol: np.zeros(x.shape, dtype=np.intp))
+    check = check_stabilizer_minimality(n, 30, np.random.default_rng(9))
+    x = lemmas._random_boundary_vectors(n, 30, np.random.default_rng(9))
+    spread = np.count_nonzero(x[:, 0] != x[:, -1])  # sorted rows: not all one value
+    assert spread > 0
+    assert check.violations == spread
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("shift", [0.01, 1e-6])
 def test_closed_form_check_catches_a_shifted_distance(monkeypatch, shift, n):
