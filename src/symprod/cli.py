@@ -21,7 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # symprod calls no BLAS: ski
 from .errors import InputError, InvariantViolation, UndersampledLoopError
 
 LIFT_RATIO_TOL = 1e-6
-ENGINE_NAMES = ("assignment", "brute", "sorted")  # metric.engine_names(), without loading metric
+ENGINE_NAMES = ("assignment", "brute", "sorted")  # sorted(metric._ENGINES), without loading metric
 
 
 def _deferred(module: str, name: str):

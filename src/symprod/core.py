@@ -183,23 +183,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     return tuple(p[as_perm(q, p.size)].tolist())
 
 
-def invert(p: Sequence[int]) -> Perm:
-    """The inverse bijection: ``invert(p)[p[i]] == i``.
-
-    >>> invert((1, 2, 0))
-    (2, 0, 1)
-    """
-    return tuple(np.argsort(as_perm(p)).tolist())  # the argsort of a permutation is its inverse
-
-
-def enumerate_perms(n: int) -> tuple[Perm, ...]:
-    """All n! permutations of ``range(n)`` in lexicographic order: ``perm_matrix``'s rows as tuples.
-
-    Raises CapExceededError above the brute-force cap.
-    """
-    return tuple(map(tuple, perm_matrix(n).tolist()))
-
-
 def perm_matrix(n: int) -> np.ndarray:
     """All permutations of range(n) as an (n!, n) int array, lexicographic rows.
 
@@ -234,8 +217,6 @@ __all__ = [
     "apply_perm",
     "as_array",
     "compose",
-    "enumerate_perms",
     "identity_perm",
-    "invert",
     "is_perm",
 ]

@@ -234,10 +234,6 @@ def dist(y, z, engine: str = "auto") -> Distance:
     return fn(y, z)
 
 
-def engine_names() -> list[str]:
-    return sorted(_ENGINES)
-
-
 __all__ = [
     "Distance",
     "UnorderedTuple",
@@ -245,6 +241,5 @@ __all__ = [
     "dist_assignment",
     "dist_bruteforce",
     "dist_sorted",
-    "engine_names",
     "l1_norm",
 ]

@@ -112,9 +112,7 @@ CALLS = {
     "apply_perm": ((PERMS, SEQUENCES), {}),
     "as_array": ((SEQUENCES,), {}),
     "compose": ((PERMS, PERMS), {}),
-    "enumerate_perms": ((COUNTS,), {}),
     "identity_perm": ((COUNTS,), {}),
-    "invert": ((PERMS,), {}),
     "is_perm": ((PERMS,), {}),
     # diagonal
     "BlockPartition": ((PERMS, COUNTS), {}),
@@ -146,7 +144,6 @@ CALLS = {
     "dist_assignment": ((SEQUENCES, SEQUENCES), {}),
     "dist_bruteforce": ((SEQUENCES, SEQUENCES), {}),
     "dist_sorted": ((SEQUENCES, SEQUENCES), {}),
-    "engine_names": ((), {}),
     "l1_norm": ((SEQUENCES,), {}),
     # monodromy
     "ComplexLoop": ((SEQUENCES,), {}),

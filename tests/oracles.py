@@ -69,6 +69,32 @@ def triu_gap(samples) -> float:
         return float(np.abs(samples[:, j] - samples[:, k]).min())
 
 
+def discriminant_winding(samples) -> tuple[int, float]:
+    """Winding number w of the discriminant prod_{i<j} (z_i - z_j)^2 around a closed loop.
+
+    Each sample's phase is the sum of 2 * arg(z_i - z_j) over i < j, which no
+    reordering of its components changes (a swap adds 2 * pi).  The phase
+    steps between consecutive samples, the closing one included, are unwrapped
+    into [-pi, pi) and summed.  No matching is involved: a loop of distinct
+    roots returns them permuted by a permutation of sign (-1)**w.  Also
+    returns the largest step's size, since unwrapping is only sound well below pi.
+    """
+    samples = np.asarray(samples, dtype=complex)
+    i, j = np.triu_indices(samples.shape[1], k=1)
+    phase = 2.0 * np.angle(samples[:, i] - samples[:, j]).sum(axis=1)
+    steps = (np.diff(phase, append=phase[:1]) + np.pi) % (2.0 * np.pi) - np.pi
+    turns = float(steps.sum()) / (2.0 * np.pi)
+    winding = round(turns)
+    assert abs(turns - winding) < 1e-6, turns
+    return winding, float(np.abs(steps).max())
+
+
+def sign_by_inversions(p) -> int:
+    """(-1) to the number of pairs i < j with p[i] > p[j]."""
+    p = list(p)
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
 def grid_min_block_cost(values, lo=-12.0, hi=12.0, step=1e-3) -> float:
     """min over c in the grid of sum_j |values[j] - c|, by exhaustive search."""
     values = np.asarray(values, dtype=float)

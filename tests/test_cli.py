@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symprod import cli, lemmas, metric, selection
@@ -88,7 +89,7 @@ options:
 def test_engine_choices_are_the_engine_table_names(capsys, monkeypatch):
     from symprod import metric
 
-    assert list(cli.ENGINE_NAMES) == metric.engine_names()
+    assert list(cli.ENGINE_NAMES) == sorted(metric._ENGINES)
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main(["dist", "--help"])
@@ -1017,3 +1018,77 @@ HOLONOMY_GOLDEN = {
 def test_holonomy_golden_output(capsys, k, steps):
     assert cli.main(["holonomy", "--k", k, "--steps", steps]) == 0
     assert capsys.readouterr().out == HOLONOMY_GOLDEN[k, steps]
+
+
+def loop_file_lines(k: int, steps: int) -> list[str]:
+    """The lines ``write_loop_file`` writes for a roots loop."""
+    samples = roots_loop_generator(k, steps).samples
+    meta = json.dumps({"meta": {"m": 1, "n": k, "adjacency": "path"}})
+    return [meta] + [json.dumps({"point": [j / steps],
+                                 "tuple": [[z.real, z.imag] for z in row.tolist()]})
+                     for j, row in enumerate(samples)]
+
+
+# A small valid file per command: its name, its lines and the command's argv.
+FUZZ_FILES = {
+    "lift": ("f.jsonl", [
+        json.dumps({"meta": {"m": 1, "n": 3, "adjacency": "path"}}),
+        json.dumps({"point": [0.0], "tuple": [3.0, 1.0, 2.0]}),
+        json.dumps({"point": [0.5], "tuple": [2.5, 1.5, 2.0]}),
+        json.dumps({"point": [1.0], "tuple": [2.0, 2.0, 1.0]}),
+    ], ["lift", "--output", "{dir}/out.jsonl", "--input"]),
+    "lift-csv": ("f.csv", ["point_0,tuple_0,tuple_1", "0.0,3.0,1.0", "0.5,2.0,2.0", "1.0,1.5,2.5"],
+                 ["lift", "--csv", "--output", "{dir}/out.jsonl", "--input"]),
+    "holonomy": ("loop.jsonl", loop_file_lines(2, 16), ["holonomy", "--input"]),
+    "dist": ("pair.txt", ["1,5,2.5", "2+1j,3,-1j"], ["dist", "--file"]),
+}
+FUZZ_TOKENS = [b"1e308", b"-1e308", b"+1e308", b"1e-320", b"-0", b"nan", b"x", b"\xff",
+               b",", b"[", b"]", b"{", b"}", b'"', b":", b" "]
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def mutated_file(draw, lines):
+    """``lines`` as bytes after 0-3 line splits, deletions, duplications or token edits."""
+    lines = [line.encode() for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, max(0, len(lines) - 1)))
+        line = lines[at] if lines else b""
+        kind = draw(st.sampled_from(["split", "delete", "duplicate", "insert", "replace"]))
+        cut = draw(st.integers(0, len(line)))
+        token = draw(st.sampled_from(FUZZ_TOKENS))
+        if kind == "split":
+            lines[at:at + 1] = [line[:cut], line[cut:]]
+        elif kind == "delete" and lines:
+            del lines[at]
+        elif kind == "duplicate" and lines:
+            lines.insert(at, line)
+        elif kind == "insert":
+            lines[at:at + 1] = [line[:cut] + token + line[cut:]]
+        elif kind == "replace" and (numbers := list(NUMBER.finditer(line))):
+            number = numbers[draw(st.integers(0, len(numbers) - 1))]
+            lines[at] = line[:number.start()] + token + line[number.end():]
+    end = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, b""]))
+
+
+@pytest.mark.parametrize("command", FUZZ_FILES)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_files_exit_0_2_or_3_and_never_raise(tmp_path, command, data):
+    """Exit 1 only for lift's overflow case: a finite component past 1e307 makes an edge's
+    distance inf, so the isometry ratio is nan and the gate fails closed."""
+    name, lines, argv = FUZZ_FILES[command]
+    path = tmp_path / name
+    path.write_bytes(data.draw(mutated_file(lines)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([arg.format(dir=tmp_path) for arg in argv] + [str(path)])
+    if code == 1:
+        huge = any(abs(float(m.group())) > 1e307 for m in NUMBER.finditer(path.read_bytes()))
+        report, *violation = err.getvalue().splitlines()
+        assert command.startswith("lift") and huge, err.getvalue()
+        assert report.startswith("max_ratio = nan ") and violation == [
+            "invariant violation: sorted lift must be an isometry; max_ratio = nan"]
+    else:
+        assert code in (0, 2, 3), err.getvalue()

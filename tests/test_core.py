@@ -19,9 +19,7 @@ from symprod.core import (
     as_array,
     as_perm,
     compose,
-    enumerate_perms,
     identity_perm,
-    invert,
     is_perm,
     perm_matrix,
 )
@@ -79,35 +77,37 @@ def test_composition_matches_sequential_application(p, q, xs):
     assert np.array_equal(apply_perm(composite, x), apply_perm(q, apply_perm(p, x)))
 
 
+def perm_tuples(n):
+    """``perm_matrix(n)``'s rows as tuples."""
+    return [tuple(row) for row in perm_matrix(n).tolist()]
+
+
 def test_enumerate_perms_counts():
-    assert enumerate_perms(1) == ((0,),)
-    assert len(enumerate_perms(3)) == 6
-    assert len(set(enumerate_perms(3))) == 6
-    assert len(set(enumerate_perms(5))) == 120
+    assert perm_tuples(1) == [(0,)]
+    assert len(perm_tuples(3)) == 6
+    assert len(set(perm_tuples(3))) == 6
+    assert len(set(perm_tuples(5))) == 120
 
 
 def test_enumerate_perms_all_bijections():
     for n in (1, 2, 3, 4):
-        assert len(enumerate_perms(n)) == math.factorial(n)
-        assert all(is_perm(p) for p in enumerate_perms(n))
+        assert len(perm_tuples(n)) == math.factorial(n)
+        assert all(is_perm(p) for p in perm_tuples(n))
 
 
 def test_enumerate_perms_cap():
-    assert len(enumerate_perms(BRUTE_FORCE_CAP)) == math.factorial(BRUTE_FORCE_CAP)
-    with pytest.raises(CapExceededError, match="brute force too large"):
-        enumerate_perms(BRUTE_FORCE_CAP + 1)
-    with pytest.raises(CapExceededError, match=f"n = {BRUTE_FORCE_CAP + 1} exceeds cap"):
+    assert len(perm_matrix(BRUTE_FORCE_CAP)) == math.factorial(BRUTE_FORCE_CAP)
+    with pytest.raises(CapExceededError) as exc:
         perm_matrix(BRUTE_FORCE_CAP + 1)
+    assert str(exc.value) == "brute force too large: n = 9 exceeds cap 8 (9! permutations)"
 
 
 # Every count and size goes through as_count: a fraction, a non-number or a value
 # below the minimum is InputError, never truncated, rounded or left to numpy.
 BAD_COUNTS = {
-    "enumerate_perms-fraction": lambda: enumerate_perms(2.5),
-    "enumerate_perms-string": lambda: enumerate_perms("3"),
-    "enumerate_perms-zero": lambda: enumerate_perms(0),
-    "enumerate_perms-list": lambda: enumerate_perms([3]),
-    "enumerate_perms-dict": lambda: enumerate_perms({}),
+    "perm_matrix-fraction": lambda: perm_matrix(2.5),
+    "perm_matrix-string": lambda: perm_matrix("3"),
+    "perm_matrix-zero": lambda: perm_matrix(0),
     "perm_matrix-list": lambda: perm_matrix([3]),
     "perm_matrix-dict": lambda: perm_matrix({}),
     "partition-n-fraction": lambda: BlockPartition(((0, 1),), 2.5),
@@ -134,7 +134,7 @@ def test_bad_counts_are_input_errors(call):
 
 
 def test_integral_float_counts_act_as_their_ints():
-    assert enumerate_perms(3.0) == enumerate_perms(3)
+    assert np.array_equal(perm_matrix(3.0), perm_matrix(3))
     assert BlockPartition(((0.0, 2.0),), 3.0) == BlockPartition(((0, 2),), 3)
     assert np.array_equal(roots_loop_generator(3.0, 96.0).samples,
                           roots_loop_generator(3, 96).samples)
@@ -147,22 +147,13 @@ def test_integral_float_counts_act_as_their_ints():
 def test_perm_matrix_matches_enumeration():
     mat = perm_matrix(4)
     assert mat.shape == (24, 4)
-    assert tuple(tuple(int(v) for v in row) for row in mat) == enumerate_perms(4)
+    assert tuple(tuple(int(v) for v in row) for row in mat) == all_perms(4)
     assert not mat.flags.writeable  # cached array must stay frozen
-    for n in range(1, BRUTE_FORCE_CAP + 1):  # enumerate_perms is its view: check both by oracle
+    for n in range(1, BRUTE_FORCE_CAP + 1):
         mat = perm_matrix(n)
         assert mat.dtype == np.intp and mat.shape == (math.factorial(n), n)
         assert mat.tolist() == [list(p) for p in all_perms(n)]
-        assert enumerate_perms(n) == all_perms(n)
         assert not mat.flags.writeable and perm_matrix(n) is mat
-
-
-def test_invert_identity():
-    assert invert((0, 1, 2)) == (0, 1, 2)
-
-
-def test_invert_three_cycle():
-    assert invert((1, 2, 0)) == (2, 0, 1)
 
 
 def test_invert_round_trip_against_index_search():
@@ -171,13 +162,9 @@ def test_invert_round_trip_against_index_search():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         p = tuple(rng.permutation(n).tolist())
-        assert invert(p) == invert_by_search(p)
-        assert np.array_equal(apply_perm(invert(p), apply_perm(p, x[n])), x[n])
-
-
-@given(perms_upto_6)
-def test_invert_is_involution(p):
-    assert invert(invert(p)) == p
+        inverse = invert_by_search(p)
+        assert np.array_equal(apply_perm(inverse, apply_perm(p, x[n])), x[n])
+        assert np.array_equal(apply_perm(p, apply_perm(inverse, x[n])), x[n])
 
 
 @given(perms_upto_6, st.data())
@@ -228,7 +215,6 @@ def test_non_permutations_are_refused_at_every_entry_point(p):
         lambda: apply_perm(p, [1.0, 2.0]),
         lambda: compose(p, (0, 1)),
         lambda: compose((0, 1), p),
-        lambda: invert(p),
     ):
         with pytest.raises(InputError):
             call()
@@ -269,7 +255,7 @@ def test_cycle_functions_refuse_non_permutations_in_bounded_time():
 def test_as_perm_counts_bools_and_integral_floats_as_their_ints(p, word):
     idx = as_perm(p, len(word))
     assert idx.dtype == np.intp and idx.tolist() == word
-    assert is_perm(p) and invert(invert(p)) == tuple(word)
+    assert is_perm(p)
     assert p in Stabilizer(BlockPartition(blocks=(tuple(range(len(word))),), n=len(word)))
     with pytest.raises(InputError, match="not a permutation"):
         as_perm(p, len(word) + 1)
@@ -351,4 +337,4 @@ def test_malformed_input_is_input_error_at_every_entry_point(call, value):
 
 
 def test_enumerate_is_lexicographic():
-    assert enumerate_perms(3) == all_perms(3)
+    assert tuple(perm_tuples(3)) == all_perms(3)

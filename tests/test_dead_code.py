@@ -1,9 +1,11 @@
-"""Dead code in ``src/symprod``: imports never read, private helpers never used.
+"""Dead code in ``src/symprod``: imports never read, private helpers and exports never used.
 
 The test dependencies do not include pyflakes, so this is the same check
 over the syntax tree.  An imported name is used when its module reads it or
 lists it in ``__all__``.  A module-level ``_name`` is used when some module
-reads it, takes it as an attribute or imports it.
+reads it, takes it as an attribute or imports it.  A name in a module's
+``__all__`` is used when a statement other than its own definition reads it
+that way, in ``src/symprod``, ``demos/`` or ``perfbench/``; tests do not count.
 """
 
 import ast
@@ -14,21 +16,38 @@ import pytest
 import symprod
 
 SRC = Path(symprod.__file__).resolve().parent
+ROOT = SRC.parents[1]
 
 # Imported only so that perfbench/tracer.py can patch them.  ROADMAP item 1b
 # retargets the tracer and drops both imports, and this set with them.
 TRACER_ONLY = {("selection", "dist_sorted"), ("fieldfile", "UnorderedTuple")}
 
+# Exports that nothing in src/symprod, demos/ or perfbench/ reads, kept on purpose.
+KEPT_EXPORTS = {
+    ("core", "apply_perm"): "compose's docstring and Distance.attaining_perm's contract "
+                            "are stated in terms of this action",
+    ("core", "is_perm"): "ROADMAP item 2 keeps it: it is not one expression over public names",
+}
+
+
+def is_all(node: ast.AST) -> bool:
+    return isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets)
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The strings a module's ``__all__`` lists."""
+    return set().union(*(ast.literal_eval(node.value) for node in tree.body if is_all(node)))
+
+
+def name_loads(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
 
 def loaded_names(tree: ast.AST) -> set[str]:
     """Names a module reads, plus the strings its ``__all__`` exports."""
-    names = {node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
-                                                for t in node.targets):
-            names |= set(ast.literal_eval(node.value))
-    return names
+    return name_loads(tree) | exported(tree)
 
 
 def unused_imports(tree: ast.AST) -> set[str]:
@@ -41,25 +60,34 @@ def unused_imports(tree: ast.AST) -> set[str]:
     return bound - loaded_names(tree)
 
 
+def defined_names(node: ast.stmt) -> set[str]:
+    """Names a module-level statement defines: a function, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def private_definitions(tree: ast.AST) -> set[str]:
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    names = set().union(*map(defined_names, tree.body))
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
-def references(tree: ast.AST) -> set[str]:
-    refs = loaded_names(tree)
+def reads(tree: ast.AST) -> set[str]:
+    """Names read as a ``Name``, taken as an attribute or imported by ``from``."""
+    refs = name_loads(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             refs |= {a.name for a in node.names}
     return refs
+
+
+def references(tree: ast.Module) -> set[str]:
+    return reads(tree) | exported(tree)
 
 
 def dead_code(modules: dict[str, str]) -> set[tuple[str, str]]:
@@ -69,6 +97,23 @@ def dead_code(modules: dict[str, str]) -> set[tuple[str, str]]:
     return ({(m, name) for m, tree in trees.items() for name in unused_imports(tree)}
             | {(m, name) for m, tree in trees.items()
                for name in private_definitions(tree) - referenced})
+
+
+def dead_exports(modules: dict[str, str], readers: tuple[str, ...] = ()) -> set[tuple[str, str]]:
+    """(module, name) for each ``__all__`` name no statement reads outside its own definition.
+
+    ``modules`` are the exporting sources by module name; ``readers`` are other
+    sources whose reads count.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    bodies = [*((m, tree.body) for m, tree in trees.items()),
+              *((None, ast.parse(source).body) for source in readers)]
+    # (module, names the statement defines, names it reads) per statement, __all__ left out
+    statements = [(m, defined_names(node), reads(node))
+                  for m, body in bodies for node in body if not is_all(node)]
+    return {(m, name) for m, tree in trees.items() for name in exported(tree)
+            if not any(name in read and not (where == m and name in defined)
+                       for where, defined, read in statements)}
 
 
 @pytest.mark.parametrize("source, found", [
@@ -95,6 +140,42 @@ def test_the_guard_sees_each_form(source, found):
 def test_a_private_name_used_by_another_module_is_live():
     modules = {"a": "_X = 1\n_Y = 2\n_Z = 3", "b": "from .a import _X\nfrom . import a\na._Y\n_X"}
     assert dead_code(modules) == {("a", "_Z")}
+
+
+@pytest.mark.parametrize("source, reader, found", [
+    ("def f(): pass\n__all__ = ['f']", "", {"f"}),
+    ("__all__ = ['f']\ndef f(): pass", "", {"f"}),
+    ("def f(): pass\ng = f\n__all__ = ['f']", "", set()),
+    ("def f(): pass\ndef g():\n    return f()\n__all__ = ['f', 'g']", "", {"g"}),
+    ("def f():\n    return f()\n__all__ = ['f']", "", {"f"}),
+    ("class C:\n    def m(self):\n        return C\n__all__ = ['C']", "", {"C"}),
+    ("X = 1\n__all__ = ['X']", "", {"X"}),
+    ("X: int = 1\nY = X\n__all__ = ['X']", "", set()),
+    ("def f(): pass\n__all__ = ['f']", "import m\nm.f()", set()),
+    ("def f(): pass\n__all__ = ['f']", "from m import f", set()),
+    ("def f(): pass\n__all__ = ['f']", "f()", set()),
+    ("def f(): pass\n__all__ = ['f']", "f = 1", {"f"}),
+    ("def f(): pass\n__all__ = ['f']", "print('f')", {"f"}),
+    ("def f(): pass\n__all__ = ['f']", "__all__ = ['f']", {"f"}),
+])
+def test_the_export_guard_sees_each_form(source, reader, found):
+    assert {name for _, name in dead_exports({"m": source}, (reader,))} == found
+
+
+def test_an_export_read_by_another_module_is_live():
+    modules = {"a": "def f(): pass\ndef g(): pass\n__all__ = ['f', 'g']",
+               "b": "from .a import f\nf()\n__all__ = []"}
+    assert dead_exports(modules) == {("a", "g")}
+
+
+def test_every_export_is_read_outside_its_definition():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = tuple(p.read_text(encoding="utf-8") for folder in ("demos", "perfbench")
+                    for p in sorted((ROOT / folder).rglob("*.py")))
+    assert len(readers) >= 5, "demos/ and perfbench/ not found beside src/"
+    found = dead_exports(modules, readers)
+    assert found - set(KEPT_EXPORTS) == set(), "exported and read nowhere: remove it"
+    assert set(KEPT_EXPORTS) <= found, "a kept export is read now: drop it from KEPT_EXPORTS"
 
 
 def test_src_has_no_dead_imports_or_private_helpers():

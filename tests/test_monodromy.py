@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import min_matching, reference_match, triu_gap
+from oracles import (discriminant_winding, min_matching, reference_match,
+                     sign_by_inversions, triu_gap)
 from symprod import core, monodromy
 from symprod.core import apply_perm, compose, identity_perm, is_perm
 from symprod.errors import InputError, UndersampledLoopError
@@ -367,6 +368,46 @@ def test_track_loop_matches_stepwise_reference_on_roots_loops(k, monkeypatch):
         assert kind == "accepted"
         assert cycle_type(perm) == (k,)
         assert 0.0 < margin < 1.0
+
+
+def polynomial_roots(coeffs) -> np.ndarray:
+    """Each row's roots of z**k + c_1 z**(k-1) + ... + c_k, in np.roots's order.
+
+    One batched eigvals call on the companion matrices that np.roots builds.
+    """
+    m, k = coeffs.shape
+    companion = np.zeros((m, k, k), dtype=complex)
+    companion[:, 1:, :-1] = np.eye(k - 1)
+    companion[:, 0, :] = -coeffs
+    return np.linalg.eigvals(companion)
+
+
+def test_holonomy_sign_is_the_discriminant_winding_parity():
+    """sign(holonomy) == (-1)**w, w from the discriminant's phase alone: no matching."""
+    rng = np.random.default_rng(33)
+    steps = 2048
+    turn = np.exp(2j * np.pi * np.arange(steps) / steps)[:, np.newaxis]
+    parities, skipped = {1: 0, -1: 0}, 0
+    for _ in range(30):
+        k = int(rng.integers(2, 9))
+        c0, a = rng.normal(size=(2, k, 2)) @ np.array([1.0, 1j])  # complex k-vectors
+        samples = polynomial_roots(c0 + a * turn)  # c(t) = c0 + a e^{it}
+        assert np.array_equal(samples[0], np.roots(np.r_[1.0, c0 + a]))
+        winding, largest_step = discriminant_winding(samples)
+        relabelled = rng.permuted(samples, axis=1)  # each sample's components at random
+        if largest_step >= 0.5 * np.pi:
+            skipped += 1
+            continue
+        try:
+            signs = [sign_by_inversions(track_loop(ComplexLoop(s)).permutation)
+                     for s in (samples, relabelled)]
+        except UndersampledLoopError:
+            skipped += 1
+            continue
+        assert signs == [(-1) ** winding] * 2, (k, winding)
+        parities[(-1) ** winding] += 1
+    assert skipped <= 5
+    assert min(parities.values()) >= 5, parities
 
 
 def random_closed_walk(rng) -> np.ndarray:

@@ -1,10 +1,10 @@
 """S_n is enumerated in one place: ``core.perm_matrix``, the one permutation table
 (built by its cached helper ``core._perm_table``).
 
-``enumerate_perms`` is the tuple view of that table, and a stabilizer's
-elements take each block's rows from it.  A second enumerator would be a
-second cap refusal and a second row order, so an ``itertools.permutations``
-anywhere in ``src/`` outside ``_perm_table`` fails here first.
+A stabilizer's elements take each block's rows from that table.  A second
+enumerator would be a second cap refusal and a second row order, so an
+``itertools.permutations`` anywhere in ``src/`` outside ``_perm_table`` fails
+here first.
 """
 
 import ast
