@@ -56,15 +56,15 @@ def parse_tuple_text(text: str) -> np.ndarray:
     """Parse "1,5" or "1+2j,-1j" into a real or complex vector."""
     import numpy as np
 
+    entries = text.split(",")
     try:  # every entry a real number: float() of each is what the loop below gives
-        return np.fromiter(map(float, text.split(",")), dtype=float, count=text.count(",") + 1)
+        return np.fromiter(map(float, entries), dtype=float)
     except ValueError:  # a blank, complex or malformed entry
         pass
-    entries = [e.strip() for e in text.split(",") if e.strip()]
-    if not entries:
-        raise InputError(f"empty tuple: {text!r}")
     values = []
-    for entry in entries:
+    for entry in map(str.strip, entries):
+        if not entry:
+            continue
         try:
             values.append(float(entry))
             continue
@@ -74,6 +74,8 @@ def parse_tuple_text(text: str) -> np.ndarray:
             values.append(complex(entry.replace("i", "j")))
         except ValueError:
             raise InputError(f"cannot parse component {entry!r}") from None
+    if not values:
+        raise InputError(f"empty tuple: {text!r}")
     return np.asarray(values)  # floats give float64; a complex among them gives complex128
 
 
@@ -122,8 +124,9 @@ def _cmd_dist(args) -> int:
     result = dist(a, b, engine=args.engine)
     print(f"distance = {_fmt(result.value)}")
     print(f"engine = {result.engine}")
-    # One list repr, not a str per index all held at once: the same text in far less memory.
-    print("minimizer = " + str(list(result.attaining_perm))[1:-1].replace(", ", ","))
+    # One "%d" template over the index tuple: one C call, with no list, repr or replace copy.
+    perm = result.attaining_perm
+    print("minimizer = " + ("%d," * len(perm))[:-1] % perm)
     return 0
 
 

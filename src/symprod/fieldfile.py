@@ -312,15 +312,20 @@ def _replacing(path):
 def _write_rows(path, meta: dict, points: np.ndarray, rows: np.ndarray):
     """Write a meta header line, then one ``{"point": ..., "tuple": ...}`` line per row.
 
-    A row is written from the repr of its float lists: for finite floats that
-    is ``json.dumps``'s text (the same ``float.__repr__``, the same ``", "``).
+    A line is a ``%r`` template nested like one row: for finite floats
+    ``float.__repr__`` and ``", "`` are ``json.dumps``'s text.  A block of rows
+    is one ``%`` of the template repeated, over the block's numbers in row order.
     """
+    def nested(shape):  # "%r" per number, nested as a list of this shape
+        return "%r" if not shape else "[" + ", ".join([nested(shape[1:])] * shape[0]) + "]"
+
+    line = f'{{"point": {nested(points.shape[1:])}, "tuple": {nested(rows.shape[1:])}}}\n'
     with _replacing(path) as handle:
         handle.write(json.dumps({"meta": meta}) + "\n")
         for start in range(0, len(points), _DECODE_LINES):  # one block of Python floats at a time
-            block = slice(start, start + _DECODE_LINES)
-            for point, row in zip(points[block].tolist(), rows[block].tolist()):
-                handle.write(f'{{"point": {point}, "tuple": {row}}}\n')
+            p, r = points[start:start + _DECODE_LINES], rows[start:start + _DECODE_LINES]
+            numbers = np.hstack((p, r.reshape(len(p), -1))).ravel().tolist()
+            handle.write(line * len(p) % tuple(numbers))
 
 
 def write_lifted_file(path, lifted: LiftedField):

@@ -917,6 +917,28 @@ def test_module_run_matches_in_process_main(argv, code, capsys):
     assert (result.stdout, result.stderr, result.returncode) == (captured.out, captured.err, code)
 
 
+def test_a_profiled_module_run_writes_its_profile(tmp_path, capsys):
+    # A profile of the real child is how per-layer times are taken: the run must end
+    # through the normal exit path (SystemExit, not os._exit), which cProfile catches
+    # before it writes the profile.
+    import pstats
+
+    argv, profile = ["holonomy", "--k", "3", "--steps", "192"], tmp_path / "holonomy.prof"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(profile), "-m", "symprod.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert cli.main(argv) == 0
+    assert (result.stdout, result.returncode) == (capsys.readouterr().out, 0), result.stderr
+    functions = pstats.Stats(str(profile)).stats  # keyed by (file, line, function name)
+    assert any(Path(file).name == "monodromy.py" and name == "track_loop"
+               for file, _, name in functions)
+
+
 def test_lift_overflow_prints_no_numpy_warning(tmp_path):
     # The real stderr of a fresh interpreter, where numpy's warnings would land.
     path = tmp_path / "f.jsonl"

@@ -505,6 +505,43 @@ def test_loop_file_bytes_match_json_dumps(tmp_path):
         assert path.read_text(encoding="utf-8") == loop_file_by_json(loop)
 
 
+def lifted_file_by_json(lifted, adjacency) -> str:
+    """A lifted file built one ``json.dumps`` per line from Python floats."""
+    meta = {"m": lifted.points.shape[1], "n": lifted.values.shape[1], "adjacency": adjacency}
+    lines = [json.dumps({"meta": meta})]
+    lines += [json.dumps({"point": p, "tuple": r})
+              for p, r in zip(lifted.points.tolist(), lifted.values.tolist())]
+    return "".join(line + "\n" for line in lines)
+
+
+BLOCK = fieldfile._DECODE_LINES
+# signed zeros, the smallest subnormal, exponent forms, the float64 extremes, integral floats
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 1.79e308, -1.79e308, 3.0, -2.0, 1e22, 2.0**53]
+
+
+@pytest.mark.parametrize("path_edges", [True, False], ids=["path", "edge-list"])
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lifted_file_bytes_match_json_dumps(tmp_path, m, count, path_edges):
+    # Counts on both sides of the writer's block boundaries, in each point dimension.
+    rng = np.random.default_rng([m, count])
+
+    def floats(shape):
+        spread = 10.0 ** rng.uniform(-300, 300, shape) * rng.choice([-1.0, 1.0], shape)
+        return np.where(rng.random(shape) < 0.3, rng.choice(EDGE_FLOATS, shape), spread)
+
+    points, rows = floats((count, m)), floats((count, 2 * m - 1))
+    rows.ravel()[:len(EDGE_FLOATS)] = EDGE_FLOATS[:rows.size]
+    edges = rng.integers(0, count, (count, 2)).tolist()  # never the path: it has count - 1 edges
+    field = (SampledField.path(points, rows) if path_edges
+             else SampledField(points=points, values=rows, adjacency=edges))
+    lifted = lift_field(field)
+    path = tmp_path / "lifted.jsonl"
+    write_lifted_file(path, lifted)
+    expected = lifted_file_by_json(lifted, "path" if path_edges else edges)
+    assert path.read_text(encoding="utf-8").splitlines() == expected.splitlines()
+
+
 def test_read_csv_field(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text(
@@ -699,14 +736,21 @@ def fail_on_write(monkeypatch, call, error):
     monkeypatch.setattr(fieldfile, "_replacing", replacing)
 
 
+# Rows past two blocks: the writer makes a write for the header and one per block,
+# so its third write comes after a whole block of rows was written.
+BLOCKS_AND_A_ROW = 2 * BLOCK + 1
+
+
 @pytest.mark.parametrize("existing", [True, False])
 def test_failed_lifted_write_leaves_the_target_alone(tmp_path, monkeypatch, existing):
     out = tmp_path / "lifted.jsonl"
     if existing:
         out.write_bytes(b"previous output\n")
-    fail_on_write(monkeypatch, 2, RuntimeError("interrupted"))  # after the header and one row
+    rows = np.random.default_rng(3).uniform(-5.0, 5.0, (BLOCKS_AND_A_ROW, 2))
+    lifted = lift_field(SampledField.path(np.arange(BLOCKS_AND_A_ROW, dtype=float), rows))
+    fail_on_write(monkeypatch, 2, RuntimeError("interrupted"))  # after the header and one block
     with pytest.raises(RuntimeError, match="interrupted"):
-        write_lifted_file(out, small_lifted())
+        write_lifted_file(out, lifted)
     if existing:
         assert out.read_bytes() == b"previous output\n"
     assert [p.name for p in tmp_path.iterdir()] == (["lifted.jsonl"] if existing else [])
@@ -715,9 +759,9 @@ def test_failed_lifted_write_leaves_the_target_alone(tmp_path, monkeypatch, exis
 def test_failed_loop_write_leaves_the_target_alone(tmp_path, monkeypatch):
     path = tmp_path / "loop.jsonl"
     path.write_bytes(b"previous loop\n")
-    fail_on_write(monkeypatch, 5, RuntimeError("interrupted"))  # after the header and 4 rows
+    fail_on_write(monkeypatch, 2, RuntimeError("interrupted"))  # after the header and one block
     with pytest.raises(RuntimeError, match="interrupted"):
-        write_loop_file(path, roots_loop_generator(3, 48))
+        write_loop_file(path, roots_loop_generator(3, BLOCKS_AND_A_ROW))
     assert path.read_bytes() == b"previous loop\n"
     assert [p.name for p in tmp_path.iterdir()] == ["loop.jsonl"]
 
