@@ -172,10 +172,9 @@ def _cmd_holonomy(args) -> int:
     if args.input is not None:
         if (args.k, args.steps, args.radius) != (None, None, None):
             raise InputError("give either --input or --k/--steps, not both")
-        from . import fieldfile
+        from . import fieldfile, monodromy
 
-        doc = fieldfile.read_field_file(args.input)
-        loop = doc.to_loop()
+        loop = monodromy.ComplexLoop(fieldfile.read_field_file(args.input).tuples)
     else:
         if args.k is None or args.steps is None:
             raise InputError("need --k and --steps (or --input)")

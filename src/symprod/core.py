@@ -155,10 +155,6 @@ def nondescending(x: np.ndarray) -> np.ndarray:
     return np.all(x[..., 1:] >= x[..., :-1], axis=-1)
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(as_count(n, "n", 1)))
-
-
 def apply_perm(p: Sequence[int], x) -> np.ndarray:
     """Reorder ``x`` by ``p``: component ``k`` of the result is ``x[p[k]]``.
 
@@ -217,6 +213,5 @@ __all__ = [
     "apply_perm",
     "as_array",
     "compose",
-    "identity_perm",
     "is_perm",
 ]

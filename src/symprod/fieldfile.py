@@ -39,7 +39,7 @@ from .errors import InputError, InvariantViolation
 from .metric import UnorderedTuple  # noqa: F401
 from .selection import LiftedField, SampledField, _check_adjacency, path_adjacency
 
-if TYPE_CHECKING:  # to_loop imports it when called, so that `lift` does not load monodromy
+if TYPE_CHECKING:  # write_loop_file's annotation only, so that no reader loads monodromy
     from .monodromy import ComplexLoop
 
 # Lines per block in the block reader and the writer: one block's objects are
@@ -58,23 +58,13 @@ class FieldDocument:
     tuples: np.ndarray  # (N, n); complex dtype in complex mode
     adjacency: np.ndarray  # the checked read-only (E, 2) intp edges; "path" becomes its edges
 
-    @property
-    def complex_mode(self) -> bool:
-        """Whether the tuples are complex: a complex-mode file, to be tracked as a loop."""
-        return self.tuples.dtype.kind == "c"
-
     def to_sampled_field(self) -> SampledField:
-        if self.complex_mode:
+        if self.tuples.dtype.kind == "c":
             raise InputError(
                 "complex-mode input cannot be lifted by sorting; use `symprod holonomy` "
                 "to track components around a loop instead"
             )
         return SampledField(self.points, self.tuples, self.adjacency)
-
-    def to_loop(self) -> ComplexLoop:
-        from .monodromy import ComplexLoop
-
-        return ComplexLoop(samples=self.tuples)
 
 
 def _parse_adjacency(spec, count: int) -> np.ndarray:

@@ -63,7 +63,6 @@ class LemmaCheck:
     n: int
     trials: int
     violations: int
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -164,7 +163,6 @@ def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> L
         n=n,
         trials=trials * len(DISPLACEMENT_EPSILONS),
         violations=violations,
-        detail=f"eps in {DISPLACEMENT_EPSILONS}, strict 2*eps bound",
     )
 
 
@@ -193,7 +191,6 @@ def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> Le
         n=n,
         trials=trials * probes,
         violations=violations,
-        detail="10 probes per vector inside the c/4 ball",
     )
 
 
@@ -223,7 +220,6 @@ def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generato
         n=n,
         trials=trials,
         violations=violations,
-        detail=f"exhaustive over all {math.factorial(n)} permutations",
     )
 
 
@@ -260,7 +256,6 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
         n=n,
         trials=trials,
         violations=violations,
-        detail=f"exhaustive over all {math.factorial(n)} permutations",
     )
 
 
@@ -312,7 +307,6 @@ def check_diagonal_distance_closed_form(
         n=n,
         trials=trials,
         violations=violations,
-        detail="min over each block's own values, tolerance 1e-9",
     )
 
 

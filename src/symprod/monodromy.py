@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BRUTE_FORCE_CAP, Perm, as_array, as_count, as_perm, compose, identity_perm,
-                   row_chunks)
+from .core import BRUTE_FORCE_CAP, Perm, as_array, as_count, as_perm, compose, row_chunks
 from .errors import InputError, UndersampledLoopError
 from .metric import dist_assignment, dist_bruteforce
 
@@ -85,10 +84,6 @@ class Holonomy:
     total_path_cost: float
     margin: float
     worst_step: int
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.permutation))
 
 
 @np.errstate(over="ignore")
@@ -151,7 +146,7 @@ def track_loop(loop: ComplexLoop) -> Holonomy:
             "collision is ambiguous at any sampling rate"
         )
 
-    composite = identity_perm(n)
+    composite = tuple(range(n))
     # Stored-order costs, summed as the search sums a step's nearest costs.
     step_costs = np.empty(m)
     step_costs[:-1] = np.abs(samples[:-1] - samples[1:]).sum(axis=1)

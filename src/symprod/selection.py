@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import _asarray, as_array, as_count, nondescending, row_chunks
 from .errors import InputError, InvariantViolation
-from .metric import UnorderedTuple
+from .metric import _OVERFLOW, UnorderedTuple
 # perfbench/tracer.py patches this name; ROADMAP item 1b drops the import.
 from .metric import dist_sorted  # noqa: F401
 
@@ -150,7 +150,8 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     For the sorted selection both sides agree exactly, so ``max_ratio`` must
     come out as 1 (the acceptance suite pins the tolerance).  A zero-distance
     edge with differing lifted values is impossible by construction and
-    raises InvariantViolation.
+    raises InvariantViolation.  An edge whose distance overflows float64
+    raises InputError, as ``dist`` does.
     """
     if not np.array_equal(lifted.adjacency, field.adjacency):
         raise InputError("mismatched fields: adjacency differs")
@@ -159,9 +160,7 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
 
     edges = field.adjacency
     moved, d = np.empty(len(edges)), np.empty(len(edges))
-    # Finite values near the float limit can overflow to inf (and inf / inf to
-    # nan); the nan ratio that follows is the report, not a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # an overflowed edge sum is inf, refused below
         # Two endpoint gathers and their difference per slice of edges
         for rows in row_chunks(len(edges), 8 * 3 * field.values.shape[1]):
             a, b = edges[rows, 0], edges[rows, 1]
@@ -170,6 +169,9 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
             # given (dist_sorted's arithmetic), never reusing the lifted array.
             d[rows] = np.abs(np.sort(field.values[a], axis=1)
                              - np.sort(field.values[b], axis=1)).sum(axis=1)
+    if not np.isfinite(d).all():  # finite values near the float limit, as dist refuses them
+        i = int(np.argmax(~np.isfinite(d)))
+        raise InputError(f"edge {tuple(edges[i].tolist())}: {_OVERFLOW}")
     zero = d == 0.0
     broken = zero & (moved > EQUAL_CLASS_TOL)
     if broken.any():
@@ -181,8 +183,7 @@ def continuity_report(lifted: LiftedField, field: SampledField) -> ContinuityRep
     ratio_index = np.flatnonzero(~zero)
     if ratio_index.size == 0:
         return ContinuityReport(1.0, None, 0, zero_edges)
-    with np.errstate(invalid="ignore"):
-        ratios = moved[ratio_index] / d[ratio_index]
+    ratios = moved[ratio_index] / d[ratio_index]
     worst = int(np.argmax(ratios))  # first maximum, as in adjacency order
     worst_edge = tuple(field.adjacency[ratio_index[worst]].tolist())
     return ContinuityReport(float(ratios[worst]), worst_edge, ratio_index.size, zero_edges)

@@ -112,7 +112,6 @@ CALLS = {
     "apply_perm": ((PERMS, SEQUENCES), {}),
     "as_array": ((SEQUENCES,), {}),
     "compose": ((PERMS, PERMS), {}),
-    "identity_perm": ((COUNTS,), {}),
     "is_perm": ((PERMS,), {}),
     # diagonal
     "BlockPartition": ((PERMS, COUNTS), {}),

@@ -221,7 +221,7 @@ def test_criterion_7_complex_failure_real_success(capsys):
     if np.abs(np.diff(np.vstack([sorted_rows, sorted_rows[:1]]), axis=0)).max() > TOL_ISOMETRY:
         failures.append("sorted eigenvalue labels jumped between neighbors")
     h_real = track_loop(ComplexLoop(samples=sorted_rows.astype(complex)))
-    if not h_real.is_identity:
+    if h_real.permutation != tuple(range(len(h_real.permutation))):
         failures.append("real eigenvalue loop tracked to a non-identity relabeling")
 
     ok = not failures

@@ -19,7 +19,6 @@ from symprod.core import (
     as_array,
     as_perm,
     compose,
-    identity_perm,
     is_perm,
     perm_matrix,
 )
@@ -172,11 +171,6 @@ def test_apply_perm_preserves_multiset(p, data):
     xs = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(p), max_size=len(p)))
     out = apply_perm(p, np.array(xs))
     assert sorted(out.tolist()) == sorted(xs)
-
-
-def test_identity_perm():
-    assert identity_perm(4) == (0, 1, 2, 3)
-    assert is_perm(identity_perm(1))
 
 
 def test_is_perm_rejects_bad_words():

@@ -1,4 +1,4 @@
-"""Dead code in ``src/symprod``: imports never read, private helpers and exports never used.
+"""Dead code in ``src/symprod``: unread imports, and private helpers, exports and members never used.
 
 The test dependencies do not include pyflakes, so this is the same check
 over the syntax tree.  An imported name is used when its module reads it or
@@ -6,9 +6,13 @@ lists it in ``__all__``.  A module-level ``_name`` is used when some module
 reads it, takes it as an attribute or imports it.  A name in a module's
 ``__all__`` is used when a statement other than its own definition reads it
 that way, in ``src/symprod``, ``demos/`` or ``perfbench/``; tests do not count.
+A public member (field, property or method) of an exported class is used when
+code in the same places reads it as an attribute outside its own definition;
+dunders and ``_private`` members are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,10 @@ KEPT_EXPORTS = {
                             "are stated in terms of this action",
     ("core", "is_perm"): "ROADMAP item 2 keeps it: it is not one expression over public names",
 }
+
+# Public members of exported classes that nothing in src/symprod, demos/ or
+# perfbench/ reads, kept on purpose: (module, "Class.member") to the reason.
+KEPT_MEMBERS: dict[tuple[str, str], str] = {}
 
 
 def is_all(node: ast.AST) -> bool:
@@ -116,6 +124,36 @@ def dead_exports(modules: dict[str, str], readers: tuple[str, ...] = ()) -> set[
                        for where, defined, read in statements)}
 
 
+def attribute_reads(tree: ast.AST) -> Counter:
+    """How many times each name is read as an attribute (``x.name`` loaded, not stored)."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def dead_members(modules: dict[str, str], readers: tuple[str, ...] = ()) -> set[tuple[str, str]]:
+    """(module, "Class.member") for each public member of an exported class read nowhere else.
+
+    A member is read when some ``x.member`` loads it outside the class-body
+    statement that defines it; reads match by name, whatever ``x`` is.
+    ``modules`` and ``readers`` are as in ``dead_exports``.
+    """
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = sum(map(attribute_reads, [*trees.values(), *map(ast.parse, readers)]), Counter())
+    return {(m, f"{cls.name}.{name}") for m, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name in exported(tree)
+            for node in cls.body for name in defined_names(node)
+            if not name.startswith("_") and read[name] == attribute_reads(node)[name]}
+
+
+def package_sources(root: Path) -> tuple[dict[str, str], tuple[str, ...]]:
+    """``src/symprod``'s sources by module name, and the sources of ``demos/`` and ``perfbench/``."""
+    modules = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((root / "src" / "symprod").glob("*.py"))}
+    readers = tuple(p.read_text(encoding="utf-8") for folder in ("demos", "perfbench")
+                    for p in sorted((root / folder).rglob("*.py")))
+    return modules, readers
+
+
 @pytest.mark.parametrize("source, found", [
     ("import os", {"os"}),
     ("import os\nos.getcwd()", set()),
@@ -169,13 +207,63 @@ def test_an_export_read_by_another_module_is_live():
 
 
 def test_every_export_is_read_outside_its_definition():
-    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    readers = tuple(p.read_text(encoding="utf-8") for folder in ("demos", "perfbench")
-                    for p in sorted((ROOT / folder).rglob("*.py")))
+    modules, readers = package_sources(ROOT)
     assert len(readers) >= 5, "demos/ and perfbench/ not found beside src/"
     found = dead_exports(modules, readers)
     assert found - set(KEPT_EXPORTS) == set(), "exported and read nowhere: remove it"
     assert set(KEPT_EXPORTS) <= found, "a kept export is read now: drop it from KEPT_EXPORTS"
+
+
+DATACLASS = "from dataclasses import dataclass\n@dataclass\nclass C:\n    x: int\n__all__ = ['C']"
+PROPERTY = "class C:\n    @property\n    def p(self):\n        return 1\n__all__ = ['C']"
+
+
+@pytest.mark.parametrize("source, reader, found", [
+    (DATACLASS, "", {"C.x"}),
+    (DATACLASS, "C(x=1)", {"C.x"}),
+    (DATACLASS, "C(1).x", set()),
+    (DATACLASS, "getattr(C(1), 'x')", {"C.x"}),
+    (DATACLASS, "c = C(1)\nc.x = 2", {"C.x"}),
+    (PROPERTY, "", {"C.p"}),
+    (PROPERTY, "any_object.p", set()),
+    ("class C:\n    @property\n    def p(self):\n        return 1\n"
+     "    def q(self):\n        return self.p\n__all__ = ['C']", "C().q()", set()),
+    ("class C:\n    def m(self):\n        return self.m()\n__all__ = ['C']", "", {"C.m"}),
+    ("class C:\n    X = 1\n    @classmethod\n    def make(cls): pass\n__all__ = ['C']",
+     "C.make()", {"C.X"}),
+    ("class C:\n    def __len__(self):\n        return 0\n__all__ = ['C']", "", set()),
+    ("class C:\n    _x: int = 0\n    def _m(self): pass\n__all__ = ['C']", "", set()),
+    ("class C:\n    def m(self): pass\n__all__ = []", "", set()),
+    ("class A:\n    def f(self):\n        return B().g\nclass B:\n    def g(self): pass\n"
+     "    def h(self): pass\n__all__ = ['A', 'B']", "A().f()", {"B.h"}),
+])
+def test_the_member_guard_sees_each_form(source, reader, found):
+    assert {name for _, name in dead_members({"m": source}, (reader,))} == found
+
+
+@pytest.mark.parametrize("folder, found", [
+    ("tests", {"C.p"}), ("demos", set()), ("perfbench", set()), ("src/symprod", set()),
+])
+def test_a_member_counts_as_read_from_src_demos_and_perfbench_only(tmp_path, folder, found):
+    (tmp_path / "src" / "symprod").mkdir(parents=True)
+    (tmp_path / "src" / "symprod" / "m.py").write_text(PROPERTY, encoding="utf-8")
+    (tmp_path / folder).mkdir(parents=True, exist_ok=True)
+    (tmp_path / folder / "reader.py").write_text("from symprod.m import C\nC().p", encoding="utf-8")
+    assert {name for _, name in dead_members(*package_sources(tmp_path))} == found
+
+
+def test_a_member_read_by_another_module_is_live():
+    modules = {"a": "class C:\n    def f(self): pass\n    def g(self): pass\n__all__ = ['C']",
+               "b": "from .a import C\nC().f()\n__all__ = []"}
+    assert dead_members(modules) == {("a", "C.g")}
+
+
+def test_every_public_member_is_read_outside_its_definition():
+    modules, readers = package_sources(ROOT)
+    assert len(readers) >= 5, "demos/ and perfbench/ not found beside src/"
+    found = dead_members(modules, readers)
+    assert found - set(KEPT_MEMBERS) == set(), "a public member read nowhere: remove it"
+    assert set(KEPT_MEMBERS) <= found, "a kept member is read now: drop it from KEPT_MEMBERS"
 
 
 def test_src_has_no_dead_imports_or_private_helpers():

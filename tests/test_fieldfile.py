@@ -39,7 +39,7 @@ def test_read_real_field(tmp_path):
         ],
     )
     doc = read_field_file(path)
-    assert not doc.complex_mode
+    assert doc.tuples.dtype.kind != "c"
     assert np.array_equal(doc.points, [[0.0], [1.0]])
     assert np.array_equal(doc.tuples, [[3.0, 1.0], [1.5, 2.5]])
     assert doc.adjacency.tolist() == [[0, 1]]
@@ -81,10 +81,10 @@ def test_complex_mode_is_read_from_the_tuples_dtype(tmp_path):
         (read_csv_field(table), "f"),
     ):
         assert doc.tuples.dtype.kind == kind
-        assert doc.complex_mode == (kind == "c")
     points, edges = np.zeros((2, 1)), np.array([[0, 1]])
-    assert not FieldDocument(points, np.zeros((2, 3)), edges).complex_mode
-    assert FieldDocument(points, np.zeros((2, 3), dtype=complex), edges).complex_mode
+    assert FieldDocument(points, np.zeros((2, 3)), edges).to_sampled_field().values.shape == (2, 3)
+    with pytest.raises(InputError, match="cannot be lifted"):
+        FieldDocument(points, np.zeros((2, 3), dtype=complex), edges).to_sampled_field()
 
 
 def test_complex_mode_parses_and_refuses_sorting(tmp_path):
@@ -97,11 +97,11 @@ def test_complex_mode_parses_and_refuses_sorting(tmp_path):
         ],
     )
     doc = read_field_file(path)
-    assert doc.complex_mode
+    assert doc.tuples.dtype.kind == "c"
     assert doc.tuples[0, 0] == 1.0 + 0.5j
     with pytest.raises(InputError, match="cannot be lifted"):
         doc.to_sampled_field()
-    loop = doc.to_loop()
+    loop = ComplexLoop(doc.tuples)
     assert loop.step_count == 2
 
 
@@ -351,7 +351,8 @@ def test_arbitrary_json_gives_document_or_input_error(tmp_path_factory, meta, sa
         return
     assert isinstance(doc, FieldDocument)
     try:
-        field = doc.to_loop() if doc.complex_mode else doc.to_sampled_field()
+        field = (ComplexLoop(doc.tuples) if doc.tuples.dtype.kind == "c"
+                 else doc.to_sampled_field())
     except InputError:
         return
     assert field is not None
@@ -472,8 +473,8 @@ def test_loop_file_round_trip(tmp_path):
     path = tmp_path / "loop.jsonl"
     write_loop_file(path, loop)
     doc = read_field_file(path)
-    assert doc.complex_mode
-    back = doc.to_loop()
+    assert doc.tuples.dtype.kind == "c"
+    back = ComplexLoop(doc.tuples)
     assert back.step_count == 48
     assert np.allclose(back.samples, loop.samples, atol=0)  # exact float copies
 
@@ -552,7 +553,7 @@ def test_read_csv_field(tmp_path):
     doc = read_csv_field(path)
     assert doc.points.shape == (2, 2)
     assert doc.tuples.shape == (2, 3)
-    assert not doc.complex_mode
+    assert doc.tuples.dtype.kind != "c"
     assert doc.adjacency.tolist() == [[0, 1]]
     assert doc.adjacency.dtype == np.intp and not doc.adjacency.flags.writeable
     assert np.array_equal(doc.tuples[0], [3.0, 1.0, 2.0])
@@ -840,7 +841,7 @@ def read_outcome(path):
         "doc",
         doc.points.dtype, doc.points.shape, doc.points.tobytes(),
         doc.tuples.dtype, doc.tuples.shape, doc.tuples.tobytes(),
-        edges.dtype, edges.shape, edges.flags.writeable, edges.tolist(), doc.complex_mode,
+        edges.dtype, edges.shape, edges.flags.writeable, edges.tolist(),
     )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (discriminant_winding, min_matching, reference_match,
                      sign_by_inversions, triu_gap)
 from symprod import core, monodromy
-from symprod.core import apply_perm, compose, identity_perm, is_perm
+from symprod.core import apply_perm, compose, is_perm
 from symprod.errors import InputError, UndersampledLoopError
 from symprod.metric import dist_bruteforce
 from symprod.monodromy import (
@@ -120,14 +120,14 @@ def test_constant_loop_identity_holonomy():
     loop = ComplexLoop(samples=np.tile([1.0 + 0j, 2.0 + 0j, 3.0 + 0j], (16, 1)))
     h = track_loop(loop)
     assert h.permutation == (0, 1, 2)
-    assert h.is_identity
+    assert h.permutation == tuple(range(len(h.permutation)))
     assert h.total_path_cost == pytest.approx(0.0)
 
 
 def test_square_roots_give_transposition():
     h = track_loop(roots_loop_generator(2, 256))
     assert h.permutation == (1, 0)
-    assert not h.is_identity
+    assert h.permutation != tuple(range(len(h.permutation)))
     assert cycle_type(h.permutation) == (2,)
     # one full turn of the base point moves each root half a turn, so the
     # summed matching cost approaches the circle's circumference
@@ -150,8 +150,8 @@ def test_refinement_preserves_cycle_type():
 def test_nontrivial_holonomy_permutes_any_consistent_labeling():
     loop = roots_loop_generator(2, 256)
     h = track_loop(loop)
-    labels = list(identity_perm(loop.tuple_n))
-    perm = identity_perm(loop.tuple_n)
+    labels = list(range(loop.tuple_n))
+    perm = tuple(range(loop.tuple_n))
     for j in range(loop.step_count):
         step = reference_match(loop.samples[j], loop.samples[(j + 1) % loop.step_count])
         perm = compose(step, perm)
@@ -247,7 +247,7 @@ def test_real_loop_identity_holonomy_and_sorted_cross_check():
     high = np.sin(theta) + 3.0
     samples = np.stack([high, low], axis=1).astype(complex)  # stored unsorted
     h = track_loop(ComplexLoop(samples=samples))
-    assert h.is_identity
+    assert h.permutation == tuple(range(len(h.permutation)))
 
     # cross-check: sorted labels step by step never swap either
     for j in range(64):
@@ -262,7 +262,7 @@ def test_eigenvalue_family_loop_is_identity():
     samples = np.tile([-1.0 + 0j, 1.0 + 0j], (32, 1))
     assert samples.shape == (theta.size, 2)
     h = track_loop(ComplexLoop(samples=samples))
-    assert h.is_identity
+    assert h.permutation == tuple(range(len(h.permutation)))
     assert h.total_path_cost == 0.0
 
 
@@ -314,7 +314,7 @@ def reference_track(samples):
     """
     m = samples.shape[0]
     gap = min_intra_gap(samples)
-    perm = identity_perm(samples.shape[1])
+    perm = tuple(range(samples.shape[1]))
     total, worst, costs = 0.0, 0.0, []
     for i in range(m):
         prev, next_ = samples[i], samples[(i + 1) % m]

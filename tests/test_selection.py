@@ -320,6 +320,15 @@ def test_continuity_report_flags_broken_lift():
         continuity_report(bad, field)
 
 
+def test_continuity_report_refuses_the_first_edge_whose_distance_overflows():
+    # Finite rows whose edge sum passes float64 are refused as input, as dist refuses them.
+    values = [[0.0, 1.0], [0.0, 2.0], [1e308, 0.0], [-1e308, 0.0]]
+    field = SampledField([[0.0], [1.0], [2.0], [3.0]], values, adjacency=[[0, 1], [3, 2], [2, 1]])
+    with pytest.raises(InputError, match=r"^edge \(3, 2\): the distance between these tuples "
+                                         r"overflows float64$"):
+        continuity_report(lift_field(field), field)
+
+
 def test_lifted_field_rejects_descending_rows():
     with pytest.raises(InputError):
         LiftedField(
