@@ -97,12 +97,14 @@ class Stabilizer:
         return bool(np.array_equal(labels[p], labels))
 
     def _table(self) -> np.ndarray:
-        """Every element as a row of an ``(order, n)`` intp array, rows sorted; raises past the cap."""
+        """The elements as sorted rows of a read-only ``(order, n)`` array; raises past the cap."""
         order, cap = self.order, STABILIZER_ORDER_CAP
         if order > cap:
             raise CapExceededError(f"stabilizer order {order} exceeds enumeration cap {cap}")
-        # One axis per block, so an element is one choice of permutation along each axis.
         n, blocks = self.partition.n, self.partition.blocks
+        if order == math.factorial(n):  # all of S_n: perm_matrix's own cached, lexicographic table
+            return perm_matrix(n)
+        # One axis per block, so an element is one choice of permutation along each axis.
         sizes = [math.factorial(len(block)) for block in blocks]
         table = np.full((*sizes, n), np.arange(n))
         for axis, block in enumerate(blocks):  # the block's permutations, laid along its axis
@@ -110,7 +112,9 @@ class Stabilizer:
             shape[axis] = sizes[axis]
             table[..., list(block)] = np.asarray(block)[perm_matrix(len(block))].reshape(shape)
         table = table.reshape(order, n)
-        return table[np.lexsort(table.T[::-1])]
+        table = table[np.lexsort(table.T[::-1])]
+        table.setflags(write=False)
+        return table
 
     @property
     def elements(self) -> tuple[Perm, ...]:

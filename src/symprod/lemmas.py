@@ -8,12 +8,14 @@ verification run.  The suite is deterministic given a seed and powers the
 Every check draws its trials as one ``(trials, n)`` batch and tests its
 property with array expressions over the trial axis, through the library's
 own batch forms (``boundary_class``, ``dist_to_diagonal``,
-``equality_partition``).  Random partitions are drawn as one batch of block
-labels and grouped by distinct rows.  Only the piece under test runs per
-partition: one distance call and one stabilizer enumeration per distinct
-random partition.  displacement-bound draws its three epsilons as one
-batch, an epsilon per row, so each partition is grouped, measured and
-enumerated once for all three.
+``equality_partition``).  A batch of random partitions is a batch of rows of
+n small integers, k < n distinct values a row, so every row ties; equal
+values make a block, so every partition with a block can be drawn, up to the
+all-equal one.  Only the piece under test runs per distinct partition: one
+distance call and one stabilizer enumeration.  displacement-bound draws its
+three epsilons as one batch, an epsilon per row, so each partition is
+grouped, measured and enumerated once for all three; it and
+stabilizer-order walk a stabilizer's table a slice of elements at a time.
 
 Checks (names as reported):
 
@@ -70,28 +72,10 @@ class LemmaCheck:
 
 
 def _random_partition_labels(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` random nonempty block partitions, as ``(count, n)`` ``Stabilizer.labels`` rows.
-
-    Each row takes a uniform permutation and cuts blocks off its front, of
-    sizes uniform in 2..min(4, rest), stopping after each block with
-    probability 1/2 or when fewer than two indices remain.
-    """
-    order = rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
-    labels = np.tile(np.arange(n), (count, 1))
-    pos = np.zeros(count, dtype=np.intp)
-    rows = np.arange(count)  # rows still cutting blocks
-    span = np.arange(4)
-    while rows.size:
-        size = rng.integers(2, np.minimum(4, n - pos[rows]) + 1)
-        members = order[rows[:, np.newaxis], np.minimum(pos[rows, np.newaxis] + span, n - 1)]
-        inside = span < size[:, np.newaxis]
-        smallest = np.where(inside, members, n).min(axis=1)
-        r, j = np.nonzero(inside)
-        labels[rows[r], members[r, j]] = smallest[r]
-        pos[rows] += size
-        go_on = rng.random(rows.size) >= 0.5
-        rows = rows[go_on & (n - pos[rows] >= 2)]
-    return labels
+    """``count`` random partitions with a block, as ``(count, n)`` ``Stabilizer.labels`` rows."""
+    # n values from range(k), k uniform in 1..n - 1, always tie; a label is the first equal index
+    values = rng.integers(0, rng.integers(1, n, size=(count, 1)), size=(count, n))
+    return np.argmax(values[:, :, np.newaxis] == values[:, np.newaxis, :], axis=2)
 
 
 def _partition_groups(labels: np.ndarray) -> dict[BlockPartition, np.ndarray]:
@@ -141,6 +125,7 @@ def _random_l1_perturbation(
 
 def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Within eps of a diagonal set, every stabilizer element moves x < 2*eps."""
+    perm_matrix(n)  # S_n's table, built once as set-up: the all-equal pattern's stabilizer
     eps = np.repeat(DISPLACEMENT_EPSILONS, trials)  # the three batches as one, eps per row
     labels = _random_partition_labels(n, eps.size, rng)
     # one common value per row and block: each component takes its block label's draw
@@ -151,13 +136,16 @@ def check_displacement_bound(n: int, trials: int, rng: np.random.Generator) -> L
         near, bound = x[ids], eps[ids]
         if not np.all(dist_to_diagonal(near, partition) < bound):
             raise AssertionError("sampler broke its own precondition")
-        stab = stabilizer_of(partition)._table()
-        for rows in row_chunks(ids.size, 8 * stab.size):  # one (rows, |S|, n) array, in place
-            moved = near[rows][:, stab]
-            moved -= near[rows][:, np.newaxis]
-            displacement = np.abs(moved, out=moved).sum(axis=2)
-            ok = np.all(displacement < 2.0 * bound[rows, np.newaxis], axis=1)
-            violations += int(np.count_nonzero(~ok))
+        table = stabilizer_of(partition)._table()
+        ok = np.ones(ids.size, dtype=bool)
+        for elements in row_chunks(len(table), 8 * 8 * n):  # then rows: a (rows, |slice|, n) array
+            stab = table[elements]
+            for rows in row_chunks(ids.size, 8 * 8 * stab.size):
+                moved = near[rows][:, stab]
+                moved -= near[rows][:, np.newaxis]
+                displacement = np.abs(moved, out=moved).sum(axis=2)
+                ok[rows] &= np.all(displacement < 2.0 * bound[rows, np.newaxis], axis=1)
+        violations += int(np.count_nonzero(~ok))
     return LemmaCheck(
         name="displacement-bound",
         n=n,
@@ -261,17 +249,22 @@ def check_stabilizer_minimality(n: int, trials: int, rng: np.random.Generator) -
 
 def check_stabilizer_order(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """The enumerated stabilizer lists the block-factorial product of distinct members, only."""
+    perm_matrix(n)  # S_n's table, built once as set-up: the all-equal pattern's stabilizer
     violations = 0
     for partition, ids in _partition_groups(_random_partition_labels(n, trials, rng)).items():
         expected = math.prod(math.factorial(len(b)) for b in partition.blocks)
         stab = stabilizer_of(partition)
         table, labels = stab._table(), stab.labels
-        # the rows that are permutations keeping every index in its block, each counted
-        # once by its value as n base-n digits
-        members = table[np.all(np.sort(table) == np.arange(n), axis=1)]
-        members = members[np.all(labels[members] == labels, axis=1)]
-        keys = np.sort((members * n ** np.arange(n)).sum(axis=1))
-        distinct = keys.size and 1 + np.count_nonzero(np.diff(keys))  # np.unique loads numpy.ma
+        # the rows that are permutations keeping every index in its block, a slice at a
+        # time, each keyed by its value as n base-n digits
+        keys, count = np.empty(len(table), dtype=np.intp), 0
+        for rows in row_chunks(len(table), 8 * 8 * n):
+            members = table[rows][np.all(np.sort(table[rows]) == np.arange(n), axis=1)]
+            members = members[np.all(labels[members] == labels, axis=1)]
+            keys[count : count + len(members)] = (members * n ** np.arange(n)).sum(axis=1)
+            count += len(members)
+        keys = np.sort(keys[:count])
+        distinct = count and 1 + np.count_nonzero(keys[1:] != keys[:-1])
         if not len(table) == distinct == expected:
             violations += ids.size
     return LemmaCheck(

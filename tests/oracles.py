@@ -163,39 +163,17 @@ def blocks_of_labels(labels) -> tuple[tuple[int, ...], ...]:
 
 
 def random_partition_law(n: int) -> dict[tuple[int, ...], float]:
-    """Exact probability of each labels row of the random-partition decision tree.
+    """Exact probability of each labels row of the small-integer partition draw.
 
-    The tree: a uniform permutation of range(n); blocks cut off its front,
-    each of a size uniform in 2..min(4, rest); after each block a fair coin
-    stops the cutting, as does a rest below 2.  A row's label for index i is
-    the least index of i's block, or i itself.  Found by walking every path
-    of the tree against every permutation.
+    The draw: k uniform in 1..n - 1, then n values uniform in range(k).  A
+    row's label for index i is the least index holding i's value.  Found by
+    walking every k and every one of its k**n value rows.
     """
-    paths = []  # (block sizes, probability)
-
-    def grow(sizes, rest, prob):
-        if rest < 2:
-            paths.append((sizes, prob))
-            return
-        choices = range(2, min(4, rest) + 1)
-        for size in choices:
-            paths.append((sizes + (size,), prob / len(choices) / 2))  # the coin stops
-            grow(sizes + (size,), rest - size, prob / len(choices) / 2)
-
-    grow((), n, 1.0)
     law: dict[tuple[int, ...], float] = {}
-    perms = all_perms(n)
-    for sizes, prob in paths:
-        for perm in perms:
-            labels = list(range(n))
-            pos = 0
-            for size in sizes:
-                block = perm[pos : pos + size]
-                for i in block:
-                    labels[i] = min(block)
-                pos += size
-            key = tuple(labels)
-            law[key] = law.get(key, 0.0) + prob / len(perms)
+    for k in range(1, n):
+        for values in itertools.product(range(k), repeat=n):
+            key = tuple(values.index(v) for v in values)
+            law[key] = law.get(key, 0.0) + 1.0 / (n - 1) / k**n
     return law
 
 

@@ -216,6 +216,23 @@ def test_stabilizer_table_is_the_filtered_permutation_table(n):
         assert table.dtype == expected.dtype and np.array_equal(table, expected)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_whole_symmetric_group_is_the_cached_permutation_table(n):
+    assert Stabilizer(BlockPartition(blocks=(tuple(range(n)),), n=n))._table() is perm_matrix(n)
+
+
+def test_every_stabilizer_table_is_read_only():
+    # S_n's table is perm_matrix's cached one, and every other table is read-only
+    # too, so no caller can write into any of them.
+    partitions = [BlockPartition(blocks=tuple(b for b in blocks if len(b) >= 2), n=n)
+                  for n in range(1, 6) for blocks in set_partitions(n)]
+    partitions.append(BlockPartition(blocks=((0, 5), (2, 3, 11)), n=12))
+    for partition in partitions:
+        table = Stabilizer(partition)._table()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = table[0, 0]
+
+
 def test_stabilizer_table_past_the_brute_force_size_is_the_product_of_block_permutations():
     # n = 12: each element picks one permutation per block and fixes the rest.
     n, blocks = 12, ((0, 5), (2, 3, 11))

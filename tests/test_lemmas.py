@@ -52,6 +52,12 @@ def test_suite_passes_with_small_trial_count():
         assert r.passed
 
 
+def test_suite_passes_at_the_largest_sizes():
+    results = run_lemma_suite(n_values=(7, 8), trials=60, seed=0)
+    assert len(results) == 2 * len(CHECK_NAMES)
+    assert all_passed(results)
+
+
 def test_suite_is_deterministic_for_a_seed():
     a = run_lemma_suite(n_values=(2, 3), trials=40, seed=9)
     b = run_lemma_suite(n_values=(2, 3), trials=40, seed=9)
@@ -77,7 +83,7 @@ def list_a_foreign_permutation(monkeypatch):
     table = Stabilizer._table
 
     def foreign(stab):
-        rows = table(stab)
+        rows = table(stab).copy()  # the table itself is read-only
         rows[-1] = np.roll(np.arange(stab.partition.n), -1)
         return rows
 
@@ -177,7 +183,7 @@ def test_stabilizer_order_catches_a_repeated_element(monkeypatch, n):
     table = Stabilizer._table
 
     def repeat_first(stab):
-        rows = table(stab)
+        rows = table(stab).copy()  # the table itself is read-only
         rows[-1] = rows[0]
         return rows
 
@@ -564,16 +570,24 @@ def test_boundary_has_ties_catches_a_batch_form_without_ties(monkeypatch):
     assert check.violations == check.trials == 30
 
 
+def test_partition_sampler_draws_a_block_of_five_and_the_all_equal_row():
+    # A sampler that cuts blocks of at most 4 draws neither at n = 6, so no check
+    # would see a stabilizer as large as S_5 or all of S_6.
+    labels = lemmas._random_partition_labels(6, 500, np.random.default_rng(0))
+    largest = {int(np.bincount(row).max()) for row in labels}  # each row's largest block
+    assert {5, 6} <= largest
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_partition_sampler_law(n):
-    # Frequencies of the batch sampler against the exact probabilities of the
-    # decision tree, each within five binomial standard deviations.
+    # Frequencies of the batch sampler against the exact probabilities of its
+    # small-integer draw, each within five binomial standard deviations.
     rows = 20_000
     law = random_partition_law(n)
     labels = lemmas._random_partition_labels(n, rows, np.random.default_rng(100 + n))
     assert labels.shape == (rows, n)
     counts = Counter(map(tuple, labels.tolist()))
-    assert set(counts) <= set(law)  # every row is a partition the tree can draw
+    assert set(counts) <= set(law)  # every row is a partition the draw can give
     for row in counts:  # and names its partition in the Stabilizer.labels convention
         assert tuple(Stabilizer(lemmas._partition_of_labels(np.array(row))).labels) == row
     for row, p in law.items():
