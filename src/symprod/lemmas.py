@@ -5,17 +5,19 @@ stabilizers, and the sorted cone into a randomized (or exhaustive)
 verification run.  The suite is deterministic given a seed and powers the
 ``symprod lemmas`` CLI subcommand as well as the acceptance tests.
 
-Every check draws its trials as one ``(trials, n)`` batch and tests its
-property with array expressions over the trial axis, through the library's
-own batch forms (``boundary_class``, ``dist_to_diagonal``,
-``equality_partition``).  A batch of random partitions is a batch of rows of
-n small integers, k < n distinct values a row, so every row ties; equal
-values make a block, so every partition with a block can be drawn, up to the
-all-equal one.  Only the piece under test runs per distinct partition: one
-distance call and one stabilizer enumeration.  displacement-bound draws its
-three epsilons as one batch, an epsilon per row, so each partition is
-grouped, measured and enumerated once for all three; it and
-stabilizer-order walk a stabilizer's table a slice of elements at a time.
+Every check draws its trials as one ``(trials, n)`` batch, each sample with
+its property by construction, and tests the property with array expressions
+over the trial axis, through the library's batch forms (``boundary_class``,
+``dist_to_diagonal``, ``equality_partition``).  A random partition is a row
+of n small integers, k < n distinct values, so every row ties; equal values
+make a block, so every partition with a block can be drawn, up to the
+all-equal one.  A boundary vector is a sorted point of such a diagonal set,
+an interior vector a running sum of steps of at least 0.1, and an exterior
+vector a uniform row, reversed if it came out sorted.  Per distinct
+partition only the piece under test runs: one distance call and one
+stabilizer enumeration.  displacement-bound draws its three epsilons as one
+batch, so each partition is grouped, measured and enumerated once for all
+three; it and stabilizer-order walk a stabilizer's table in slices.
 
 Checks (names as reported):
 
@@ -91,26 +93,9 @@ def _partition_groups(labels: np.ndarray) -> dict[BlockPartition, np.ndarray]:
 
 
 def _random_boundary_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` sorted rows, each with one or more exact ties at uniformly chosen places."""
-    x = np.sort(rng.uniform(-10.0, 10.0, size=(count, n)), axis=1)
-    ties = 1 + rng.integers(0, n - 1, size=count)
-    # a random order of the n - 1 gaps per row; the gaps ranked below `ties` are tied
-    tied = rng.permuted(np.tile(np.arange(n - 1), (count, 1)), axis=1) < ties[:, np.newaxis]
-    for j in range(1, n):  # left to right, so a run of ties carries one value along
-        x[:, j] = np.where(tied[:, j - 1], x[:, j - 1], x[:, j])
-    return x
-
-
-def _rejection_sample(n: int, count: int, rng: np.random.Generator, keep) -> np.ndarray:
-    """``count`` uniform rows, each redrawn until ``keep(rows)`` passes it; 100 draws at most."""
-    x = np.empty((count, n))
-    redraw = np.arange(count)
-    for _ in range(100):
-        x[redraw] = rng.uniform(-10.0, 10.0, size=(redraw.size, n))
-        redraw = redraw[~keep(x[redraw])]
-        if redraw.size == 0:
-            return x
-    raise AssertionError("could not sample an accepted vector in 100 draws")
+    """``count`` sorted points of random diagonal sets: each row has one or more exact ties."""
+    labels = _random_partition_labels(n, count, rng)
+    return np.sort(np.take_along_axis(rng.uniform(-10.0, 10.0, size=labels.shape), labels, axis=1))
 
 
 def _random_l1_perturbation(
@@ -166,7 +151,8 @@ def check_exterior_openness(n: int, trials: int, rng: np.random.Generator) -> Le
         y = []
         for start in starts[groups]:
             g = rng.spawn(1)[0]
-            x = _rejection_sample(n, min(group, trials - start), g, lambda r: ~nondescending(r))
+            x = g.uniform(-10.0, 10.0, size=(min(group, trials - start), n))
+            x = np.where(nondescending(x)[:, np.newaxis], x[:, ::-1], x)  # a sorted row, reversed
             running_max = np.maximum.accumulate(x, axis=1)[:, :-1]
             c = np.max(running_max - x[:, 1:], axis=1)  # largest inversion height per vector
             if not np.all(c > 0):
@@ -196,8 +182,8 @@ def _keeps_sorted(x: np.ndarray, perms: np.ndarray) -> np.ndarray:
 def check_interior_order_uniqueness(n: int, trials: int, rng: np.random.Generator) -> LemmaCheck:
     """Only the identity keeps a strictly ascending vector non-descending."""
     perms = perm_matrix(n)
-    # uniform rows with no two components equal (ties have probability zero), sorted
-    x = np.sort(_rejection_sample(n, trials, rng, lambda r: (np.diff(np.sort(r)) > 0).all(axis=1)))
+    # ascending rows: every step is at least 0.1, far above a rounding error, so none ties
+    x = np.cumsum(rng.uniform(0.1, 2.5, size=(trials, n)), axis=1) - 10.0
     violations = 0
     for rows in row_chunks(trials, 8 * 4 * len(perms)):  # keeps, two columns, a comparison
         keeps = _keeps_sorted(x[rows], perms)

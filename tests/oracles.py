@@ -305,24 +305,3 @@ def stabilizer_rows(partition) -> np.ndarray:
     rows = perm_rows(partition.n)
     return rows[np.all(labels[rows] == labels, axis=1)]
 
-
-def exterior_vectors_by_redraw(n: int, count: int, rng) -> np.ndarray:
-    """The exterior-openness sampler as one loop: rows redrawn while sorted, 100 draws at most."""
-    x = np.empty((count, n))
-    redraw = np.arange(count)
-    for _ in range(100):
-        x[redraw] = rng.uniform(-10.0, 10.0, size=(redraw.size, n))
-        redraw = redraw[np.all(x[redraw][:, 1:] >= x[redraw][:, :-1], axis=1)]
-        if redraw.size == 0:
-            return x
-    raise AssertionError("could not sample an out-of-order vector")
-
-
-def interior_vectors_by_redraw(n: int, count: int, rng) -> np.ndarray:
-    """The interior-order sampler as one loop: sorted rows, redrawn while any two tie."""
-    x = np.empty((count, n))
-    redraw = np.arange(count)
-    while redraw.size:
-        x[redraw] = np.sort(rng.uniform(-10.0, 10.0, size=(redraw.size, n)), axis=1)
-        redraw = redraw[~np.all(np.diff(x[redraw], axis=1) > 0, axis=1)]
-    return x

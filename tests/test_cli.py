@@ -675,8 +675,9 @@ def test_any_argv_exits_with_a_known_code(argv_files, data):
 
 
 def test_importing_the_cli_loads_no_statistics_modules():
-    # Only `bench` takes a median, and numpy's serves; statistics would pull in
-    # fractions and decimal at every start.
+    # Only `bench` takes a median, and it imports statistics.median in its own
+    # body; at module level statistics would pull in fractions and decimal at
+    # every start.
     src = str(Path(cli.__file__).resolve().parents[1])
     result = subprocess.run(
         [sys.executable, "-c", "import sys, symprod.cli; "

@@ -8,7 +8,9 @@ reads it, takes it as an attribute or imports it.  A name in a module's
 that way, in ``src/symprod``, ``demos/`` or ``perfbench/``; tests do not count.
 A public member (field, property or method) of an exported class is used when
 code in the same places reads it as an attribute outside its own definition;
-dunders and ``_private`` members are exempt.
+dunders and ``_private`` members are exempt.  An oracle, a top-level function
+of ``tests/oracles.py``, is used when a test module imports it from there; a
+``_private`` one, when ``oracles.py`` itself reads it.
 """
 
 import ast
@@ -145,6 +147,15 @@ def dead_members(modules: dict[str, str], readers: tuple[str, ...] = ()) -> set[
             if not name.startswith("_") and read[name] == attribute_reads(node)[name]}
 
 
+def unimported_oracles(oracles: str, tests: tuple[str, ...]) -> set[str]:
+    """Top-level functions of ``oracles`` no test imports; ``_private`` ones, that it never reads."""
+    tree = ast.parse(oracles)
+    imported = {a.name for source in tests for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "oracles" for a in node.names}
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name not in (name_loads(tree) if node.name.startswith("_") else imported)}
+
+
 def package_sources(root: Path) -> tuple[dict[str, str], tuple[str, ...]]:
     """``src/symprod``'s sources by module name, and the sources of ``demos/`` and ``perfbench/``."""
     modules = {p.stem: p.read_text(encoding="utf-8")
@@ -271,3 +282,23 @@ def test_src_has_no_dead_imports_or_private_helpers():
     assert found - TRACER_ONLY == set(), "imported and never read, or defined and never used"
     # When the tracer stops patching them, drop both imports and empty TRACER_ONLY.
     assert TRACER_ONLY <= found, "a tracer-only import is gone: update TRACER_ONLY"
+
+
+@pytest.mark.parametrize("oracles, test, found", [
+    ("def f(): pass", "from oracles import f", set()),
+    ("def f(): pass", "", {"f"}),
+    ("def f(): pass\ndef g(): pass", "from oracles import g", {"f"}),
+    ("def f(): pass", "from other import f", {"f"}),
+    ("def f(): pass", "def t():\n    from oracles import f", set()),
+    ("def _h(): pass\ndef f():\n    return _h()", "from oracles import f", set()),
+    ("def _h(): pass", "from oracles import _h", {"_h"}),
+    ("X = 1\nclass C: pass", "", set()),
+])
+def test_the_oracle_guard_sees_each_form(oracles, test, found):
+    assert unimported_oracles(oracles, (test,)) == found
+
+
+def test_every_oracle_is_imported_by_a_test_module():
+    tests = {p.name: p.read_text(encoding="utf-8") for p in sorted((ROOT / "tests").glob("*.py"))}
+    oracles = tests.pop("oracles.py")
+    assert unimported_oracles(oracles, tuple(tests.values())) == set(), "an unused oracle: remove it"

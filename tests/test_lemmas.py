@@ -1,4 +1,3 @@
-import copy
 import math
 import tracemalloc
 from collections import Counter
@@ -9,10 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
+    all_perms,
     blocks_of_labels,
-    exterior_vectors_by_redraw,
     grid_min_block_cost,
-    interior_vectors_by_redraw,
     random_partition_law,
 )
 from symprod import core, lemmas
@@ -395,7 +393,9 @@ ALL_CHECKS = [
 ]
 # What a check may hold at the default CHUNK_ELEMENTS beside its samples: its
 # blocks take an eighth of a chunk of float64s, 1 MB, at most.  The largest
-# measured peak above the samples is 0.71 MB, the exhaustive checks at n = 8.
+# measured peak above the samples is 0.74 MB, displacement-bound at n = 8 with
+# 50 trials (a 0.83 MB peak against a 1.09 MB bound); the exhaustive checks
+# there reach 0.71 MB.
 # The samples are ten float64s per drawn component at most.  A (150, 720, 6)
 # float64 gather alone is 5.2 MB.
 WORKING_SET_BYTES = 1 << 20
@@ -468,8 +468,6 @@ def test_sampler_laws(n):
             delta = lemmas._random_l1_perturbation(n, b, rng, 50)
             assert delta.shape == (50, n)
             assert np.all(np.abs(delta).sum(axis=1) < b)
-        exterior = lemmas._rejection_sample(n, 40, rng, lambda x: ~core.nondescending(x))
-        assert np.all(np.any(np.diff(exterior, axis=1) < 0, axis=1))
         boundary = lemmas._random_boundary_vectors(n, 40, rng)
         steps = np.diff(boundary, axis=1)
         assert np.all(steps >= 0)
@@ -479,43 +477,46 @@ def test_sampler_laws(n):
     assert tie_counts == set(range(1, n))  # every tie count from 1 to n - 1 is drawn
 
 
-def test_exterior_sampler_gives_up_after_100_draws():
-    class SortedDraws:
-        draws = 0
-
-        def uniform(self, lo, hi, size):
-            self.draws += 1
-            return np.sort(np.random.default_rng(self.draws).uniform(lo, hi, size=size), axis=1)
-
-    rng = SortedDraws()
-    with pytest.raises(AssertionError, match="could not sample an accepted vector in 100 draws"):
-        lemmas._rejection_sample(3, 5, rng, lambda x: ~core.nondescending(x))
-    assert rng.draws == 100
+def test_boundary_draw_ties_every_nonempty_set_of_gaps():
+    # At n = 5 a sorted row has 4 gaps, so 2**4 - 1 = 15 nonempty sets of them can tie.
+    x = lemmas._random_boundary_vectors(5, 2_000, np.random.default_rng(0))
+    patterns = Counter(map(tuple, (np.diff(x, axis=1) == 0).tolist()))
+    assert len(patterns) == 15
+    assert (False,) * 4 not in patterns
 
 
-@pytest.mark.parametrize("check, reference, sort", [
-    (check_exterior_openness, exterior_vectors_by_redraw, False),
-    (check_interior_order_uniqueness, interior_vectors_by_redraw, True),
-], ids=["exterior", "interior"])
-def test_each_check_draws_what_its_own_redraw_loop_drew(monkeypatch, check, reference, sort):
-    # The one rejection sampler against a copy of each check's former loop,
-    # run on a twin of the same generator: the same rows, the same draws used.
-    real = lemmas._rejection_sample
-    counts = []
+def drawn_vectors(monkeypatch, check, n, trials, seed, name):
+    """The rows ``check`` hands to ``lemmas.<name>``, unperturbed, in order."""
+    seen = []
+    real = getattr(lemmas, name)
+    monkeypatch.setattr(lemmas, name, lambda x, *rest: seen.append(x.copy()) or real(x, *rest))
+    # zero perturbations, drawn as before: each exterior probe is its own vector
+    real_delta = lemmas._random_l1_perturbation
+    monkeypatch.setattr(lemmas, "_random_l1_perturbation", lambda *a: 0.0 * real_delta(*a))
+    assert check(n, trials, np.random.default_rng(seed)).passed
+    monkeypatch.undo()
+    return np.concatenate(seen)
 
-    def against_reference(n, count, rng, keep):
-        twin = copy.deepcopy(rng)
-        x = real(n, count, rng, keep)
-        assert np.array_equal(np.sort(x, axis=1) if sort else x, reference(n, count, twin))
-        assert rng.bit_generator.state == twin.bit_generator.state
-        counts.append(count)
-        return x
 
-    monkeypatch.setattr(lemmas, "_rejection_sample", against_reference)
-    for seed in range(3):
-        for n in (2, 3, 5, 8):
-            assert check(n, 70, np.random.default_rng(seed)).passed
-    assert sum(counts) == 3 * 4 * 70
+@pytest.mark.parametrize("n", range(2, 9))
+def test_interior_draw_ascends_by_steps_of_at_least_a_tenth(monkeypatch, n):
+    x = drawn_vectors(monkeypatch, check_interior_order_uniqueness, n, 300, n, "_keeps_sorted")
+    assert x.shape == (300, n)
+    assert np.all(np.diff(x, axis=1) >= 0.1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_exterior_draw_is_out_of_order(monkeypatch, n):
+    x = drawn_vectors(monkeypatch, check_exterior_openness, n, 150, n, "boundary_class")
+    assert x.shape == (10 * 150, n)
+    assert np.all(np.any(np.diff(x, axis=1) < 0, axis=1))
+
+
+def test_exterior_draw_gives_every_unsorted_ordering(monkeypatch):
+    # Three components have 3! orderings; all but the sorted one must appear.
+    x = drawn_vectors(monkeypatch, check_exterior_openness, 3, 200, 4, "boundary_class")
+    orderings = {tuple(order) for order in np.argsort(x, axis=1).tolist()}
+    assert orderings == set(all_perms(3)) - {(0, 1, 2)}
 
 
 def test_exterior_openness_draws_do_not_depend_on_the_chunk_size(monkeypatch):
